@@ -33,7 +33,7 @@ use evilbloom_hashes::{
     md5, sha256, siphash24, HashStrategy, KirschMitzenmacher, Murmur128Pair, Murmur3_128, SipKey,
 };
 use evilbloom_server::{
-    loopback_connection_budget, Backend, Client, Command, Response, Server, ServerConfig,
+    loopback_connection_budget, Client, Command, Response, Server, ServerConfig,
 };
 use evilbloom_store::{craft_store_pollution, BloomStore, PersistConfig};
 use evilbloom_urlgen::UrlGenerator;
@@ -369,15 +369,9 @@ impl Suite {
             "server/trace_overhead",
             "server/fault_hooks_overhead",
             "server/attack_mix",
-            "server/async/query",
-            "server/async/query_batch",
-            "server/async/attack_mix",
-            "server/conn_scaling/threaded/c64",
-            "server/conn_scaling/threaded/c1k",
-            "server/conn_scaling/threaded/c8k",
-            "server/conn_scaling/async/c64",
-            "server/conn_scaling/async/c1k",
-            "server/conn_scaling/async/c8k",
+            "server/conn_scaling/c64",
+            "server/conn_scaling/c1k",
+            "server/conn_scaling/c8k",
             "attack/pollution_drift/standard",
             "attack/pollution_drift/blocked",
         ]
@@ -395,8 +389,7 @@ impl Suite {
             || self.family_selected("store/")
             || self.family_selected("server/query")
             || self.family_selected("server/attack_mix")
-            || self.family_selected("server/fault")
-            || self.family_selected("server/async/");
+            || self.family_selected("server/fault");
         let (members, probes) =
             if needs_items { self.items(self.filter_capacity as usize) } else { (vec![], vec![]) };
 
@@ -410,24 +403,11 @@ impl Suite {
         if self.selected("store/snapshot_while_serving") || self.selected("store/recovery_replay") {
             self.persistence_workloads(&mut timings, &members, &probes);
         }
-        for backend in Backend::ALL.into_iter().filter(|b| b.is_supported()) {
-            let prefix = match backend {
-                Backend::Threaded => "server/",
-                Backend::Async => "server/async/",
-            };
-            if self.family_selected(&format!("{prefix}query"))
-                || self.family_selected(&format!("{prefix}attack_mix"))
-                || self.family_selected(&format!("{prefix}fault"))
-            {
-                self.server_workloads(
-                    &mut timings,
-                    &mut observables,
-                    &members,
-                    &probes,
-                    backend,
-                    prefix,
-                );
-            }
+        if self.family_selected("server/query")
+            || self.family_selected("server/attack_mix")
+            || self.family_selected("server/fault")
+        {
+            self.server_workloads(&mut timings, &mut observables, &members, &probes);
         }
         if self.family_selected("server/conn_scaling/") {
             self.conn_scaling_workloads(&mut timings);
@@ -720,9 +700,8 @@ impl Suite {
         }
     }
 
-    /// The TCP serving layer on a loopback socket, once per backend
-    /// (`server/*` for the threaded worker pool, `server/async/*` for the
-    /// epoll reactor): single-op round-trip latency, pipelined batch
+    /// The TCP serving layer on a loopback socket: single-op round-trip
+    /// latency, pipelined batch
     /// throughput (one `MQUERY` frame per batch), and an attack-mix stream
     /// — pipelined `MINSERT` frames of crafted polluting items interleaved
     /// with `MQUERY` probe frames, the traffic shape of
@@ -733,11 +712,9 @@ impl Suite {
         observables: &mut Vec<ObservableRecord>,
         members: &[String],
         probes: &[String],
-        backend: Backend,
-        prefix: &str,
     ) {
         let batch = self.batch;
-        let config = ServerConfig::with_backend(backend);
+        let config = ServerConfig::default();
 
         // Hardened store behind the server — the recommended serving
         // posture — preloaded with the member set.
@@ -755,7 +732,7 @@ impl Suite {
         let mut client = Client::connect(handle.local_addr()).expect("connect");
 
         let mut i = 0usize;
-        self.time(out, &format!("{prefix}query"), 1, || {
+        self.time(out, "server/query", 1, || {
             i = (i + 1) % members.len();
             client.query(members[i].as_bytes()).expect("server query")
         });
@@ -766,7 +743,7 @@ impl Suite {
             .take(batch / 2)
             .flat_map(|(m, p)| [m.as_bytes(), p.as_bytes()])
             .collect();
-        self.time(out, &format!("{prefix}query_batch"), batch as u64, || {
+        self.time(out, "server/query_batch", batch as u64, || {
             client.query_batch(&mix).expect("server query batch")
         });
 
@@ -783,9 +760,7 @@ impl Suite {
         // unit repeats the 16-batch + scrape pattern REPS times (~15 ms) so
         // a single scheduler preemption dents one unit by a few percent
         // instead of half.
-        if prefix == "server/"
-            && (self.selected("server/metrics_overhead") || self.selected("server/trace_overhead"))
-        {
+        if self.selected("server/metrics_overhead") || self.selected("server/trace_overhead") {
             const SCRAPE_EVERY: usize = 16;
             const REPS: usize = 3;
             let elements = (REPS * SCRAPE_EVERY * batch) as u64;
@@ -887,7 +862,7 @@ impl Suite {
         // disarmed — every socket hook takes the registry slow path instead
         // of one relaxed atomic load — so holding the armed/bare ratio
         // under the 1.05x budget proves the disarmed claim a fortiori.
-        if prefix == "server/" && self.selected("server/fault_hooks_overhead") {
+        if self.selected("server/fault_hooks_overhead") {
             const BURSTS: usize = 16;
             const REPS: usize = 3;
             let elements = (REPS * BURSTS * batch) as u64;
@@ -961,7 +936,7 @@ impl Suite {
         // deletion surface). Each iteration restores the deleted members, so
         // the counters are stationary; the per-element figure prices one
         // remote decrement plus the paired increment that restores it.
-        if self.selected(&format!("{prefix}delete_batch")) {
+        if self.selected("server/delete_batch") {
             let counting = Arc::new(
                 BloomStore::builder()
                     .shards(8)
@@ -976,7 +951,7 @@ impl Suite {
                 Server::spawn(Arc::clone(&counting), "127.0.0.1:0", config).expect("bind loopback");
             let mut client = Client::connect(handle.local_addr()).expect("connect");
             let frame: Vec<&[u8]> = members.iter().take(batch).map(String::as_bytes).collect();
-            self.time(out, &format!("{prefix}delete_batch"), batch as u64, || {
+            self.time(out, "server/delete_batch", batch as u64, || {
                 let removed = client.delete_batch(&frame).expect("server delete batch");
                 client.insert_batch(&frame).expect("restore members");
                 removed.iter().filter(|&&r| r).count()
@@ -985,7 +960,7 @@ impl Suite {
             handle.shutdown();
         }
 
-        if !self.selected(&format!("{prefix}attack_mix")) {
+        if !self.selected("server/attack_mix") {
             return; // the offline crafting below is the expensive setup
         }
         // Attack mix runs against an unhardened victim (the deployment the
@@ -1021,7 +996,7 @@ impl Suite {
             .map(|c| c.iter().map(String::as_bytes).collect())
             .collect();
         let frames = crafted_frames.len() + probe_frames.len();
-        self.time(out, &format!("{prefix}attack_mix"), batch as u64, || {
+        self.time(out, "server/attack_mix", batch as u64, || {
             for (crafted, probe) in crafted_frames.iter().zip(&probe_frames) {
                 client.send(&Command::InsertBatch(crafted.clone())).expect("queue MINSERT");
                 client.send(&Command::QueryBatch(probe.clone())).expect("queue MQUERY");
@@ -1044,57 +1019,44 @@ impl Suite {
 
     /// Connection-count scaling, the C10k observable: per-request RTT on an
     /// *active* connection while 64 / 1k / 8k mostly-idle connections are
-    /// held open against the same server, threaded vs async. The async
-    /// reactor keeps every connection *served* (an epoll entry each); the
-    /// threaded backend keeps them merely *accepted* — connections beyond
-    /// the worker pool are queued unserved, which is precisely the scaling
-    /// wall this workload family documents.
+    /// held open against the same server. The reactor keeps every
+    /// connection *served* (an epoll entry each), so the idle herd should
+    /// cost the active connection little.
     fn conn_scaling_workloads(&self, out: &mut Vec<TimingRecord>) {
-        for backend in Backend::ALL.into_iter().filter(|b| b.is_supported()) {
-            for (tier, conns) in self.conn_tiers {
-                let id = format!("server/conn_scaling/{backend}/{tier}");
-                if !self.selected(&id) {
+        for (tier, conns) in self.conn_tiers {
+            let id = format!("server/conn_scaling/{tier}");
+            if !self.selected(&id) {
+                continue;
+            }
+            if let Some(budget) = loopback_connection_budget() {
+                if budget < conns as u64 {
+                    println!("{id:<40} skipped (fd budget {budget} < {conns} connections)");
                     continue;
                 }
-                if let Some(budget) = loopback_connection_budget() {
-                    if budget < conns as u64 {
-                        println!("{id:<40} skipped (fd budget {budget} < {conns} connections)");
-                        continue;
-                    }
-                }
-                let store = Arc::new(
-                    BloomStore::builder()
-                        .shards(8)
-                        .capacity(100_000)
-                        .target_fpp(0.01)
-                        .seed(11)
-                        .build(),
-                );
-                let handle =
-                    Server::spawn(store, "127.0.0.1:0", ServerConfig::with_backend(backend))
-                        .expect("bind loopback");
-                // The active connection dials first: on the threaded
-                // backend only the first `workers` connections are ever
-                // served when the idle herd exceeds the pool.
-                let mut active = Client::connect(handle.local_addr()).expect("connect active");
-                active.ping().expect("active connection served");
-                let idle: Vec<std::net::TcpStream> = (0..conns.saturating_sub(1))
-                    .map(|i| {
-                        // Pace the herd just below the listen backlog so a
-                        // single-core host never drops a SYN into a 1s
-                        // retransmission stall.
-                        if i % 64 == 63 {
-                            std::thread::sleep(std::time::Duration::from_millis(2));
-                        }
-                        std::net::TcpStream::connect(handle.local_addr())
-                            .unwrap_or_else(|e| panic!("idle connect {i}: {e}"))
-                    })
-                    .collect();
-                self.time(out, &id, 1, || active.ping().expect("active RTT"));
-                drop(idle);
-                drop(active);
-                handle.shutdown();
             }
+            let store = Arc::new(
+                BloomStore::builder().shards(8).capacity(100_000).target_fpp(0.01).seed(11).build(),
+            );
+            let handle = Server::spawn(store, "127.0.0.1:0", ServerConfig::default())
+                .expect("bind loopback");
+            let mut active = Client::connect(handle.local_addr()).expect("connect active");
+            active.ping().expect("active connection served");
+            let idle: Vec<std::net::TcpStream> = (0..conns.saturating_sub(1))
+                .map(|i| {
+                    // Pace the herd just below the listen backlog so a
+                    // single-core host never drops a SYN into a 1s
+                    // retransmission stall.
+                    if i % 64 == 63 {
+                        std::thread::sleep(std::time::Duration::from_millis(2));
+                    }
+                    std::net::TcpStream::connect(handle.local_addr())
+                        .unwrap_or_else(|e| panic!("idle connect {i}: {e}"))
+                })
+                .collect();
+            self.time(out, &id, 1, || active.ping().expect("active RTT"));
+            drop(idle);
+            drop(active);
+            handle.shutdown();
         }
     }
 
@@ -1269,14 +1231,6 @@ fn build_comparisons(timings: &[TimingRecord]) -> Vec<Comparison> {
     );
     push("trace_scrape_amortized_vs_query_batch", "server/query_batch", "server/trace_overhead");
     push("fault_hooks_vs_query_batch", "server/query_batch", "server/fault_hooks_overhead");
-    push("async_vs_threaded_query", "server/query", "server/async/query");
-    push("async_vs_threaded_query_batch", "server/query_batch", "server/async/query_batch");
-    push("async_vs_threaded_attack_mix", "server/attack_mix", "server/async/attack_mix");
-    push(
-        "async_vs_threaded_8k_connections",
-        "server/conn_scaling/threaded/c8k",
-        "server/conn_scaling/async/c8k",
-    );
     comparisons
 }
 

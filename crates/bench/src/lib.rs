@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn no_filter_selects_every_workload() {
-        let ids = ["hash/md5", "server/query", "server/conn_scaling/async/c1k"];
+        let ids = ["hash/md5", "server/query", "server/conn_scaling/c1k"];
         assert_eq!(select_workloads(&ids, None), ids.to_vec());
     }
 

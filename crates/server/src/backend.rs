@@ -1,82 +1,21 @@
-//! Backend selection and the acceptor loop both backends share.
+//! The server's resilient accept loop and its admission control, plus the
+//! fd-budget helpers high-connection-count harnesses size themselves by.
 //!
-//! The serving layer has two I/O backends behind one [`crate::ServerConfig`]:
-//!
-//! * [`Backend::Threaded`] — the portable fallback: an acceptor thread hands
-//!   connections to a fixed pool of blocking worker threads; one worker
-//!   serves one connection at a time.
-//! * [`Backend::Async`] — a Linux epoll reactor (`reactor.rs` in the
-//!   sources): every connection is a non-blocking state machine multiplexed
-//!   onto N reactor threads, so open-connection count is bounded by file
-//!   descriptors, not threads (C10k-scale).
-//!
-//! Both backends accept through the same resilient accept loop, which
-//! classifies `accept()` errors so a transient failure (fd exhaustion under
-//! an EMFILE storm, a signal) backs off instead of spinning a hot error
-//! loop.
+//! The acceptor classifies `accept()` errors so a transient failure (fd
+//! exhaustion under an EMFILE storm, a signal) backs off instead of
+//! spinning a hot error loop, and counts every accepted socket against
+//! [`crate::ServerConfig::max_conns`]: past the cap it answers a typed
+//! `BUSY` frame instead of handing the socket to a reactor shard.
 
-use std::io;
+use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
-use std::str::FromStr;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use evilbloom_metrics::log_warn;
 
 use crate::server::Inner;
-
-/// Which I/O backend a server runs its connections on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Portable threaded backend: acceptor + blocking worker pool, one
-    /// worker per active connection. The default.
-    #[default]
-    Threaded,
-    /// Linux epoll reactor: non-blocking connection state machines
-    /// multiplexed onto N reactor shards. `Server::spawn` returns
-    /// [`io::ErrorKind::Unsupported`] on other platforms.
-    Async,
-}
-
-impl Backend {
-    /// Every backend, for CLIs and parametrized tests.
-    pub const ALL: [Backend; 2] = [Backend::Threaded, Backend::Async];
-
-    /// Short lowercase name (`"threaded"` / `"async"`), the [`FromStr`]
-    /// inverse.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Threaded => "threaded",
-            Backend::Async => "async",
-        }
-    }
-
-    /// Whether this backend can run on the current platform.
-    pub fn is_supported(self) -> bool {
-        match self {
-            Backend::Threaded => true,
-            Backend::Async => cfg!(target_os = "linux"),
-        }
-    }
-}
-
-impl core::fmt::Display for Backend {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for Backend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threaded" => Ok(Backend::Threaded),
-            "async" => Ok(Backend::Async),
-            other => Err(format!("unknown backend {other:?} (expected \"threaded\" or \"async\")")),
-        }
-    }
-}
+use crate::wire::Response;
 
 /// The soft limit on open file descriptors for this process (parsed from
 /// `/proc/self/limits`; `None` where that does not exist or does not
@@ -118,8 +57,7 @@ pub(crate) enum AcceptAction {
 }
 
 /// Classifies an `accept()` error into the action that avoids both dropped
-/// connections and hot error loops. Covered by unit tests below; used by
-/// both backends' acceptors.
+/// connections and hot error loops. Covered by unit tests below.
 pub(crate) fn classify_accept_error(error: &io::Error) -> AcceptAction {
     match error.kind() {
         io::ErrorKind::WouldBlock => AcceptAction::Idle,
@@ -135,10 +73,11 @@ pub(crate) fn classify_accept_error(error: &io::Error) -> AcceptAction {
     }
 }
 
-/// Runs the shared non-blocking accept loop until shutdown: accepted
-/// streams go to `deliver` (which returns `false` when the receiving side
-/// is gone), errors are classified, and persistent resource errors log once
-/// per streak instead of once per failure.
+/// Runs the non-blocking accept loop until shutdown: an accepted stream is
+/// admitted against [`crate::ServerConfig::max_conns`] (or refused with
+/// `BUSY`) and goes to `deliver`, which returns `false` when the receiving
+/// side is gone. Errors are classified, and persistent resource errors log
+/// once per streak instead of once per failure.
 pub(crate) fn acceptor_loop(
     listener: &TcpListener,
     inner: &Inner,
@@ -166,7 +105,13 @@ pub(crate) fn acceptor_loop(
         match accepted {
             Ok((stream, _peer)) => {
                 logged_backoff = false;
+                if !inner.admit_conn() {
+                    reject_busy(stream, inner);
+                    continue;
+                }
                 if !deliver(stream) {
+                    // The stream was dropped undelivered.
+                    inner.release_conn();
                     break;
                 }
             }
@@ -185,19 +130,26 @@ pub(crate) fn acceptor_loop(
     }
 }
 
+/// Answers an over-admission connection with a typed `BUSY` frame (so the
+/// client backs off for the hinted interval instead of interpreting the
+/// close as a server fault) and drops it. Best-effort with a short write
+/// timeout: the acceptor must never block behind a rejected peer.
+fn reject_busy(stream: TcpStream, inner: &Inner) {
+    inner.metrics.busy_rejections.inc();
+    let retry_after_ms = u32::try_from(inner.busy_retry_after.as_millis()).unwrap_or(u32::MAX);
+    let mut frame = Vec::with_capacity(16);
+    let busy = Response::Busy { retry_after_ms };
+    if busy.encode(&mut frame).is_ok()
+        && stream.set_write_timeout(Some(Duration::from_millis(50))).is_ok()
+    {
+        let mut stream = stream;
+        drop(stream.write_all(&frame));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backend_names_round_trip() {
-        for backend in Backend::ALL {
-            assert_eq!(backend.name().parse::<Backend>(), Ok(backend));
-        }
-        assert!("epoll".parse::<Backend>().is_err());
-        assert_eq!(Backend::default(), Backend::Threaded);
-        assert!(Backend::Threaded.is_supported());
-    }
 
     #[test]
     fn would_block_means_idle() {

@@ -1,4 +1,4 @@
-//! Pooled read/write buffers shared by both serving backends.
+//! Pooled read/write buffers shared by every reactor shard.
 //!
 //! Every connection needs a receive accumulator and a response buffer. On a
 //! churning server that is two heap allocations (plus regrowth) per accepted

@@ -414,8 +414,8 @@ struct Verdict {
 fn classify(err: &ClientError, idempotent: bool, retry_writes: bool) -> Verdict {
     match err {
         // BUSY is always safe to retry — an admission-rejected request was
-        // never executed — but the threaded backend writes it at accept
-        // time and then drops the socket, so re-dial to be safe.
+        // never executed — but the server writes it at accept time and
+        // then drops the socket, so re-dial.
         ClientError::Busy { retry_after_ms } => Verdict {
             retryable: true,
             reconnect: true,

@@ -3,8 +3,8 @@
 //! one logical request over several sockets.
 //!
 //! One pipelined connection already hides per-request latency, but it is
-//! still a single TCP stream: one in-order byte pipe, one server-side
-//! worker (threaded backend) or reactor event source. Spreading the frames
+//! still a single TCP stream: one in-order byte pipe, one reactor event
+//! source on the server. Spreading the frames
 //! of a large batch over a few pooled connections lets the server work the
 //! lanes independently — this is how `examples/remote_attack.rs` delivers
 //! the paper's crafted insertions ([`ClientPool::minsert_pooled`]) and

@@ -1,19 +1,18 @@
-//! Per-connection protocol logic shared by both backends, and the
-//! non-blocking connection state machine the epoll reactor drives.
+//! Per-connection protocol logic and the non-blocking connection state
+//! machine the epoll reactor drives.
 //!
-//! The protocol half — "decode every complete frame in the accumulator, execute
-//! it against the store, append the response frames" — is identical whether
-//! the bytes arrived through a blocking worker thread or a reactor
-//! readiness event, so [`drain_frames`] / [`execute`] are the single
-//! implementation both backends call. What differs is only the I/O driver:
-//! the threaded backend wraps them in blocking reads/writes
-//! ([`crate::server`]), the async backend in the [`Connection`] state
-//! machine below (read-accumulate → drain → buffered write with
-//! `WouldBlock`-aware flush, re-armed on `EPOLLOUT` by the reactor).
+//! The protocol half — "decode every complete frame in the accumulator,
+//! execute it against the store, append the response frames" — is
+//! [`drain_frames`] / [`execute`]. The I/O half is the [`Connection`] state
+//! machine below: read-accumulate → drain → buffered write with
+//! `WouldBlock`-aware flush, re-armed on `EPOLLOUT` by the reactor.
 
+use std::io::{self, Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
+use evilbloom_fault::{self as fault, FaultPoint};
 use evilbloom_metrics::log_warn;
 use evilbloom_trace::TraceEvent;
 
@@ -26,9 +25,8 @@ use crate::wire::{
     WireTraceEvent,
 };
 
-/// Per-read chunk size used by both backends (the threaded backend reads
-/// into a pooled chunk buffer; each reactor shard owns one shared scratch
-/// buffer of this size, not one per connection).
+/// Per-read chunk size: each reactor shard owns one shared scratch buffer
+/// of this size, not one per connection.
 pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
 /// Rows of the suspect ranking a `TRACE` scrape returns.
@@ -329,205 +327,179 @@ fn checked_shard(store: &dyn evilbloom_store::ServeStore, shard: u32) -> Result<
     Ok(index)
 }
 
-/// The async backend's per-connection state machine.
-#[cfg(target_os = "linux")]
-pub(crate) use state_machine::{Connection, Status};
+/// Once this many response bytes are pending un-sent, the connection
+/// stops *reading* until the peer drains them — a peer that pipelines
+/// without ever receiving gets backpressure instead of ballooning the
+/// server's write buffer without bound.
+const OUT_HIGH_WATER: usize = 4 * 1024 * 1024;
 
-#[cfg(target_os = "linux")]
-mod state_machine {
-    use std::io::{self, Read, Write};
-    use std::net::TcpStream;
-    use std::time::{Duration, Instant};
+/// What a readiness event did to the connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Status {
+    /// Still serving; re-arm with [`Connection::wants_read`] /
+    /// [`Connection::wants_write`].
+    Open,
+    /// EOF, fatal I/O error, or a protocol violation whose `ERROR`
+    /// response has been fully flushed: deregister and drop.
+    Closed,
+}
 
-    use evilbloom_fault::{self as fault, FaultPoint};
+/// One non-blocking connection: a receive accumulator, a pending-write
+/// buffer with a flush cursor, and the closing flag that keeps a
+/// protocol-violation `ERROR` alive until it has been flushed.
+pub(crate) struct Connection {
+    stream: TcpStream,
+    conn_id: u64,
+    acc: Vec<u8>,
+    out: Vec<u8>,
+    out_pos: usize,
+    closing: bool,
+    /// When the connection first hit the pending-write high-water mark
+    /// without draining since — the slow-consumer eviction clock.
+    /// Cleared whenever a flush makes progress.
+    stalled_since: Option<Instant>,
+}
 
-    use super::{drain_frame_slice, drain_frames, Inner};
-
-    /// Once this many response bytes are pending un-sent, the connection
-    /// stops *reading* until the peer drains them — a peer that pipelines
-    /// without ever receiving gets backpressure instead of ballooning the
-    /// server's write buffer without bound.
-    const OUT_HIGH_WATER: usize = 4 * 1024 * 1024;
-
-    /// What a readiness event did to the connection.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub(crate) enum Status {
-        /// Still serving; re-arm with [`Connection::wants_read`] /
-        /// [`Connection::wants_write`].
-        Open,
-        /// EOF, fatal I/O error, or a protocol violation whose `ERROR`
-        /// response has been fully flushed: deregister and drop.
-        Closed,
+impl Connection {
+    /// Wraps an accepted stream (already set non-blocking) with pooled
+    /// buffers, under the forensic connection id the reactor allocated.
+    pub(crate) fn new(stream: TcpStream, conn_id: u64, acc: Vec<u8>, out: Vec<u8>) -> Connection {
+        Connection { stream, conn_id, acc, out, out_pos: 0, closing: false, stalled_since: None }
     }
 
-    /// One non-blocking connection: a receive accumulator, a pending-write
-    /// buffer with a flush cursor, and the closing flag that keeps a
-    /// protocol-violation `ERROR` alive until it has been flushed.
-    pub(crate) struct Connection {
-        stream: TcpStream,
-        conn_id: u64,
-        acc: Vec<u8>,
-        out: Vec<u8>,
-        out_pos: usize,
-        closing: bool,
-        /// When the connection first hit the pending-write high-water mark
-        /// without draining since — the slow-consumer eviction clock.
-        /// Cleared whenever a flush makes progress.
-        stalled_since: Option<Instant>,
+    /// The forensic connection id this connection records under.
+    pub(crate) fn conn_id(&self) -> u64 {
+        self.conn_id
     }
 
-    impl Connection {
-        /// Wraps an accepted stream (already set non-blocking) with pooled
-        /// buffers, under the forensic connection id the reactor allocated.
-        pub(crate) fn new(
-            stream: TcpStream,
-            conn_id: u64,
-            acc: Vec<u8>,
-            out: Vec<u8>,
-        ) -> Connection {
-            Connection {
-                stream,
-                conn_id,
-                acc,
-                out,
-                out_pos: 0,
-                closing: false,
-                stalled_since: None,
+    /// Reclaims the pooled buffers when the connection closes.
+    pub(crate) fn into_buffers(self) -> (Vec<u8>, Vec<u8>) {
+        let Connection { acc, mut out, .. } = self;
+        out.clear();
+        (acc, out)
+    }
+
+    fn pending_out(&self) -> usize {
+        self.out.len() - self.out_pos
+    }
+
+    /// Whether the reactor should watch this connection for readability.
+    pub(crate) fn wants_read(&self) -> bool {
+        !self.closing && self.pending_out() < OUT_HIGH_WATER
+    }
+
+    /// Whether the reactor should watch this connection for writability
+    /// (only while a flush came up short — `EPOLLOUT` on an idle
+    /// connection would busy-loop a level-triggered poll).
+    pub(crate) fn wants_write(&self) -> bool {
+        self.pending_out() > 0
+    }
+
+    /// How long this connection has been pinned at the pending-write
+    /// high-water mark without the peer draining anything. `None` while
+    /// healthy. The reactor evicts connections stalled past the
+    /// configured slow-consumer grace period.
+    pub(crate) fn stalled_for(&self, now: Instant) -> Option<Duration> {
+        self.stalled_since.map(|since| now.saturating_duration_since(since))
+    }
+
+    /// Readable readiness: read until `WouldBlock` (or the backpressure
+    /// high-water mark), execute every complete frame, flush.
+    pub(crate) fn on_readable(&mut self, scratch: &mut [u8], inner: &Inner) -> Status {
+        loop {
+            if fault::check_io(FaultPoint::SocketRead).is_err() {
+                return Status::Closed;
             }
-        }
-
-        /// The forensic connection id this connection records under.
-        pub(crate) fn conn_id(&self) -> u64 {
-            self.conn_id
-        }
-
-        /// Reclaims the pooled buffers when the connection closes.
-        pub(crate) fn into_buffers(self) -> (Vec<u8>, Vec<u8>) {
-            let Connection { acc, mut out, .. } = self;
-            out.clear();
-            (acc, out)
-        }
-
-        fn pending_out(&self) -> usize {
-            self.out.len() - self.out_pos
-        }
-
-        /// Whether the reactor should watch this connection for readability.
-        pub(crate) fn wants_read(&self) -> bool {
-            !self.closing && self.pending_out() < OUT_HIGH_WATER
-        }
-
-        /// Whether the reactor should watch this connection for writability
-        /// (only while a flush came up short — `EPOLLOUT` on an idle
-        /// connection would busy-loop a level-triggered poll).
-        pub(crate) fn wants_write(&self) -> bool {
-            self.pending_out() > 0
-        }
-
-        /// How long this connection has been pinned at the pending-write
-        /// high-water mark without the peer draining anything. `None` while
-        /// healthy. The reactor evicts connections stalled past the
-        /// configured slow-consumer grace period.
-        pub(crate) fn stalled_for(&self, now: Instant) -> Option<Duration> {
-            self.stalled_since.map(|since| now.saturating_duration_since(since))
-        }
-
-        /// Readable readiness: read until `WouldBlock` (or the backpressure
-        /// high-water mark), execute every complete frame, flush.
-        pub(crate) fn on_readable(&mut self, scratch: &mut [u8], inner: &Inner) -> Status {
-            loop {
-                if fault::check_io(FaultPoint::SocketRead).is_err() {
-                    return Status::Closed;
+            match self.stream.read(scratch) {
+                Ok(0) => {
+                    // EOF. The peer may have half-closed (shutdown of
+                    // its write side) and still be reading: responses
+                    // already executed must reach it, so route through
+                    // the flush-then-close path instead of dropping
+                    // pending bytes.
+                    self.closing = true;
+                    break;
                 }
-                match self.stream.read(scratch) {
-                    Ok(0) => {
-                        // EOF. The peer may have half-closed (shutdown of
-                        // its write side) and still be reading: responses
-                        // already executed must reach it, so route through
-                        // the flush-then-close path instead of dropping
-                        // pending bytes — the threaded backend delivers
-                        // them too.
+                Ok(n) => {
+                    inner.metrics.bytes_read.add(n as u64);
+                    let keep_open = if self.acc.is_empty() {
+                        // Zero-copy fast path (the common case: no
+                        // partial frame pending): serve complete frames
+                        // straight from the scratch buffer and copy
+                        // only a trailing partial frame into the
+                        // accumulator.
+                        let (consumed, keep_open) =
+                            drain_frame_slice(&scratch[..n], &mut self.out, inner, self.conn_id);
+                        if keep_open {
+                            self.acc.extend_from_slice(&scratch[consumed..n]);
+                        }
+                        keep_open
+                    } else {
+                        self.acc.extend_from_slice(&scratch[..n]);
+                        drain_frames(&mut self.acc, &mut self.out, inner, self.conn_id)
+                    };
+                    if !keep_open {
+                        // Protocol violation: flush the ERROR response,
+                        // then close (see `flush`).
                         self.closing = true;
                         break;
                     }
-                    Ok(n) => {
-                        inner.metrics.bytes_read.add(n as u64);
-                        let keep_open = if self.acc.is_empty() {
-                            // Zero-copy fast path (the common case: no
-                            // partial frame pending): serve complete frames
-                            // straight from the scratch buffer and copy
-                            // only a trailing partial frame into the
-                            // accumulator.
-                            let (consumed, keep_open) = drain_frame_slice(
-                                &scratch[..n],
-                                &mut self.out,
-                                inner,
-                                self.conn_id,
-                            );
-                            if keep_open {
-                                self.acc.extend_from_slice(&scratch[consumed..n]);
-                            }
-                            keep_open
-                        } else {
-                            self.acc.extend_from_slice(&scratch[..n]);
-                            drain_frames(&mut self.acc, &mut self.out, inner, self.conn_id)
-                        };
-                        if !keep_open {
-                            // Protocol violation: flush the ERROR response,
-                            // then close (see `flush`).
-                            self.closing = true;
-                            break;
+                    if !self.wants_read() {
+                        // Backpressure: pending writes first. Start the
+                        // slow-consumer clock; a flush that makes
+                        // progress resets it.
+                        inner.metrics.reactor_backpressure.inc();
+                        if self.stalled_since.is_none() {
+                            self.stalled_since = Some(Instant::now());
                         }
-                        if !self.wants_read() {
-                            // Backpressure: pending writes first. Start the
-                            // slow-consumer clock; a flush that makes
-                            // progress resets it.
-                            inner.metrics.reactor_backpressure.inc();
-                            if self.stalled_since.is_none() {
-                                self.stalled_since = Some(Instant::now());
-                            }
-                            break;
-                        }
-                        if n < scratch.len() {
-                            break; // socket very likely drained
-                        }
+                        break;
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return Status::Closed,
+                    if n < scratch.len() {
+                        break; // socket very likely drained
+                    }
                 }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return Status::Closed,
             }
-            self.flush(inner)
         }
+        self.flush(inner)
+    }
 
-        /// Writable readiness (or an opportunistic flush after executing
-        /// frames): write pending response bytes until done or `WouldBlock`.
-        pub(crate) fn flush(&mut self, inner: &Inner) -> Status {
-            while self.out_pos < self.out.len() {
-                if fault::check_io(FaultPoint::SocketWrite).is_err() {
-                    return Status::Closed;
-                }
-                match self.stream.write(&self.out[self.out_pos..]) {
-                    Ok(0) => return Status::Closed,
-                    Ok(n) => {
-                        inner.metrics.bytes_written.add(n as u64);
-                        self.out_pos += n;
-                        // The peer is draining again: restart the
-                        // slow-consumer grace period.
-                        self.stalled_since = None;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Status::Open,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return Status::Closed,
-                }
-            }
-            self.out.clear();
-            self.out_pos = 0;
-            if self.closing {
-                // The protocol-violation ERROR is on the wire; now close.
+    /// Writable readiness (or an opportunistic flush after executing
+    /// frames): write pending response bytes until done or `WouldBlock`.
+    pub(crate) fn flush(&mut self, inner: &Inner) -> Status {
+        while self.out_pos < self.out.len() {
+            let pending = self.out.len() - self.out_pos;
+            // An injected short write sends a truncated prefix and then
+            // drops the connection mid-frame: the client must see a
+            // connection error, never a silently short answer.
+            let Ok(allowed) = fault::check_write(FaultPoint::SocketWrite, pending) else {
                 return Status::Closed;
+            };
+            match self.stream.write(&self.out[self.out_pos..self.out_pos + allowed]) {
+                Ok(0) => return Status::Closed,
+                Ok(n) => {
+                    inner.metrics.bytes_written.add(n as u64);
+                    self.out_pos += n;
+                    if allowed < pending {
+                        return Status::Closed;
+                    }
+                    // The peer is draining again: restart the
+                    // slow-consumer grace period.
+                    self.stalled_since = None;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Status::Open,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return Status::Closed,
             }
-            Status::Open
         }
+        self.out.clear();
+        self.out_pos = 0;
+        if self.closing {
+            // The protocol-violation ERROR is on the wire; now close.
+            return Status::Closed;
+        }
+        Status::Open
     }
 }

@@ -1,8 +1,8 @@
 //! # evilbloom-server
 //!
 //! The network serving layer in front of [`evilbloom_store::BloomStore`]:
-//! a dependency-free (std-only) TCP server with two I/O backends, a
-//! matching client with connection pooling, and the compact
+//! a dependency-free (std-only) TCP server on a Linux epoll reactor, a
+//! portable client with connection pooling, and the compact
 //! length-prefixed wire protocol they share.
 //!
 //! The paper's threat model is a *remote* adversary degrading a
@@ -22,18 +22,15 @@
 //!   on arbitrary input, with commands borrowing item bytes straight from
 //!   the receive buffer. `DELETE` is honoured by deletable filter families
 //!   and answered with a typed `UNSUPPORTED` elsewhere;
-//! * [`server`] — the serving layer behind a [`Backend`] switch:
-//!   - **threaded** (default, portable): acceptor + blocking worker-thread
-//!     pool, one worker per active connection;
-//!   - **async** (Linux): an epoll reactor built on raw
-//!     `epoll_create1`/`epoll_ctl`/`epoll_wait` syscalls (no `libc`/`mio`
-//!     dependency), N reactor shards with round-robin accept handoff, every
-//!     connection a non-blocking state machine — open connections scale to
-//!     C10k and beyond instead of being capped by the worker pool.
-//!
-//!   Both backends share the frame-drain/execute path, the recycled
-//!   read/write buffer pool, and the store's one-lock-visit-per-shard batch
-//!   APIs, so the entire protocol test suite applies to either;
+//! * [`server`] — the serving layer: an epoll reactor built on raw
+//!   `epoll_create1`/`epoll_ctl`/`epoll_wait` syscalls (no `libc`/`mio`
+//!   dependency), N reactor shards with round-robin accept handoff, every
+//!   connection a non-blocking state machine, so open connections scale to
+//!   C10k and beyond. Admission control answers a typed `BUSY` past
+//!   [`ServerConfig::max_conns`], and peers that stop reading their
+//!   responses are evicted. The server is Linux-only: elsewhere
+//!   [`Server::spawn`] returns [`std::io::ErrorKind::Unsupported`], while
+//!   the client side below stays portable;
 //! * [`client`] — typed helpers plus explicit [`Client::send`] /
 //!   [`Client::recv`] pipelining;
 //! * [`client_pool`] — [`ClientPool`]: checkout/checkin connection reuse
@@ -54,7 +51,7 @@
 //! ```
 //! use std::sync::Arc;
 //!
-//! use evilbloom_server::{Backend, Client, Server, ServerConfig};
+//! use evilbloom_server::{Client, Server, ServerConfig};
 //! use evilbloom_store::BloomStore;
 //!
 //! // Any filter family serves: add `.counting(4)` or `.scalable(0.9)`
@@ -62,9 +59,7 @@
 //! let store = Arc::new(
 //!     BloomStore::builder().shards(4).capacity(4_000).target_fpp(0.01).seed(42).build(),
 //! );
-//! // Backend::Async selects the Linux epoll reactor instead.
-//! let config = ServerConfig::with_backend(Backend::Threaded);
-//! let handle = Server::spawn(store, "127.0.0.1:0", config).unwrap();
+//! let handle = Server::spawn(store, "127.0.0.1:0", ServerConfig::default()).unwrap();
 //!
 //! let mut client = Client::connect(handle.local_addr()).unwrap();
 //! client.insert_batch(&["/a", "/b", "/c"]).unwrap();
@@ -85,16 +80,41 @@ pub mod backend;
 mod buffers;
 pub mod client;
 pub mod client_pool;
+#[cfg(target_os = "linux")]
 mod conn;
 mod metrics;
 #[cfg(target_os = "linux")]
 mod reactor;
+/// Platforms without epoll: the server refuses to spawn.
+#[cfg(not(target_os = "linux"))]
+mod reactor {
+    use std::io;
+    use std::net::TcpListener;
+    use std::sync::Arc;
+    use std::thread::JoinHandle;
+    use std::time::Duration;
+
+    use crate::server::Inner;
+
+    pub(crate) type Waker = ();
+
+    pub(crate) fn spawn(
+        _inner: &Arc<Inner>,
+        _listener: TcpListener,
+        _shards: usize,
+        _poll_interval: Duration,
+    ) -> io::Result<(Vec<JoinHandle<()>>, Vec<Waker>)> {
+        Err(io::Error::new(io::ErrorKind::Unsupported, "the evilbloom server needs Linux epoll"))
+    }
+
+    pub(crate) fn wake(_waker: &Waker) {}
+}
 pub mod remote;
 pub mod retry;
 pub mod server;
 pub mod wire;
 
-pub use backend::{fd_soft_limit, loopback_connection_budget, Backend};
+pub use backend::{fd_soft_limit, loopback_connection_budget};
 pub use client::{Client, ClientConfig, ClientError, RemoteBatchOutcome, ResilientClient};
 pub use client_pool::{ClientPool, PoolHealth};
 pub use remote::{RemoteStore, POOL_FRAME_ITEMS};

@@ -2,11 +2,10 @@
 //! latency histograms, transport byte counters, connection lifecycle,
 //! reactor readiness accounting and buffer-pool efficiency.
 //!
-//! One [`ServerMetrics`] lives in [`crate::server::Inner`], shared by both
-//! backends. Reactor- and buffer-pool-prefixed names are registered
-//! unconditionally so a scraper sees the same metric families (at zero)
-//! whichever backend serves — the exposition's *shape* never depends on
-//! runtime configuration. The `METRICS` opcode renders this registry merged
+//! One [`ServerMetrics`] lives in [`crate::server::Inner`], shared by every
+//! reactor shard. Every family is registered unconditionally so a scraper
+//! sees the same metric families (at zero) before any traffic — the
+//! exposition's *shape* never depends on runtime state. The `METRICS` opcode renders this registry merged
 //! with the store's (which carries the store- and persist-layer families).
 
 use std::sync::Arc;
@@ -51,23 +50,23 @@ pub(crate) struct ServerMetrics {
     pub(crate) bytes_read: Arc<Counter>,
     /// See [`ServerMetrics::bytes_read`].
     pub(crate) bytes_written: Arc<Counter>,
-    /// Connections accepted into a backend (worker or reactor shard).
+    /// Connections registered with a reactor shard.
     pub(crate) connections_opened: Arc<Counter>,
     /// Connections that finished serving (EOF, error, violation, shutdown).
     pub(crate) connections_closed: Arc<Counter>,
     /// Frames rejected as protocol violations (the connection closes).
     pub(crate) protocol_errors: Arc<Counter>,
-    /// Connections refused with a `BUSY` frame by admission control
-    /// (threaded backend: the acceptor→worker queue was at its bound).
+    /// Connections refused with a `BUSY` frame by admission control (the
+    /// server already held `max_conns` open connections).
     pub(crate) busy_rejections: Arc<Counter>,
     /// Connections evicted after sitting at the pending-write high-water
-    /// mark past the slow-consumer grace period (async backend).
+    /// mark past the slow-consumer grace period.
     pub(crate) slow_consumer_evictions: Arc<Counter>,
     /// Writes refused because the store is in degraded read-only mode.
     pub(crate) degraded_refusals: Arc<Counter>,
     /// Seconds since the server spawned (refreshed at each scrape).
     pub(crate) uptime_seconds: Arc<Gauge>,
-    /// `epoll_wait` returns across all reactor shards (async backend).
+    /// `epoll_wait` returns across all reactor shards.
     pub(crate) reactor_wakeups: Arc<Counter>,
     /// Interest changes that newly armed `EPOLLOUT` (a flush came up short).
     pub(crate) reactor_epollout_arms: Arc<Counter>,
@@ -145,7 +144,7 @@ impl ServerMetrics {
             ),
             reactor_wakeups: r.counter(
                 "evilbloom_reactor_wakeups_total",
-                "epoll_wait returns across reactor shards (async backend only)",
+                "epoll_wait returns across reactor shards",
             ),
             reactor_epollout_arms: r.counter(
                 "evilbloom_reactor_epollout_arms_total",
@@ -220,8 +219,8 @@ mod tests {
 
     #[test]
     fn reactor_and_pool_families_render_at_zero() {
-        // The exposition's shape must not depend on the backend: a threaded
-        // server still renders the reactor and buffer-pool families.
+        // The exposition's shape must not depend on traffic: an idle server
+        // still renders the reactor, buffer-pool and overload families.
         let text = ServerMetrics::new().registry().render();
         for name in [
             "evilbloom_reactor_wakeups_total 0",

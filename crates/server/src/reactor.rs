@@ -1,14 +1,15 @@
-//! The Linux epoll reactor behind [`crate::Backend::Async`].
+//! The Linux epoll reactor: the server's I/O engine.
 //!
-//! Layout: one acceptor thread (the same resilient accept loop the threaded
-//! backend uses) hands accepted sockets round-robin to N *reactor shards*.
-//! Each shard owns an epoll instance and a set of non-blocking
+//! Layout: one acceptor thread (the resilient, admission-controlled accept
+//! loop in `backend.rs`) hands accepted sockets round-robin to N *reactor
+//! shards*. Each shard owns an epoll instance and a set of non-blocking
 //! [`crate::conn`] connection state machines; a readiness event drives the
 //! state machine (read-accumulate → decode/execute all complete frames →
 //! buffered write with `WouldBlock`-aware flush), and `EPOLLOUT` is armed
 //! only while a flush came up short. Connection count is therefore bounded
-//! by file descriptors — C10k-scale — not by threads, while CPU parallelism
-//! comes from the shard count.
+//! by file descriptors and the admission cap — C10k-scale — not by
+//! threads, while CPU parallelism comes from the shard count. Once per poll
+//! tick each shard also evicts peers that stopped reading their responses.
 //!
 //! The build environment is offline (no `libc`/`mio`), so the four syscalls
 //! epoll needs are declared directly in [`sys`] — the only `unsafe` in the
@@ -198,6 +199,7 @@ impl Reactor {
         let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; EVENT_BATCH];
         let mut scratch = vec![0u8; READ_CHUNK];
         let poll_interval = self.inner.poll_interval;
+        let mut last_sweep = Instant::now();
 
         loop {
             let ready = match self.epoll.wait(&mut events, poll_interval) {
@@ -258,11 +260,22 @@ impl Reactor {
             // A handoff can race the previous wake drain; sweep the channel
             // even on a timeout tick so no accepted socket waits forever.
             self.register_incoming(&mut conns);
-            self.evict_slow_consumers(&mut conns);
+            // The eviction sweep is O(connections): run it once per poll
+            // tick, not on every wakeup, so 8k idle connections do not tax
+            // each active request.
+            let now = Instant::now();
+            if now.duration_since(last_sweep) >= poll_interval {
+                last_sweep = now;
+                self.evict_slow_consumers(&mut conns, now);
+            }
         }
-        // Shutdown: close every connection this shard owns.
+        // Shutdown: close every connection this shard owns, and release the
+        // admission slots of sockets still waiting in the handoff channel.
         for (token, registered) in conns.drain() {
             self.close(registered, token);
+        }
+        while self.incoming.try_recv().is_ok() {
+            self.inner.release_conn();
         }
     }
 
@@ -284,6 +297,7 @@ impl Reactor {
             // A socket we cannot configure or register is dropped (closed);
             // the peer sees a reset, the reactor stays healthy.
             if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+                self.inner.release_conn();
                 continue;
             }
             let token = raw_fd(&stream) as u64;
@@ -295,11 +309,13 @@ impl Reactor {
                 self.inner.buffers.checkout(),
             );
             let interest = desired_interest(&conn);
-            if self.epoll.add(token as i32, interest, token).is_ok() {
-                self.inner.metrics.connections_opened.inc();
-                self.inner.recorder.record(TraceEvent::ConnOpened { conn_id });
-                conns.insert(token, Registered { conn, interest });
+            if self.epoll.add(token as i32, interest, token).is_err() {
+                self.recycle(conn);
+                continue;
             }
+            self.inner.metrics.connections_opened.inc();
+            self.inner.recorder.record(TraceEvent::ConnOpened { conn_id });
+            conns.insert(token, Registered { conn, interest });
         }
     }
 
@@ -308,12 +324,11 @@ impl Reactor {
     /// holding server buffers hostage — evict it so the memory serves
     /// peers that are still reading. Runs once per poll tick; the sweep is
     /// O(connections), bounded by the same fd budget that bounds them.
-    fn evict_slow_consumers(&self, conns: &mut HashMap<u64, Registered>) {
+    fn evict_slow_consumers(&self, conns: &mut HashMap<u64, Registered>, now: Instant) {
         let grace = self.inner.slow_consumer_grace;
         if grace.is_zero() {
             return;
         }
-        let now = Instant::now();
         let stalled: Vec<u64> = conns
             .iter()
             .filter(|(_, r)| r.conn.stalled_for(now).is_some_and(|d| d >= grace))
@@ -334,10 +349,17 @@ impl Reactor {
     fn close(&self, registered: Registered, token: u64) {
         self.epoll.delete(token as i32);
         self.inner.recorder.record(TraceEvent::ConnClosed { conn_id: registered.conn.conn_id() });
-        let (acc, out) = registered.conn.into_buffers();
+        self.recycle(registered.conn);
+        self.inner.metrics.connections_closed.inc();
+    }
+
+    /// Drops a connection's socket, returning its pooled buffers and its
+    /// admission slot.
+    fn recycle(&self, conn: Connection) {
+        let (acc, out) = conn.into_buffers();
         self.inner.buffers.checkin(acc);
         self.inner.buffers.checkin(out);
-        self.inner.metrics.connections_closed.inc();
+        self.inner.release_conn();
     }
 }
 
@@ -345,7 +367,7 @@ fn raw_fd<F: std::os::unix::io::AsRawFd>(f: &F) -> i32 {
     f.as_raw_fd()
 }
 
-/// Spawns the async backend: `shards` reactor threads plus the acceptor.
+/// Spawns `shards` reactor threads plus the acceptor.
 /// Returns the background threads and one wake-pipe handle per shard (the
 /// [`crate::ServerHandle`] writes to them on shutdown so no reactor waits
 /// out a poll tick).
@@ -354,7 +376,7 @@ pub(crate) fn spawn(
     listener: TcpListener,
     shards: usize,
     poll_interval: Duration,
-) -> io::Result<(Vec<JoinHandle<()>>, Vec<UnixStream>)> {
+) -> io::Result<(Vec<JoinHandle<()>>, Vec<Waker>)> {
     listener.set_nonblocking(true)?;
 
     let mut reactors = Vec::with_capacity(shards);
@@ -413,8 +435,11 @@ pub(crate) fn spawn(
     Ok((threads, handle_wakers))
 }
 
+/// The write end of a reactor shard's wake pipe.
+pub(crate) type Waker = UnixStream;
+
 /// Writes the one-byte wake signal; a full pipe means the reactor already
 /// has a wake-up pending, which is all the byte was for.
-pub(crate) fn wake(pipe: &UnixStream) {
+pub(crate) fn wake(pipe: &Waker) {
     drop((&*pipe).write(&[1u8]));
 }

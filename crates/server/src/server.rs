@@ -1,52 +1,46 @@
 //! The TCP server in front of any [`ServeStore`] (a
-//! [`evilbloom_store::BloomStore`] of any filter family), with two I/O
-//! backends behind one configuration surface (see [`Backend`]).
+//! [`evilbloom_store::BloomStore`] of any filter family).
 //!
-//! **Threaded** (default, portable): one acceptor thread hands connections
-//! to a fixed pool of worker threads over an mpsc channel; each worker
-//! serves one connection at a time with blocking I/O. A connection is a
-//! pipelined request loop — every socket read drains *all* complete frames
+//! One I/O engine serves every connection: an acceptor thread hands
+//! accepted sockets round-robin to N epoll reactor shards (see
+//! `reactor.rs` in the sources), where each connection is a non-blocking
+//! state machine. Open-connection count is therefore bounded by file
+//! descriptors and [`ServerConfig::max_conns`], not by threads, while CPU
+//! parallelism comes from [`ServerConfig::workers`]. A connection is a
+//! pipelined request loop: every socket read drains *all* complete frames
 //! from the receive buffer, executes them against the shared store (batch
-//! commands visit each shard lock once), and flushes the buffered responses
-//! in one write. Reads tick on a short timeout so every connection observes
-//! the shutdown flag promptly; [`ServerHandle::shutdown`] is therefore
-//! bounded, not best-effort.
+//! commands visit each shard lock once), and flushes the buffered
+//! responses in as few writes as the socket allows.
 //!
-//! **Async** (Linux): the same acceptor feeds an epoll reactor (see
-//! `reactor.rs` in the sources) where every connection is a non-blocking
-//! state machine, so open-connection count scales to C10k and beyond
-//! instead of being capped by the worker pool. Both backends share the
-//! frame-drain/execute path and the recycled-buffer pool, and speak the
-//! identical wire protocol.
+//! Overload is typed at both ends of a connection's life. Past
+//! [`ServerConfig::max_conns`] open connections the acceptor answers a
+//! `BUSY` frame carrying the [`ServerConfig::busy_retry_after`] hint and
+//! closes. A peer that pipelines without ever receiving gets backpressure:
+//! past a high-water mark of pending response bytes the reactor stops
+//! reading from it, and after [`ServerConfig::slow_consumer_grace`] at that
+//! mark it is evicted. [`ServerHandle::shutdown`] wakes every reactor, so
+//! it is bounded, not best-effort.
 //!
-//! Threaded response writes are blocking: a peer that pipelines without
-//! ever receiving can stall its own connection (and the worker serving it)
-//! once the un-received responses overflow the socket buffers. That is the
-//! peer's contract to keep — see the burst-bound note in [`crate::client`]
-//! — and it wedges only that worker, never the acceptor or other
-//! connections' workers. The async backend instead applies backpressure:
-//! past a high-water mark of pending response bytes it simply stops
-//! reading from that connection until the peer drains them.
+//! The server needs Linux epoll: [`Server::spawn`] returns
+//! [`io::ErrorKind::Unsupported`] elsewhere. The client, the pool, the wire
+//! codec and the retry schedule stay portable.
 
-use std::io::{self, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use evilbloom_fault::{self as fault, FaultPoint};
 use evilbloom_store::{BackendKind, ServeStore};
-use evilbloom_trace::{FlightRecorder, SuspectTable, TraceEvent};
+use evilbloom_trace::{FlightRecorder, SuspectTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::backend::{acceptor_loop, Backend};
 use crate::buffers::BufferPool;
-use crate::conn::{drain_frames, READ_CHUNK};
 use crate::metrics::ServerMetrics;
-use crate::wire::{Response, DEFAULT_MAX_FRAME_BYTES};
+use crate::reactor;
+use crate::wire::DEFAULT_MAX_FRAME_BYTES;
 
 /// Connections the suspect table tracks at once. Eviction drops the
 /// least-suspicious row, so churning connections cannot displace an
@@ -56,13 +50,8 @@ const SUSPECT_CAPACITY: usize = 64;
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Which I/O backend serves connections (default: [`Backend::Threaded`],
-    /// the portable fallback; [`Backend::Async`] is the Linux epoll
-    /// reactor).
-    pub backend: Backend,
-    /// Degree of parallelism: worker threads for the threaded backend (each
-    /// serves one connection at a time), reactor shards for the async
-    /// backend (each multiplexes any number of connections).
+    /// Degree of parallelism: the number of epoll reactor shards, each a
+    /// thread multiplexing any number of connections.
     pub workers: usize,
     /// Per-frame payload cap (a hostile length prefix is rejected, and the
     /// connection closed, before any allocation).
@@ -70,10 +59,9 @@ pub struct ServerConfig {
     /// Seed of the RNG that draws fresh key material for `ROTATE` commands
     /// on hardened stores.
     pub rotation_seed: u64,
-    /// Tick at which the acceptor's non-blocking accept loop, idle threaded
-    /// connections' read timeouts and the reactors' `epoll_wait` calls
-    /// re-check the shutdown flag — the upper bound on how long
-    /// [`ServerHandle::shutdown`] waits for an idle server.
+    /// Tick at which the acceptor's non-blocking accept loop and the
+    /// reactors' `epoll_wait` calls re-check the shutdown flag, and at
+    /// which each reactor sweeps for slow consumers.
     pub poll_interval: Duration,
     /// Filter-family selector: the backend this deployment expects to
     /// serve. `None` (default) serves whatever store it is handed;
@@ -89,26 +77,23 @@ pub struct ServerConfig {
     /// Capacity of the forensic flight recorder (rounded up to a power of
     /// two, minimum 8): how many recent events a `TRACE` scrape can replay.
     pub trace_events: usize,
-    /// Admission control for the threaded backend: the most connections
-    /// allowed to sit accepted-but-unclaimed in the acceptor→worker queue.
-    /// Past it the acceptor answers a typed `BUSY` frame (with the
+    /// Admission control: the most connections allowed open at once. Past
+    /// it the acceptor answers a typed `BUSY` frame (with the
     /// [`ServerConfig::busy_retry_after`] hint) and closes, instead of
-    /// queueing without bound behind a saturated worker pool. `0` disables
-    /// the bound.
-    pub max_pending_conns: usize,
+    /// serving without bound. `0` disables the bound.
+    pub max_conns: usize,
     /// The retry-after hint carried in `BUSY` responses.
     pub busy_retry_after: Duration,
-    /// Graceful degradation for the async backend: a connection pinned at
-    /// the pending-write high-water mark (the peer stopped reading its
-    /// responses) for longer than this grace period is evicted, freeing its
-    /// buffers instead of holding them hostage indefinitely.
+    /// Graceful degradation: a connection pinned at the pending-write
+    /// high-water mark (the peer stopped reading its responses) for longer
+    /// than this grace period is evicted, freeing its buffers instead of
+    /// holding them hostage indefinitely.
     pub slow_consumer_grace: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            backend: Backend::Threaded,
             workers: 4,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             rotation_seed: 0x5EED_0F0D_D5EE_D545,
@@ -116,7 +101,9 @@ impl Default for ServerConfig {
             store_backend: None,
             slow_request_threshold: Duration::from_millis(100),
             trace_events: 1024,
-            max_pending_conns: 1024,
+            // Far above the perf lab's 8k-connection tier: the default
+            // bound guards memory, not ordinary load.
+            max_conns: 16_384,
             busy_retry_after: Duration::from_millis(100),
             slow_consumer_grace: Duration::from_secs(5),
         }
@@ -124,11 +111,6 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// The default configuration on the given backend.
-    pub fn with_backend(backend: Backend) -> Self {
-        ServerConfig { backend, ..ServerConfig::default() }
-    }
-
     /// Sets the expected filter family (see
     /// [`ServerConfig::store_backend`]).
     pub fn expect_store_backend(mut self, kind: BackendKind) -> Self {
@@ -137,7 +119,7 @@ impl ServerConfig {
     }
 }
 
-/// Shared state of a running server (both backends).
+/// Shared state of a running server.
 pub(crate) struct Inner {
     pub(crate) store: Arc<dyn ServeStore>,
     pub(crate) shutdown: AtomicBool,
@@ -145,7 +127,7 @@ pub(crate) struct Inner {
     pub(crate) requests_served: AtomicU64,
     pub(crate) max_frame_bytes: u32,
     pub(crate) poll_interval: Duration,
-    /// Recycled per-connection read/write buffers, shared by both backends.
+    /// Recycled per-connection read/write buffers, shared by every shard.
     pub(crate) buffers: BufferPool,
     /// Serving-layer telemetry (the store carries its own registry).
     pub(crate) metrics: ServerMetrics,
@@ -166,6 +148,11 @@ pub(crate) struct Inner {
     pub(crate) busy_retry_after: Duration,
     /// See [`ServerConfig::slow_consumer_grace`].
     pub(crate) slow_consumer_grace: Duration,
+    /// See [`ServerConfig::max_conns`].
+    max_conns: usize,
+    /// Accepted sockets not yet closed: counted up at admission, down on
+    /// every path that drops one (see [`Inner::release_conn`]).
+    open_conns: AtomicUsize,
 }
 
 impl Inner {
@@ -173,25 +160,41 @@ impl Inner {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Allocates the next connection id (both backends call this per
-    /// accepted socket, so ids are unique across backends and shards).
+    /// Allocates the next connection id (unique across shards).
     pub(crate) fn next_conn_id(&self) -> u64 {
         self.next_conn_id.fetch_add(1, Ordering::Relaxed) + 1
     }
+
+    /// Counts a freshly accepted socket against [`ServerConfig::max_conns`];
+    /// `false` means the server is full and the socket must be refused.
+    /// Only the acceptor thread admits, so the check cannot overshoot. The
+    /// count guards no other data, hence `Relaxed`: a stale read can only
+    /// refuse a connection a moment too long.
+    pub(crate) fn admit_conn(&self) -> bool {
+        if self.max_conns > 0 && self.open_conns.load(Ordering::Relaxed) >= self.max_conns {
+            return false;
+        }
+        self.open_conns.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
+    /// Returns an admitted socket's slot once it has been dropped.
+    pub(crate) fn release_conn(&self) {
+        self.open_conns.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
-/// The TCP serving layer: binds a listener and spawns the configured
-/// backend's threads. See [`Server::spawn`].
+/// The TCP serving layer: binds a listener and spawns the reactor
+/// threads. See [`Server::spawn`].
 pub struct Server;
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral loopback port) and starts
     /// serving `store` — any [`ServeStore`], so a `BloomStore` of any
-    /// filter family — on the configured backend. Returns a handle owning
-    /// the background threads. Asking for [`Backend::Async`] on a
-    /// non-Linux platform fails with [`io::ErrorKind::Unsupported`]; a
-    /// store whose family contradicts `config.store_backend` fails with
-    /// [`io::ErrorKind::InvalidInput`].
+    /// filter family. Returns a handle owning the background threads. On a
+    /// platform without epoll this fails with
+    /// [`io::ErrorKind::Unsupported`]; a store whose family contradicts
+    /// `config.store_backend` fails with [`io::ErrorKind::InvalidInput`].
     pub fn spawn<S: ServeStore + 'static>(
         store: Arc<S>,
         addr: impl ToSocketAddrs,
@@ -245,93 +248,13 @@ impl Server {
             slow_request_threshold: config.slow_request_threshold,
             busy_retry_after: config.busy_retry_after,
             slow_consumer_grace: config.slow_consumer_grace,
+            max_conns: config.max_conns,
+            open_conns: AtomicUsize::new(0),
         });
-
-        match config.backend {
-            Backend::Threaded => {
-                let threads = spawn_threaded(&inner, listener, &config)?;
-                Ok(ServerHandle {
-                    local_addr,
-                    inner,
-                    threads,
-                    #[cfg(target_os = "linux")]
-                    wakers: Vec::new(),
-                })
-            }
-            #[cfg(target_os = "linux")]
-            Backend::Async => {
-                let (threads, wakers) =
-                    crate::reactor::spawn(&inner, listener, config.workers, config.poll_interval)?;
-                Ok(ServerHandle { local_addr, inner, threads, wakers })
-            }
-            #[cfg(not(target_os = "linux"))]
-            Backend::Async => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "the async backend needs Linux epoll; use Backend::Threaded here",
-            )),
-        }
+        let (threads, wakers) =
+            reactor::spawn(&inner, listener, config.workers, config.poll_interval)?;
+        Ok(ServerHandle { local_addr, inner, threads, wakers })
     }
-}
-
-/// Spawns the threaded backend: worker pool plus the resilient acceptor.
-fn spawn_threaded(
-    inner: &Arc<Inner>,
-    listener: TcpListener,
-    config: &ServerConfig,
-) -> io::Result<Vec<JoinHandle<()>>> {
-    // Configure the listener before any thread spawns, so a failure
-    // surfaces as an `Err` from `Server::spawn` instead of a server that
-    // looks healthy but never accepts.
-    listener.set_nonblocking(true)?;
-    let (tx, rx) = channel::<TcpStream>();
-    let rx = Arc::new(Mutex::new(rx));
-    // Admission control: connections sitting accepted-but-unclaimed in the
-    // worker queue. The acceptor increments before sending, a worker
-    // decrements when it claims the connection; past the configured bound
-    // the acceptor answers BUSY and closes instead of queueing.
-    let pending = Arc::new(AtomicUsize::new(0));
-    let mut threads: Vec<JoinHandle<()>> = (0..config.workers.max(1))
-        .map(|_| {
-            let rx = Arc::clone(&rx);
-            let inner = Arc::clone(inner);
-            let pending = Arc::clone(&pending);
-            std::thread::spawn(move || worker_loop(&rx, &inner, &pending))
-        })
-        .collect();
-
-    // Non-blocking accept with a poll tick: the acceptor re-checks the
-    // shutdown flag every interval, so shutdown never needs to wake a
-    // blocked accept (a self-connect trick would hang on wildcard or
-    // externally-unreachable bind addresses), and persistent accept errors
-    // (EMFILE under fd exhaustion) back off — and log once — instead of
-    // spinning; see `classify_accept_error`.
-    let acceptor = {
-        let inner = Arc::clone(inner);
-        let poll_interval = config.poll_interval;
-        let max_pending = config.max_pending_conns;
-        std::thread::spawn(move || {
-            acceptor_loop(&listener, &inner, poll_interval, |stream| {
-                // Whether accepted sockets inherit non-blocking mode is
-                // platform-dependent; threaded connections must be blocking
-                // (they use read timeouts).
-                if stream.set_nonblocking(false).is_err() {
-                    return true; // drop this socket, keep accepting
-                }
-                if max_pending > 0 && pending.load(Ordering::Acquire) >= max_pending {
-                    reject_busy(stream, &inner);
-                    return true;
-                }
-                pending.fetch_add(1, Ordering::AcqRel);
-                if tx.send(stream).is_err() {
-                    pending.fetch_sub(1, Ordering::AcqRel);
-                    return false;
-                }
-                true
-            });
-        })
-    };
-    threads.push(acceptor);
-    Ok(threads)
 }
 
 /// Handle to a running server: address introspection and graceful shutdown.
@@ -340,10 +263,9 @@ pub struct ServerHandle {
     local_addr: SocketAddr,
     inner: Arc<Inner>,
     threads: Vec<JoinHandle<()>>,
-    /// Async backend only: one wake pipe per reactor shard, so shutdown
-    /// interrupts `epoll_wait` instead of waiting out a poll tick.
-    #[cfg(target_os = "linux")]
-    wakers: Vec<std::os::unix::net::UnixStream>,
+    /// One wake pipe per reactor shard, so shutdown interrupts `epoll_wait`
+    /// instead of waiting out a poll tick.
+    wakers: Vec<reactor::Waker>,
 }
 
 impl ServerHandle {
@@ -369,12 +291,10 @@ impl ServerHandle {
             return; // already shut down (shutdown() ran; this is its Drop)
         }
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        // The acceptor notices the flag within one poll tick and exits,
-        // dropping the worker channel; idle threaded connections notice on
-        // their read-timeout tick; reactors are woken explicitly.
-        #[cfg(target_os = "linux")]
+        // The acceptor notices the flag within one poll tick and exits;
+        // reactors are woken explicitly.
         for waker in &self.wakers {
-            crate::reactor::wake(waker);
+            reactor::wake(waker);
         }
         for thread in self.threads.drain(..) {
             drop(thread.join());
@@ -386,110 +306,4 @@ impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.shutdown_inner();
     }
-}
-
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, inner: &Inner, pending: &AtomicUsize) {
-    loop {
-        // Hold the lock only for the dequeue, never while serving.
-        let stream = match rx.lock().expect("worker queue poisoned").recv() {
-            Ok(stream) => stream,
-            Err(_) => break, // acceptor gone: shutdown
-        };
-        // Claimed: the connection no longer counts against admission.
-        pending.fetch_sub(1, Ordering::AcqRel);
-        // A connection failing (peer reset, protocol abuse) must not take
-        // the worker with it.
-        drop(handle_connection(stream, inner));
-    }
-}
-
-/// Answers an over-admission connection with a typed `BUSY` frame (so the
-/// client backs off for the hinted interval instead of interpreting the
-/// close as a server fault) and drops it. Best-effort with a short write
-/// timeout: the acceptor must never block behind a rejected peer.
-fn reject_busy(stream: TcpStream, inner: &Inner) {
-    inner.metrics.busy_rejections.inc();
-    let retry_after_ms = u32::try_from(inner.busy_retry_after.as_millis()).unwrap_or(u32::MAX);
-    let mut frame = Vec::with_capacity(16);
-    let busy = Response::Busy { retry_after_ms };
-    if busy.encode(&mut frame).is_ok()
-        && stream.set_write_timeout(Some(Duration::from_millis(50))).is_ok()
-    {
-        let mut stream = stream;
-        drop(stream.write_all(&frame));
-    }
-}
-
-/// Serves one connection until EOF, a protocol violation, or shutdown. The
-/// receive accumulator, response buffer and read chunk are checked out of
-/// the shared pool and recycled afterwards, so connection churn does not
-/// translate into allocator churn.
-fn handle_connection(stream: TcpStream, inner: &Inner) -> io::Result<()> {
-    inner.metrics.connections_opened.inc();
-    let conn_id = inner.next_conn_id();
-    inner.recorder.record(TraceEvent::ConnOpened { conn_id });
-    let mut acc = inner.buffers.checkout();
-    let mut out = inner.buffers.checkout();
-    let mut chunk = inner.buffers.checkout();
-    chunk.resize(READ_CHUNK, 0);
-    let result = serve_blocking(stream, inner, conn_id, &mut acc, &mut out, &mut chunk);
-    inner.buffers.checkin(acc);
-    inner.buffers.checkin(out);
-    inner.buffers.checkin(chunk);
-    inner.recorder.record(TraceEvent::ConnClosed { conn_id });
-    inner.metrics.connections_closed.inc();
-    result
-}
-
-fn serve_blocking(
-    stream: TcpStream,
-    inner: &Inner,
-    conn_id: u64,
-    acc: &mut Vec<u8>,
-    out: &mut Vec<u8>,
-    chunk: &mut [u8],
-) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(inner.poll_interval))?;
-    let mut reader = stream.try_clone()?;
-    let mut writer = BufWriter::new(stream);
-
-    loop {
-        fault::check_io(FaultPoint::SocketRead)?;
-        match reader.read(chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                inner.metrics.bytes_read.add(n as u64);
-                acc.extend_from_slice(&chunk[..n]);
-                let keep_open = drain_frames(acc, out, inner, conn_id);
-                if !out.is_empty() {
-                    // An injected short write flushes a truncated response
-                    // and drops the connection mid-frame — the client-side
-                    // resilience path this exercises must treat it as a
-                    // connection error, never a silently-short answer.
-                    let n = fault::check_write(FaultPoint::SocketWrite, out.len())?;
-                    if n < out.len() {
-                        writer.write_all(&out[..n])?;
-                        writer.flush()?;
-                        return Err(fault::injected_error(FaultPoint::SocketWrite));
-                    }
-                    writer.write_all(out)?;
-                    writer.flush()?;
-                    inner.metrics.bytes_written.add(out.len() as u64);
-                    out.clear();
-                }
-                if !keep_open {
-                    break;
-                }
-            }
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                if inner.is_shutdown() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }

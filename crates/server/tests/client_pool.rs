@@ -1,13 +1,13 @@
 //! Tests of the client-side connection pool: checkout/checkin reuse,
 //! dead-connection replacement after a server restart, and the pipelined
-//! pooled batch helpers (on both serving backends).
+//! pooled batch helpers.
 
 use std::sync::Arc;
 
-use evilbloom_server::{Backend, ClientPool, Server, ServerConfig, ServerHandle};
+use evilbloom_server::{ClientPool, Server, ServerConfig, ServerHandle};
 use evilbloom_store::BloomStore;
 
-fn spawn(backend: Backend) -> (ServerHandle, Arc<BloomStore>) {
+fn spawn() -> (ServerHandle, Arc<BloomStore>) {
     let store = Arc::new(
         BloomStore::builder()
             .shards(4)
@@ -17,19 +17,14 @@ fn spawn(backend: Backend) -> (ServerHandle, Arc<BloomStore>) {
             .seed(42)
             .build(),
     );
-    let handle =
-        Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::with_backend(backend))
-            .expect("bind loopback");
+    let handle = Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::default())
+        .expect("bind loopback");
     (handle, store)
-}
-
-fn backends() -> Vec<Backend> {
-    Backend::ALL.into_iter().filter(|b| b.is_supported()).collect()
 }
 
 #[test]
 fn checkout_checkin_recycles_connections() {
-    let (handle, _store) = spawn(Backend::Threaded);
+    let (handle, _store) = spawn();
     let mut pool = ClientPool::connect(handle.local_addr(), 2).expect("pool");
     assert_eq!(pool.idle(), 2);
 
@@ -51,7 +46,7 @@ fn checkout_checkin_recycles_connections() {
 
 #[test]
 fn dead_connections_are_replaced_on_validated_checkout() {
-    let (handle, store) = spawn(Backend::Threaded);
+    let (handle, store) = spawn();
     let addr = handle.local_addr();
     let mut pool = ClientPool::connect(addr, 2).expect("pool");
 
@@ -77,34 +72,32 @@ fn dead_connections_are_replaced_on_validated_checkout() {
 
 #[test]
 fn pooled_batch_helpers_stripe_over_sockets() {
-    for backend in backends() {
-        let (handle, store) = spawn(backend);
-        let mut pool = ClientPool::connect(handle.local_addr(), 3).expect("pool");
+    let (handle, store) = spawn();
+    let mut pool = ClientPool::connect(handle.local_addr(), 3).expect("pool");
 
-        let members: Vec<String> = (0..2_000).map(|i| format!("pooled-{backend}-{i}")).collect();
-        let fresh = pool.minsert_pooled(&members, 128).expect("pooled minsert");
-        assert!(fresh > 0, "fresh bits set ({backend})");
-        assert_eq!(store.stats().total_inserted, 2_000, "{backend}");
+    let members: Vec<String> = (0..2_000).map(|i| format!("pooled-{i}")).collect();
+    let fresh = pool.minsert_pooled(&members, 128).expect("pooled minsert");
+    assert!(fresh > 0, "fresh bits set");
+    assert_eq!(store.stats().total_inserted, 2_000);
 
-        // Probe mix: every member answers true, absent probes almost all
-        // false; answers must come back in input order across the lanes.
-        let mut probes = members.clone();
-        probes.extend((0..500).map(|i| format!("absent-{backend}-{i}")));
-        let answers = pool.mquery_pooled(&probes, 128).expect("pooled mquery");
-        assert_eq!(answers.len(), probes.len());
-        assert!(answers[..2_000].iter().all(|&a| a), "no false negatives ({backend})");
-        let false_positives = answers[2_000..].iter().filter(|&&a| a).count();
-        assert!(false_positives < 50, "{false_positives} false positives ({backend})");
+    // Probe mix: every member answers true, absent probes almost all
+    // false; answers must come back in input order across the lanes.
+    let mut probes = members.clone();
+    probes.extend((0..500).map(|i| format!("absent-{i}")));
+    let answers = pool.mquery_pooled(&probes, 128).expect("pooled mquery");
+    assert_eq!(answers.len(), probes.len());
+    assert!(answers[..2_000].iter().all(|&a| a), "no false negatives");
+    let false_positives = answers[2_000..].iter().filter(|&&a| a).count();
+    assert!(false_positives < 50, "{false_positives} false positives");
 
-        // The helpers checked their lanes back in.
-        assert_eq!(pool.idle(), 3, "{backend}");
-        handle.shutdown();
-    }
+    // The helpers checked their lanes back in.
+    assert_eq!(pool.idle(), 3);
+    handle.shutdown();
 }
 
 #[test]
 fn single_frame_pooled_calls_use_one_lane() {
-    let (handle, _store) = spawn(Backend::Threaded);
+    let (handle, _store) = spawn();
     let mut pool = ClientPool::connect(handle.local_addr(), 4).expect("pool");
     // Fewer frames than pool target: only one lane is checked out.
     let answers = pool.mquery_pooled(&["a", "b"], 16).expect("single-frame mquery");

@@ -1,8 +1,7 @@
-//! End-to-end tests of the TCP serving layer over loopback, parametrized
-//! over both I/O backends (threaded worker pool and Linux epoll reactor):
-//! every command, pipelining, concurrent clients, protocol-violation
-//! handling, graceful shutdown — plus reactor-specific coverage
-//! (byte-at-a-time partial-frame delivery, ≥1000 concurrent connections).
+//! End-to-end tests of the TCP serving layer over loopback: every command,
+//! pipelining, concurrent clients, protocol-violation handling, graceful
+//! shutdown, byte-at-a-time partial-frame delivery and ≥1000 concurrent
+//! connections.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -10,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use evilbloom_server::{
-    Backend, Client, ClientError, ClientPool, Command, Response, Server, ServerConfig, ServerHandle,
+    Client, ClientError, ClientPool, Command, Response, Server, ServerConfig, ServerHandle,
 };
 use evilbloom_store::{BackendKind, BloomStore, ConcurrentCountingFilter, PersistConfig};
 
@@ -34,321 +33,268 @@ impl Drop for TempDir {
     }
 }
 
-/// Every backend the current platform supports (both, on Linux). Each test
-/// below runs its whole scenario once per backend against a fresh server,
-/// so the entire suite gates the async reactor exactly as it gates the
-/// threaded pool.
-fn backends() -> Vec<Backend> {
-    Backend::ALL.into_iter().filter(|b| b.is_supported()).collect()
-}
-
-fn spawn_on(backend: Backend, hardened: bool, shards: usize) -> (ServerHandle, Arc<BloomStore>) {
+fn spawn_on(hardened: bool, shards: usize) -> (ServerHandle, Arc<BloomStore>) {
     let builder = BloomStore::builder().shards(shards).capacity(4_000).target_fpp(0.01).seed(42);
     let builder = if hardened { builder.hardened() } else { builder.unhardened() };
     let store = Arc::new(builder.build());
-    let handle =
-        Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::with_backend(backend))
-            .expect("bind loopback");
+    let handle = Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::default())
+        .expect("bind loopback");
     (handle, store)
 }
 
 #[test]
-fn async_backend_is_supported_on_linux() {
-    assert_eq!(Backend::Async.is_supported(), cfg!(target_os = "linux"));
-    if cfg!(target_os = "linux") {
-        assert_eq!(backends(), vec![Backend::Threaded, Backend::Async]);
-    }
-}
-
-#[test]
 fn every_command_round_trips() {
-    for backend in backends() {
-        let (handle, store) = spawn_on(backend, true, 4);
-        let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let (handle, store) = spawn_on(true, 4);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
 
-        client.ping().expect("ping");
-        assert!(client.insert(b"item-a").expect("insert") > 0);
-        assert!(client.query(b"item-a").expect("query"));
-        assert!(!client.query(b"item-b").expect("query"));
+    client.ping().expect("ping");
+    assert!(client.insert(b"item-a").expect("insert") > 0);
+    assert!(client.query(b"item-a").expect("query"));
+    assert!(!client.query(b"item-b").expect("query"));
 
-        let members: Vec<String> = (0..200).map(|i| format!("batch-{i}")).collect();
-        let outcome = client.insert_batch(&members).expect("minsert");
-        assert_eq!(outcome.items, 200);
-        assert!(outcome.fresh_bits > 0);
-        let answers = client.query_batch(&members).expect("mquery");
-        assert!(answers.iter().all(|&a| a), "no false negatives ({backend})");
+    let members: Vec<String> = (0..200).map(|i| format!("batch-{i}")).collect();
+    let outcome = client.insert_batch(&members).expect("minsert");
+    assert_eq!(outcome.items, 200);
+    assert!(outcome.fresh_bits > 0);
+    let answers = client.query_batch(&members).expect("mquery");
+    assert!(answers.iter().all(|&a| a), "no false negatives");
 
-        // The wire stats must agree with the in-process view.
-        let remote = client.stats().expect("stats");
-        let local = store.stats();
-        assert!(remote.hardened);
-        assert_eq!(remote.backend, BackendKind::Bloom, "{backend}");
-        assert_eq!(remote.total_inserted, local.total_inserted);
-        assert_eq!(remote.alarms as usize, local.alarms);
-        assert_eq!(remote.shards.len(), local.shards.len());
-        for (wire, host) in remote.shards.iter().zip(&local.shards) {
-            assert_eq!(wire.m, host.m);
-            assert_eq!(wire.k, host.k);
-            assert_eq!(wire.inserted, host.inserted);
-            assert_eq!(wire.weight, host.weight);
-        }
-
-        handle.shutdown();
+    // The wire stats must agree with the in-process view.
+    let remote = client.stats().expect("stats");
+    let local = store.stats();
+    assert!(remote.hardened);
+    assert_eq!(remote.backend, BackendKind::Bloom);
+    assert_eq!(remote.total_inserted, local.total_inserted);
+    assert_eq!(remote.alarms as usize, local.alarms);
+    assert_eq!(remote.shards.len(), local.shards.len());
+    for (wire, host) in remote.shards.iter().zip(&local.shards) {
+        assert_eq!(wire.m, host.m);
+        assert_eq!(wire.k, host.k);
+        assert_eq!(wire.inserted, host.inserted);
+        assert_eq!(wire.weight, host.weight);
     }
+
+    handle.shutdown();
 }
 
 #[test]
 fn rotation_over_the_wire_drops_polluted_bits() {
-    for backend in backends() {
-        let (handle, _store) = spawn_on(backend, true, 2);
-        let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let (handle, _store) = spawn_on(true, 2);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
 
-        let members: Vec<String> = (0..100).map(|i| format!("keep-{i}")).collect();
-        client.insert_batch(&members).expect("minsert");
-        client.insert(b"pollution").expect("insert");
+    let members: Vec<String> = (0..100).map(|i| format!("keep-{i}")).collect();
+    client.insert_batch(&members).expect("minsert");
+    client.insert(b"pollution").expect("insert");
 
-        for shard in 0..2 {
-            assert_eq!(client.rotate_begin(shard).expect("begin"), Some(1));
-            // A second begin while draining is refused, not an error.
-            assert_eq!(client.rotate_begin(shard).expect("begin again"), None);
-        }
-        // Mid-rotation the old generation still answers.
-        assert!(client.query(b"pollution").expect("query"));
-        client.insert_batch(&members).expect("replay");
-        for shard in 0..2 {
-            assert!(client.rotate_complete(shard).expect("complete"));
-            assert!(!client.rotate_complete(shard).expect("nothing left"));
-        }
-        assert!(client.query_batch(&members).expect("mquery").iter().all(|&a| a));
-        assert!(!client.query(b"pollution").expect("query"), "unreplayed pollution is gone");
-
-        handle.shutdown();
+    for shard in 0..2 {
+        assert_eq!(client.rotate_begin(shard).expect("begin"), Some(1));
+        // A second begin while draining is refused, not an error.
+        assert_eq!(client.rotate_begin(shard).expect("begin again"), None);
     }
+    // Mid-rotation the old generation still answers.
+    assert!(client.query(b"pollution").expect("query"));
+    client.insert_batch(&members).expect("replay");
+    for shard in 0..2 {
+        assert!(client.rotate_complete(shard).expect("complete"));
+        assert!(!client.rotate_complete(shard).expect("nothing left"));
+    }
+    assert!(client.query_batch(&members).expect("mquery").iter().all(|&a| a));
+    assert!(!client.query(b"pollution").expect("query"), "unreplayed pollution is gone");
+
+    handle.shutdown();
 }
 
 #[test]
 fn pipelined_requests_answer_in_order() {
-    for backend in backends() {
-        let (handle, _store) = spawn_on(backend, true, 4);
-        let mut client = Client::connect(handle.local_addr()).expect("connect");
-        let items: Vec<String> = (0..50).map(|i| format!("pipeline-{i}")).collect();
-        client.insert_batch(&items).expect("minsert");
+    let (handle, _store) = spawn_on(true, 4);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let items: Vec<String> = (0..50).map(|i| format!("pipeline-{i}")).collect();
+    client.insert_batch(&items).expect("minsert");
 
-        // Queue 100 single queries (alternating hit/miss) without reading.
-        for (i, item) in items.iter().enumerate() {
-            client.send(&Command::Query(item.as_bytes())).expect("send hit");
-            client.send(&Command::Query(format!("absent-{i}").as_bytes())).expect("send miss");
-        }
-        for i in 0..50 {
-            assert_eq!(client.recv().expect("hit"), Response::Found(true), "{backend} hit {i}");
-            assert_eq!(client.recv().expect("miss"), Response::Found(false), "{backend} miss {i}");
-        }
-        handle.shutdown();
+    // Queue 100 single queries (alternating hit/miss) without reading.
+    for (i, item) in items.iter().enumerate() {
+        client.send(&Command::Query(item.as_bytes())).expect("send hit");
+        client.send(&Command::Query(format!("absent-{i}").as_bytes())).expect("send miss");
     }
+    for i in 0..50 {
+        assert_eq!(client.recv().expect("hit"), Response::Found(true), "hit {i}");
+        assert_eq!(client.recv().expect("miss"), Response::Found(false), "miss {i}");
+    }
+    handle.shutdown();
 }
 
 #[test]
 fn concurrent_clients_share_the_store() {
-    for backend in backends() {
-        let (handle, store) = spawn_on(backend, true, 4);
-        let addr = handle.local_addr();
-        std::thread::scope(|scope| {
-            for worker in 0..4 {
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr).expect("connect");
-                    let items: Vec<String> =
-                        (0..100).map(|i| format!("worker-{worker}-{i}")).collect();
-                    client.insert_batch(&items).expect("minsert");
-                    assert!(client.query_batch(&items).expect("mquery").iter().all(|&a| a));
-                });
-            }
-        });
-        assert_eq!(store.stats().total_inserted, 400);
-        assert_eq!(handle.requests_served(), 8);
-        handle.shutdown();
-    }
+    let (handle, store) = spawn_on(true, 4);
+    let addr = handle.local_addr();
+    std::thread::scope(|scope| {
+        for worker in 0..4 {
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                let items: Vec<String> = (0..100).map(|i| format!("worker-{worker}-{i}")).collect();
+                client.insert_batch(&items).expect("minsert");
+                assert!(client.query_batch(&items).expect("mquery").iter().all(|&a| a));
+            });
+        }
+    });
+    assert_eq!(store.stats().total_inserted, 400);
+    assert_eq!(handle.requests_served(), 8);
+    handle.shutdown();
 }
 
 #[test]
 fn semantic_errors_keep_the_connection_alive() {
-    for backend in backends() {
-        let (handle, _store) = spawn_on(backend, true, 4);
-        let mut client = Client::connect(handle.local_addr()).expect("connect");
-        match client.rotate_begin(99) {
-            Err(ClientError::Remote(message)) => assert!(message.contains("out of range")),
-            other => panic!("expected a remote error, got {other:?} ({backend})"),
-        }
-        client.ping().expect("connection still serves");
-        handle.shutdown();
+    let (handle, _store) = spawn_on(true, 4);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    match client.rotate_begin(99) {
+        Err(ClientError::Remote(message)) => assert!(message.contains("out of range")),
+        other => panic!("expected a remote error, got {other:?}"),
     }
+    client.ping().expect("connection still serves");
+    handle.shutdown();
 }
 
 #[test]
 fn protocol_violations_get_an_error_and_a_close() {
-    for backend in backends() {
-        let (handle, _store) = spawn_on(backend, true, 4);
-        let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
-        // A frame with a bad version byte.
-        stream.write_all(&[2u8, 0, 0, 0, 99, 0x01]).expect("write");
-        stream.flush().expect("flush");
+    let (handle, _store) = spawn_on(true, 4);
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    // A frame with a bad version byte.
+    stream.write_all(&[2u8, 0, 0, 0, 99, 0x01]).expect("write");
+    stream.flush().expect("flush");
 
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw).expect("server closes after the error frame");
-        let (start, end) = evilbloom_server::wire::frame_bounds(&raw, 0, 1 << 20)
-            .expect("cap")
-            .expect("one complete error frame");
-        match Response::decode(&raw[start..end]).expect("decodes") {
-            Response::Error(message) => assert!(message.contains("version"), "{message}"),
-            other => panic!("expected ERROR, got {other:?} ({backend})"),
-        }
-        assert_eq!(end, raw.len(), "nothing after the error frame ({backend})");
-        handle.shutdown();
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("server closes after the error frame");
+    let (start, end) = evilbloom_server::wire::frame_bounds(&raw, 0, 1 << 20)
+        .expect("cap")
+        .expect("one complete error frame");
+    match Response::decode(&raw[start..end]).expect("decodes") {
+        Response::Error(message) => assert!(message.contains("version"), "{message}"),
+        other => panic!("expected ERROR, got {other:?}"),
     }
+    assert_eq!(end, raw.len(), "nothing after the error frame");
+    handle.shutdown();
 }
 
 #[test]
 fn oversized_frames_are_refused_without_allocation() {
-    for backend in backends() {
-        let store = Arc::new(
-            BloomStore::builder()
-                .shards(2)
-                .capacity(1_000)
-                .target_fpp(0.01)
-                .hardened()
-                .seed(1)
-                .build(),
-        );
-        let config = ServerConfig { max_frame_bytes: 1024, ..ServerConfig::with_backend(backend) };
-        let handle = Server::spawn(store, "127.0.0.1:0", config).expect("bind");
-        let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
-        // Claim a 1 GiB payload; send only the prefix.
-        stream.write_all(&(1u32 << 30).to_le_bytes()).expect("write");
-        stream.flush().expect("flush");
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw).expect("server answers and closes");
-        let (start, end) = evilbloom_server::wire::frame_bounds(&raw, 0, 1 << 20)
-            .expect("cap")
-            .expect("error frame");
-        match Response::decode(&raw[start..end]).expect("decodes") {
-            Response::Error(message) => assert!(message.contains("exceeds"), "{message}"),
-            other => panic!("expected ERROR, got {other:?} ({backend})"),
-        }
-        handle.shutdown();
+    let store = Arc::new(
+        BloomStore::builder().shards(2).capacity(1_000).target_fpp(0.01).hardened().seed(1).build(),
+    );
+    let config = ServerConfig { max_frame_bytes: 1024, ..ServerConfig::default() };
+    let handle = Server::spawn(store, "127.0.0.1:0", config).expect("bind");
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    // Claim a 1 GiB payload; send only the prefix.
+    stream.write_all(&(1u32 << 30).to_le_bytes()).expect("write");
+    stream.flush().expect("flush");
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("server answers and closes");
+    let (start, end) =
+        evilbloom_server::wire::frame_bounds(&raw, 0, 1 << 20).expect("cap").expect("error frame");
+    match Response::decode(&raw[start..end]).expect("decodes") {
+        Response::Error(message) => assert!(message.contains("exceeds"), "{message}"),
+        other => panic!("expected ERROR, got {other:?}"),
     }
+    handle.shutdown();
 }
 
 #[test]
 fn shutdown_is_graceful_and_bounded() {
-    for backend in backends() {
-        let (handle, _store) = spawn_on(backend, true, 4);
-        let addr = handle.local_addr();
-        // An idle connection is open when shutdown starts.
-        let mut client = Client::connect(addr).expect("connect");
-        client.ping().expect("ping");
+    let (handle, _store) = spawn_on(true, 4);
+    let addr = handle.local_addr();
+    // An idle connection is open when shutdown starts.
+    let mut client = Client::connect(addr).expect("connect");
+    client.ping().expect("ping");
 
-        let started = std::time::Instant::now();
-        handle.shutdown();
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "{backend} shutdown took {:?} with an idle connection open",
-            started.elapsed()
-        );
+    let started = std::time::Instant::now();
+    handle.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "shutdown took {:?} with an idle connection open",
+        started.elapsed()
+    );
 
-        // The idle connection was closed by the server side.
-        assert!(client.ping().is_err(), "server should be gone ({backend})");
-        // New connections are refused or immediately closed.
-        match Client::connect(addr) {
-            Err(_) => {}
-            Ok(mut late) => {
-                assert!(late.ping().is_err(), "no thread should serve a late client ({backend})")
-            }
+    // The idle connection was closed by the server side.
+    assert!(client.ping().is_err(), "server should be gone");
+    // New connections are refused or immediately closed.
+    match Client::connect(addr) {
+        Err(_) => {}
+        Ok(mut late) => {
+            assert!(late.ping().is_err(), "no thread should serve a late client")
         }
     }
 }
 
 #[test]
 fn oversized_commands_are_rejected_client_side_before_sending() {
-    for backend in backends() {
-        let (handle, _store) = spawn_on(backend, true, 4);
-        let mut client = Client::connect(handle.local_addr()).expect("connect");
-        client.set_max_frame_bytes(256);
-        let big = vec![0xAAu8; 1024];
-        let err = client.send(&Command::Insert(&big)).expect_err("must reject locally");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        // Regression: the error reports the *true* payload length (1026 =
-        // version + opcode + item), not a value clamped to `u32::MAX`.
-        assert!(err.to_string().contains("1026"), "true length missing: {err}");
-        // The connection was never poisoned: normal traffic still works.
-        client.set_max_frame_bytes(evilbloom_server::DEFAULT_MAX_FRAME_BYTES);
-        client.ping().expect("connection unaffected");
-        handle.shutdown();
-    }
+    let (handle, _store) = spawn_on(true, 4);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    client.set_max_frame_bytes(256);
+    let big = vec![0xAAu8; 1024];
+    let err = client.send(&Command::Insert(&big)).expect_err("must reject locally");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    // Regression: the error reports the *true* payload length (1026 =
+    // version + opcode + item), not a value clamped to `u32::MAX`.
+    assert!(err.to_string().contains("1026"), "true length missing: {err}");
+    // The connection was never poisoned: normal traffic still works.
+    client.set_max_frame_bytes(evilbloom_server::DEFAULT_MAX_FRAME_BYTES);
+    client.ping().expect("connection unaffected");
+    handle.shutdown();
 }
 
 #[test]
 fn unhardened_server_reports_its_posture() {
-    for backend in backends() {
-        let (handle, _store) = spawn_on(backend, false, 4);
-        let mut client = Client::connect(handle.local_addr()).expect("connect");
-        assert!(!client.stats().expect("stats").hardened);
-        handle.shutdown();
-    }
+    let (handle, _store) = spawn_on(false, 4);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    assert!(!client.stats().expect("stats").hardened);
+    handle.shutdown();
 }
 
 /// A peer delivering its bytes one at a time must be reassembled correctly:
 /// every readiness event hands the state machine a partial frame, and no
 /// response may be emitted before the frame completes. (This is the
-/// edge-triggering/partial-read regression test for the reactor; it runs on
-/// the threaded backend too, whose accumulator follows the same contract.)
+/// edge-triggering/partial-read regression test for the reactor.)
 #[test]
 fn byte_at_a_time_partial_frame_delivery() {
-    for backend in backends() {
-        let (handle, _store) = spawn_on(backend, true, 4);
-        let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
-        stream.set_nodelay(true).expect("nodelay");
+    let (handle, _store) = spawn_on(true, 4);
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
 
-        // Three pipelined frames, delivered byte by byte.
-        let mut bytes = Vec::new();
-        Command::Ping.encode(&mut bytes).expect("encodes");
-        Command::Insert(b"https://drip.example/slow").encode(&mut bytes).expect("encodes");
-        Command::QueryBatch(vec![b"https://drip.example/slow".as_slice(), b"absent".as_slice()])
-            .encode(&mut bytes)
-            .expect("encodes");
-        for &byte in &bytes {
-            stream.write_all(&[byte]).expect("write one byte");
-            stream.flush().expect("flush");
-        }
-
-        let mut payload = Vec::new();
-        let mut read_response = || {
-            assert!(
-                evilbloom_server::wire::read_frame(&mut stream, &mut payload, 1 << 20)
-                    .expect("read frame"),
-                "connection stays open ({backend})"
-            );
-            Response::decode(&payload).expect("decodes")
-        };
-        assert_eq!(read_response(), Response::Pong, "{backend}");
-        match read_response() {
-            Response::Inserted { fresh_bits } => assert!(fresh_bits > 0, "{backend}"),
-            other => panic!("expected INSERTED, got {other:?} ({backend})"),
-        }
-        assert_eq!(read_response(), Response::BatchFound(vec![true, false]), "{backend}");
-        handle.shutdown();
+    // Three pipelined frames, delivered byte by byte.
+    let mut bytes = Vec::new();
+    Command::Ping.encode(&mut bytes).expect("encodes");
+    Command::Insert(b"https://drip.example/slow").encode(&mut bytes).expect("encodes");
+    Command::QueryBatch(vec![b"https://drip.example/slow".as_slice(), b"absent".as_slice()])
+        .encode(&mut bytes)
+        .expect("encodes");
+    for &byte in &bytes {
+        stream.write_all(&[byte]).expect("write one byte");
+        stream.flush().expect("flush");
     }
+
+    let mut payload = Vec::new();
+    let mut read_response = || {
+        assert!(
+            evilbloom_server::wire::read_frame(&mut stream, &mut payload, 1 << 20)
+                .expect("read frame"),
+            "connection stays open"
+        );
+        Response::decode(&payload).expect("decodes")
+    };
+    assert_eq!(read_response(), Response::Pong);
+    match read_response() {
+        Response::Inserted { fresh_bits } => assert!(fresh_bits > 0),
+        other => panic!("expected INSERTED, got {other:?}"),
+    }
+    assert_eq!(read_response(), Response::BatchFound(vec![true, false]));
+    handle.shutdown();
 }
 
-/// The C10k claim, scaled to a unit test: the async backend holds ≥1000
+/// The C10k claim, scaled to a unit test: the server holds ≥1000
 /// concurrent loopback connections — every one of them *served*, not just
 /// accepted — on a handful of reactor threads, and stays responsive while
-/// they are all open. (The threaded backend would need 1000 dedicated
-/// worker threads for the same feat; that is the gap the reactor closes.)
+/// they are all open.
 #[test]
 fn async_backend_sustains_1000_concurrent_connections() {
-    if !Backend::Async.is_supported() {
-        eprintln!("skipping: async backend unsupported on this platform");
-        return;
-    }
     const CONNECTIONS: usize = 1000;
     if let Some(budget) = evilbloom_server::loopback_connection_budget() {
         if budget < CONNECTIONS as u64 {
@@ -357,7 +303,7 @@ fn async_backend_sustains_1000_concurrent_connections() {
         }
     }
 
-    let (handle, store) = spawn_on(Backend::Async, true, 4);
+    let (handle, store) = spawn_on(true, 4);
     let addr = handle.local_addr();
 
     let mut clients: Vec<Client> = Vec::with_capacity(CONNECTIONS);
@@ -392,250 +338,218 @@ fn async_backend_sustains_1000_concurrent_connections() {
 /// false positives included.
 #[test]
 fn restarted_server_answers_bit_for_bit_identically() {
-    for backend in backends() {
-        let tmp = TempDir::new("restart");
-        let persist = PersistConfig::new(&tmp.0);
+    let tmp = TempDir::new("restart");
+    let persist = PersistConfig::new(&tmp.0);
 
-        let mut store = BloomStore::builder()
-            .shards(4)
-            .capacity(4_000)
-            .target_fpp(0.01)
-            .unhardened()
-            .seed(7)
-            .build();
-        store.enable_persistence(&persist).expect("enable persistence");
-        let handle =
-            Server::spawn(Arc::new(store), "127.0.0.1:0", ServerConfig::with_backend(backend))
-                .expect("bind");
-        let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let mut store = BloomStore::builder()
+        .shards(4)
+        .capacity(4_000)
+        .target_fpp(0.01)
+        .unhardened()
+        .seed(7)
+        .build();
+    store.enable_persistence(&persist).expect("enable persistence");
+    let handle =
+        Server::spawn(Arc::new(store), "127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
 
-        let before_snapshot: Vec<String> = (0..600).map(|i| format!("pre-snap-{i}")).collect();
-        client.insert_batch(&before_snapshot).expect("minsert");
-        let info = client.snapshot().expect("remote snapshot");
-        assert!(info.seq > 0 && info.wal_seq > 0 && info.bytes > 0);
-        assert_eq!(info.shards, 4);
+    let before_snapshot: Vec<String> = (0..600).map(|i| format!("pre-snap-{i}")).collect();
+    client.insert_batch(&before_snapshot).expect("minsert");
+    let info = client.snapshot().expect("remote snapshot");
+    assert!(info.seq > 0 && info.wal_seq > 0 && info.bytes > 0);
+    assert_eq!(info.shards, 4);
 
-        // These inserts exist only in the write-ahead log.
-        let after_snapshot: Vec<String> = (0..400).map(|i| format!("post-snap-{i}")).collect();
-        client.insert_batch(&after_snapshot).expect("minsert");
+    // These inserts exist only in the write-ahead log.
+    let after_snapshot: Vec<String> = (0..400).map(|i| format!("post-snap-{i}")).collect();
+    client.insert_batch(&after_snapshot).expect("minsert");
 
-        // Probe set: every member plus absent items (some of which may be
-        // false positives — recovery must reproduce those too).
-        let mut probes: Vec<String> = Vec::new();
-        probes.extend(before_snapshot.iter().cloned());
-        probes.extend(after_snapshot.iter().cloned());
-        probes.extend((0..2_000).map(|i| format!("absent-{i}")));
-        let original = client.query_batch(&probes).expect("mquery");
-        assert!(original[..1_000].iter().all(|&a| a), "members must all answer true");
+    // Probe set: every member plus absent items (some of which may be
+    // false positives — recovery must reproduce those too).
+    let mut probes: Vec<String> = Vec::new();
+    probes.extend(before_snapshot.iter().cloned());
+    probes.extend(after_snapshot.iter().cloned());
+    probes.extend((0..2_000).map(|i| format!("absent-{i}")));
+    let original = client.query_batch(&probes).expect("mquery");
+    assert!(original[..1_000].iter().all(|&a| a), "members must all answer true");
 
-        drop(client);
-        handle.shutdown();
+    drop(client);
+    handle.shutdown();
 
-        let (recovered, report): (BloomStore, _) = BloomStore::recover(&persist).expect("recover");
-        assert_eq!(report.replayed_inserts, 400, "WAL tail replays ({backend})");
-        let handle =
-            Server::spawn(Arc::new(recovered), "127.0.0.1:0", ServerConfig::with_backend(backend))
-                .expect("rebind");
-        let mut client = Client::connect(handle.local_addr()).expect("reconnect");
-        let replayed = client.query_batch(&probes).expect("mquery after restart");
-        assert_eq!(replayed, original, "bit-for-bit equivalence over TCP ({backend})");
-        handle.shutdown();
-    }
+    let (recovered, report): (BloomStore, _) = BloomStore::recover(&persist).expect("recover");
+    assert_eq!(report.replayed_inserts, 400, "WAL tail replays");
+    let handle =
+        Server::spawn(Arc::new(recovered), "127.0.0.1:0", ServerConfig::default()).expect("rebind");
+    let mut client = Client::connect(handle.local_addr()).expect("reconnect");
+    let replayed = client.query_batch(&probes).expect("mquery after restart");
+    assert_eq!(replayed, original, "bit-for-bit equivalence over TCP");
+    handle.shutdown();
 }
 
 /// `SNAPSHOT` against a server whose store has no persistence enabled is a
 /// typed remote error, and the connection survives it.
 #[test]
 fn snapshot_without_persistence_is_a_remote_error() {
-    for backend in backends() {
-        let (handle, _store) = spawn_on(backend, false, 4);
-        let mut client = Client::connect(handle.local_addr()).expect("connect");
-        match client.snapshot() {
-            Err(ClientError::Remote(message)) => {
-                assert!(message.contains("persistence"), "{message}")
-            }
-            other => panic!("expected a remote error, got {other:?} ({backend})"),
+    let (handle, _store) = spawn_on(false, 4);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    match client.snapshot() {
+        Err(ClientError::Remote(message)) => {
+            assert!(message.contains("persistence"), "{message}")
         }
-        client.ping().expect("connection still serves");
-        handle.shutdown();
+        other => panic!("expected a remote error, got {other:?}"),
     }
+    client.ping().expect("connection still serves");
+    handle.shutdown();
 }
 
 /// The pooled variant drives the same opcode through `ClientPool`.
 #[test]
 fn pooled_snapshot_round_trips() {
-    for backend in backends() {
-        let tmp = TempDir::new("pooled-snap");
-        let persist = PersistConfig::new(&tmp.0);
-        let mut store = BloomStore::builder()
-            .shards(2)
-            .capacity(2_000)
-            .target_fpp(0.01)
-            .unhardened()
-            .seed(3)
-            .build();
-        store.enable_persistence(&persist).expect("enable persistence");
-        let handle =
-            Server::spawn(Arc::new(store), "127.0.0.1:0", ServerConfig::with_backend(backend))
-                .expect("bind");
+    let tmp = TempDir::new("pooled-snap");
+    let persist = PersistConfig::new(&tmp.0);
+    let mut store = BloomStore::builder()
+        .shards(2)
+        .capacity(2_000)
+        .target_fpp(0.01)
+        .unhardened()
+        .seed(3)
+        .build();
+    store.enable_persistence(&persist).expect("enable persistence");
+    let handle =
+        Server::spawn(Arc::new(store), "127.0.0.1:0", ServerConfig::default()).expect("bind");
 
-        let mut pool = ClientPool::connect(handle.local_addr(), 2).expect("pool");
-        let items: Vec<String> = (0..300).map(|i| format!("pooled-{i}")).collect();
-        pool.minsert_pooled(&items, 64).expect("pooled insert");
-        let info = pool.snapshot().expect("pooled snapshot");
-        assert!(info.seq > 0, "{backend}");
-        assert!(pool.mquery_pooled(&items, 64).expect("pooled query").iter().all(|&a| a));
-        handle.shutdown();
-    }
+    let mut pool = ClientPool::connect(handle.local_addr(), 2).expect("pool");
+    let items: Vec<String> = (0..300).map(|i| format!("pooled-{i}")).collect();
+    pool.minsert_pooled(&items, 64).expect("pooled insert");
+    let info = pool.snapshot().expect("pooled snapshot");
+    assert!(info.seq > 0);
+    assert!(pool.mquery_pooled(&items, 64).expect("pooled query").iter().all(|&a| a));
+    handle.shutdown();
 }
 
 /// A peer that pipelines a burst, half-closes its write side, and then
 /// reads must still receive every response: EOF with responses pending (or
-/// executing) takes the flush-then-close path on both backends instead of
-/// dropping undelivered bytes.
+/// executing) takes the flush-then-close path instead of dropping
+/// undelivered bytes.
 #[test]
 fn half_close_still_delivers_pending_responses() {
-    for backend in backends() {
-        let (handle, _store) = spawn_on(backend, true, 4);
-        let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    let (handle, _store) = spawn_on(true, 4);
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
 
-        const BURST: usize = 200;
-        let mut bytes = Vec::new();
-        Command::Insert(b"half-close-item").encode(&mut bytes).expect("encodes");
-        for _ in 0..BURST {
-            Command::Query(b"half-close-item").encode(&mut bytes).expect("encodes");
-        }
-        stream.write_all(&bytes).expect("write burst");
-        stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+    const BURST: usize = 200;
+    let mut bytes = Vec::new();
+    Command::Insert(b"half-close-item").encode(&mut bytes).expect("encodes");
+    for _ in 0..BURST {
+        Command::Query(b"half-close-item").encode(&mut bytes).expect("encodes");
+    }
+    stream.write_all(&bytes).expect("write burst");
+    stream.shutdown(std::net::Shutdown::Write).expect("half-close");
 
-        let mut payload = Vec::new();
+    let mut payload = Vec::new();
+    assert!(evilbloom_server::wire::read_frame(&mut stream, &mut payload, 1 << 20)
+        .expect("read INSERTED"));
+    for i in 0..BURST {
         assert!(
             evilbloom_server::wire::read_frame(&mut stream, &mut payload, 1 << 20)
-                .expect("read INSERTED"),
-            "{backend}"
+                .unwrap_or_else(|e| panic!("response {i} after half-close: {e}")),
+            "connection closed before response {i}"
         );
-        for i in 0..BURST {
-            assert!(
-                evilbloom_server::wire::read_frame(&mut stream, &mut payload, 1 << 20)
-                    .unwrap_or_else(|e| panic!("{backend}: response {i} after half-close: {e}")),
-                "{backend}: connection closed before response {i}"
-            );
-            assert_eq!(
-                Response::decode(&payload).expect("decodes"),
-                Response::Found(true),
-                "{backend} response {i}"
-            );
-        }
-        // After the last response the server closes cleanly.
-        assert!(
-            !evilbloom_server::wire::read_frame(&mut stream, &mut payload, 1 << 20)
-                .expect("clean EOF"),
-            "{backend}: nothing after the final response"
+        assert_eq!(
+            Response::decode(&payload).expect("decodes"),
+            Response::Found(true),
+            "response {i}"
         );
-        handle.shutdown();
     }
+    // After the last response the server closes cleanly.
+    assert!(
+        !evilbloom_server::wire::read_frame(&mut stream, &mut payload, 1 << 20).expect("clean EOF"),
+        "nothing after the final response"
+    );
+    handle.shutdown();
 }
 
 #[test]
 fn metrics_scrape_round_trips_with_every_layer_present() {
-    for backend in backends() {
-        let (handle, _store) = spawn_on(backend, true, 4);
-        let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let (handle, _store) = spawn_on(true, 4);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
 
-        // Generate traffic across opcodes so counters move before scraping.
-        let members: Vec<String> = (0..100).map(|i| format!("metrics-{i}")).collect();
-        client.insert_batch(&members).expect("minsert");
-        client.query_batch(&members).expect("mquery");
-        client.stats().expect("stats");
+    // Generate traffic across opcodes so counters move before scraping.
+    let members: Vec<String> = (0..100).map(|i| format!("metrics-{i}")).collect();
+    client.insert_batch(&members).expect("minsert");
+    client.query_batch(&members).expect("mquery");
+    client.stats().expect("stats");
 
-        // Scrape twice: a scrape's own request is counted after it renders,
-        // so the first exposition shows op="metrics" at 0 and the second at
-        // 1 — the counter reflects requests *completed* before the scrape.
-        let first = client.metrics().expect("metrics");
-        assert!(
-            first.contains(r#"evilbloom_server_requests_total{op="metrics"} 0"#),
-            "{backend}:\n{first}"
-        );
-        let text = client.metrics().expect("metrics");
-        // At least one metric family from every instrumented layer renders
-        // on BOTH backends — reactor and persist families at zero where the
-        // configuration leaves them idle.
-        for family in [
-            "evilbloom_server_requests_total",        // server
-            "evilbloom_server_request_latency_ns",    // server histograms
-            "evilbloom_reactor_wakeups_total",        // reactor
-            "evilbloom_bufferpool_hits_total",        // buffer pool
-            "evilbloom_store_inserts_total",          // store
-            "evilbloom_store_bits_per_insert_recent", // drift gauge
-            "evilbloom_persist_wal_append_ns",        // persist
-        ] {
-            assert!(text.contains(family), "{backend}: missing {family} in:\n{text}");
-        }
-
-        // The exposition is structurally parseable: every non-comment line
-        // is `name{labels} value` with a numeric value.
-        let mut samples = 0usize;
-        for line in text.lines() {
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (_, value) = line
-                .rsplit_once(' ')
-                .unwrap_or_else(|| panic!("{backend}: unparseable line {line:?}"));
-            assert!(
-                value.parse::<f64>().is_ok() || value == "+Inf",
-                "{backend}: non-numeric sample value in {line:?}"
-            );
-            samples += 1;
-        }
-        assert!(samples > 20, "{backend}: suspiciously few samples ({samples})");
-
-        // The traffic above is visible in the scrape.
-        assert!(
-            text.contains(r#"evilbloom_server_requests_total{op="minsert"} 1"#),
-            "{backend}:\n{text}"
-        );
-        assert!(
-            text.contains(r#"evilbloom_server_requests_total{op="metrics"} 1"#),
-            "{backend}:\n{text}"
-        );
-        assert!(text.contains("evilbloom_store_inserts_total 100"), "{backend}:\n{text}");
-
-        handle.shutdown();
+    // Scrape twice: a scrape's own request is counted after it renders,
+    // so the first exposition shows op="metrics" at 0 and the second at
+    // 1 — the counter reflects requests *completed* before the scrape.
+    let first = client.metrics().expect("metrics");
+    assert!(first.contains(r#"evilbloom_server_requests_total{op="metrics"} 0"#), "{first}");
+    let text = client.metrics().expect("metrics");
+    // At least one metric family from every instrumented layer renders —
+    // persist families at zero where the configuration leaves them idle.
+    for family in [
+        "evilbloom_server_requests_total",        // server
+        "evilbloom_server_request_latency_ns",    // server histograms
+        "evilbloom_reactor_wakeups_total",        // reactor
+        "evilbloom_bufferpool_hits_total",        // buffer pool
+        "evilbloom_store_inserts_total",          // store
+        "evilbloom_store_bits_per_insert_recent", // drift gauge
+        "evilbloom_persist_wal_append_ns",        // persist
+    ] {
+        assert!(text.contains(family), "missing {family} in:\n{text}");
     }
+
+    // The exposition is structurally parseable: every non-comment line
+    // is `name{labels} value` with a numeric value.
+    let mut samples = 0usize;
+    for line in text.lines() {
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let (_, value) =
+            line.rsplit_once(' ').unwrap_or_else(|| panic!("unparseable line {line:?}"));
+        assert!(
+            value.parse::<f64>().is_ok() || value == "+Inf",
+            "non-numeric sample value in {line:?}"
+        );
+        samples += 1;
+    }
+    assert!(samples > 20, "suspiciously few samples ({samples})");
+
+    // The traffic above is visible in the scrape.
+    assert!(text.contains(r#"evilbloom_server_requests_total{op="minsert"} 1"#), "{text}");
+    assert!(text.contains(r#"evilbloom_server_requests_total{op="metrics"} 1"#), "{text}");
+    assert!(text.contains("evilbloom_store_inserts_total 100"), "{text}");
+
+    handle.shutdown();
 }
 
 #[test]
 fn stats_report_generation_and_uptime() {
-    for backend in backends() {
-        let (handle, _store) = spawn_on(backend, true, 2);
-        let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let (handle, _store) = spawn_on(true, 2);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
 
-        let before = client.stats().expect("stats");
-        assert_eq!(before.generation, 0, "{backend}: fresh store starts at generation 0");
+    let before = client.stats().expect("stats");
+    assert_eq!(before.generation, 0, "fresh store starts at generation 0");
 
-        // Rotating a shard must be visible in the reported generation.
-        let generation = client.rotate_begin(0).expect("rotate").expect("fresh rotation");
-        assert!(generation > 0, "{backend}");
-        let after = client.stats().expect("stats");
-        assert_eq!(after.generation, generation, "{backend}");
-        // Uptime only moves with wall time, but it must at least decode
-        // (old servers' frames decode it as 0; see the wire unit tests).
-        assert!(after.uptime_secs < 3600, "{backend}: implausible uptime");
+    // Rotating a shard must be visible in the reported generation.
+    let generation = client.rotate_begin(0).expect("rotate").expect("fresh rotation");
+    assert!(generation > 0);
+    let after = client.stats().expect("stats");
+    assert_eq!(after.generation, generation);
+    // Uptime only moves with wall time, but it must at least decode
+    // (old servers' frames decode it as 0; see the wire unit tests).
+    assert!(after.uptime_secs < 3600, "implausible uptime");
 
-        handle.shutdown();
-    }
+    handle.shutdown();
 }
 
 #[test]
 fn pooled_metrics_scrape_round_trips() {
-    for backend in backends() {
-        let (handle, _store) = spawn_on(backend, true, 4);
-        let mut pool = ClientPool::connect(handle.local_addr(), 2).expect("pool");
-        let text = pool.metrics().expect("pooled metrics");
-        assert!(text.contains("evilbloom_server_uptime_seconds"), "{backend}:\n{text}");
-        handle.shutdown();
-    }
+    let (handle, _store) = spawn_on(true, 4);
+    let mut pool = ClientPool::connect(handle.local_addr(), 2).expect("pool");
+    let text = pool.metrics().expect("pooled metrics");
+    assert!(text.contains("evilbloom_server_uptime_seconds"), "{text}");
+    handle.shutdown();
 }
 
 /// `DELETE` against a family that cannot delete is a *typed* refusal
@@ -643,25 +557,23 @@ fn pooled_metrics_scrape_round_trips() {
 /// protocol error — and the connection keeps serving afterwards.
 #[test]
 fn delete_on_a_plain_bloom_server_is_typed_unsupported() {
-    for backend in backends() {
-        let (handle, _store) = spawn_on(backend, true, 4);
-        let mut client = Client::connect(handle.local_addr()).expect("connect");
-        client.insert(b"undeletable").expect("insert");
-        match client.delete(b"undeletable") {
-            Err(ClientError::Unsupported(message)) => {
-                assert!(message.contains("bloom") && message.contains("remove"), "{message}")
-            }
-            other => panic!("expected UNSUPPORTED, got {other:?} ({backend})"),
+    let (handle, _store) = spawn_on(true, 4);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    client.insert(b"undeletable").expect("insert");
+    match client.delete(b"undeletable") {
+        Err(ClientError::Unsupported(message)) => {
+            assert!(message.contains("bloom") && message.contains("remove"), "{message}")
         }
-        match client.delete_batch(&["a", "b"]) {
-            Err(ClientError::Unsupported(_)) => {}
-            other => panic!("expected UNSUPPORTED, got {other:?} ({backend})"),
-        }
-        // The refusal changed nothing and poisoned nothing.
-        assert!(client.query(b"undeletable").expect("query"));
-        client.ping().expect("connection still serves");
-        handle.shutdown();
+        other => panic!("expected UNSUPPORTED, got {other:?}"),
     }
+    match client.delete_batch(&["a", "b"]) {
+        Err(ClientError::Unsupported(_)) => {}
+        other => panic!("expected UNSUPPORTED, got {other:?}"),
+    }
+    // The refusal changed nothing and poisoned nothing.
+    assert!(client.query(b"undeletable").expect("query"));
+    client.ping().expect("connection still serves");
+    handle.shutdown();
 }
 
 /// The counting family end-to-end: populate over TCP, evict with `DELETE`
@@ -670,69 +582,65 @@ fn delete_on_a_plain_bloom_server_is_typed_unsupported() {
 /// and false positives included.
 #[test]
 fn counting_store_serves_deletes_and_recovers_over_tcp() {
-    for backend in backends() {
-        let tmp = TempDir::new("counting");
-        let persist = PersistConfig::new(&tmp.0);
-        let mut store = BloomStore::builder()
-            .shards(4)
-            .capacity(4_000)
-            .target_fpp(0.01)
-            .unhardened()
-            .seed(9)
-            .counting(4)
-            .build();
-        store.enable_persistence(&persist).expect("enable persistence");
-        let handle =
-            Server::spawn(Arc::new(store), "127.0.0.1:0", ServerConfig::with_backend(backend))
-                .expect("bind");
-        let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let tmp = TempDir::new("counting");
+    let persist = PersistConfig::new(&tmp.0);
+    let mut store = BloomStore::builder()
+        .shards(4)
+        .capacity(4_000)
+        .target_fpp(0.01)
+        .unhardened()
+        .seed(9)
+        .counting(4)
+        .build();
+    store.enable_persistence(&persist).expect("enable persistence");
+    let handle =
+        Server::spawn(Arc::new(store), "127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
 
-        assert_eq!(client.stats().expect("stats").backend, BackendKind::Counting, "{backend}");
+    assert_eq!(client.stats().expect("stats").backend, BackendKind::Counting);
 
-        let members: Vec<String> = (0..500).map(|i| format!("member-{i}")).collect();
-        let transient: Vec<String> = (0..200).map(|i| format!("transient-{i}")).collect();
-        client.insert_batch(&members).expect("minsert members");
-        client.insert_batch(&transient).expect("minsert transient");
+    let members: Vec<String> = (0..500).map(|i| format!("member-{i}")).collect();
+    let transient: Vec<String> = (0..200).map(|i| format!("transient-{i}")).collect();
+    client.insert_batch(&members).expect("minsert members");
+    client.insert_batch(&transient).expect("minsert transient");
 
-        // Scalar and batch deletion both report the items as present.
-        assert!(client.delete(transient[0].as_bytes()).expect("delete"), "{backend}");
-        let answers = client.delete_batch(&transient[1..]).expect("mdelete");
-        assert!(answers.iter().all(|&a| a), "present items evict as present ({backend})");
-        assert!(
-            client.query_batch(&members).expect("mquery").iter().all(|&a| a),
-            "members survive the eviction ({backend})"
-        );
+    // Scalar and batch deletion both report the items as present.
+    assert!(client.delete(transient[0].as_bytes()).expect("delete"));
+    let answers = client.delete_batch(&transient[1..]).expect("mdelete");
+    assert!(answers.iter().all(|&a| a), "present items evict as present");
+    assert!(
+        client.query_batch(&members).expect("mquery").iter().all(|&a| a),
+        "members survive the eviction"
+    );
 
-        let info = client.snapshot().expect("remote snapshot");
-        assert!(info.seq > 0 && info.bytes > 0, "{backend}");
+    let info = client.snapshot().expect("remote snapshot");
+    assert!(info.seq > 0 && info.bytes > 0);
 
-        // This tail lives only in the WAL: inserts and one more delete.
-        let post: Vec<String> = (0..100).map(|i| format!("post-{i}")).collect();
-        client.insert_batch(&post).expect("minsert post-snapshot");
-        assert!(client.delete(post[0].as_bytes()).expect("delete post-snapshot"), "{backend}");
+    // This tail lives only in the WAL: inserts and one more delete.
+    let post: Vec<String> = (0..100).map(|i| format!("post-{i}")).collect();
+    client.insert_batch(&post).expect("minsert post-snapshot");
+    assert!(client.delete(post[0].as_bytes()).expect("delete post-snapshot"));
 
-        let mut probes: Vec<String> = Vec::new();
-        probes.extend(members.iter().cloned());
-        probes.extend(transient.iter().cloned());
-        probes.extend(post.iter().cloned());
-        probes.extend((0..2_000).map(|i| format!("absent-{i}")));
-        let original = client.query_batch(&probes).expect("mquery");
+    let mut probes: Vec<String> = Vec::new();
+    probes.extend(members.iter().cloned());
+    probes.extend(transient.iter().cloned());
+    probes.extend(post.iter().cloned());
+    probes.extend((0..2_000).map(|i| format!("absent-{i}")));
+    let original = client.query_batch(&probes).expect("mquery");
 
-        drop(client);
-        handle.shutdown();
+    drop(client);
+    handle.shutdown();
 
-        let (recovered, report): (BloomStore<ConcurrentCountingFilter>, _) =
-            BloomStore::recover(&persist).expect("recover counting");
-        assert_eq!(report.replayed_inserts, 100, "{backend}");
-        assert_eq!(report.replayed_removes, 1, "WAL delete tail replays ({backend})");
-        let handle =
-            Server::spawn(Arc::new(recovered), "127.0.0.1:0", ServerConfig::with_backend(backend))
-                .expect("rebind");
-        let mut client = Client::connect(handle.local_addr()).expect("reconnect");
-        let replayed = client.query_batch(&probes).expect("mquery after restart");
-        assert_eq!(replayed, original, "bit-for-bit equivalence over TCP ({backend})");
-        handle.shutdown();
-    }
+    let (recovered, report): (BloomStore<ConcurrentCountingFilter>, _) =
+        BloomStore::recover(&persist).expect("recover counting");
+    assert_eq!(report.replayed_inserts, 100);
+    assert_eq!(report.replayed_removes, 1, "WAL delete tail replays");
+    let handle =
+        Server::spawn(Arc::new(recovered), "127.0.0.1:0", ServerConfig::default()).expect("rebind");
+    let mut client = Client::connect(handle.local_addr()).expect("reconnect");
+    let replayed = client.query_batch(&probes).expect("mquery after restart");
+    assert_eq!(replayed, original, "bit-for-bit equivalence over TCP");
+    handle.shutdown();
 }
 
 /// The scalable family end-to-end: a store sized for 500 items absorbs
@@ -740,39 +648,36 @@ fn counting_store_serves_deletes_and_recovers_over_tcp() {
 /// family in `STATS`, and refuses `DELETE` with the typed error.
 #[test]
 fn scalable_store_serves_and_grows_over_tcp() {
-    for backend in backends() {
-        let store = Arc::new(
-            BloomStore::builder()
-                .shards(2)
-                .capacity(500)
-                .target_fpp(0.01)
-                .unhardened()
-                .seed(5)
-                .scalable(0.9)
-                .build(),
-        );
-        let handle =
-            Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::with_backend(backend))
-                .expect("bind");
-        let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let store = Arc::new(
+        BloomStore::builder()
+            .shards(2)
+            .capacity(500)
+            .target_fpp(0.01)
+            .unhardened()
+            .seed(5)
+            .scalable(0.9)
+            .build(),
+    );
+    let handle =
+        Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
 
-        let items: Vec<String> = (0..3_000).map(|i| format!("grow-{backend}-{i}")).collect();
-        client.insert_batch(&items).expect("minsert past capacity");
-        assert!(
-            client.query_batch(&items).expect("mquery").iter().all(|&a| a),
-            "no false negatives after growth ({backend})"
-        );
-        let stats = client.stats().expect("stats");
-        assert_eq!(stats.backend, BackendKind::Scalable, "{backend}");
-        assert_eq!(stats.total_inserted, 3_000, "{backend}");
-        match client.delete(items[0].as_bytes()) {
-            Err(ClientError::Unsupported(message)) => {
-                assert!(message.contains("scalable"), "{message}")
-            }
-            other => panic!("expected UNSUPPORTED, got {other:?} ({backend})"),
+    let items: Vec<String> = (0..3_000).map(|i| format!("grow-{i}")).collect();
+    client.insert_batch(&items).expect("minsert past capacity");
+    assert!(
+        client.query_batch(&items).expect("mquery").iter().all(|&a| a),
+        "no false negatives after growth"
+    );
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.backend, BackendKind::Scalable);
+    assert_eq!(stats.total_inserted, 3_000);
+    match client.delete(items[0].as_bytes()) {
+        Err(ClientError::Unsupported(message)) => {
+            assert!(message.contains("scalable"), "{message}")
         }
-        handle.shutdown();
+        other => panic!("expected UNSUPPORTED, got {other:?}"),
     }
+    handle.shutdown();
 }
 
 /// `ServerConfig::expect_store_backend` is a deployment assertion: spawning
@@ -817,37 +722,35 @@ fn metrics_expose_the_served_family() {
     handle.shutdown();
 }
 
-/// A `TRACE` scrape on either backend surfaces the forensic layer
+/// A `TRACE` scrape surfaces the forensic layer
 /// end-to-end: conn-open and batch events in the flight recorder, the
 /// inserting connection in the suspect ranking (with its fresh-bits EWMA),
 /// slow-request events under a zero threshold, and a deterministic text
 /// rendering.
 #[test]
 fn trace_scrape_surfaces_events_and_suspects() {
-    for backend in backends() {
-        let store = Arc::new(
-            BloomStore::builder().shards(4).capacity(4_000).target_fpp(0.01).seed(42).build(),
-        );
-        // A zero threshold classifies every request as slow, so the test
-        // exercises the slow-request path deterministically.
-        let mut config = ServerConfig::with_backend(backend);
-        config.slow_request_threshold = Duration::ZERO;
-        let handle = Server::spawn(store, "127.0.0.1:0", config).expect("bind loopback");
+    let store =
+        Arc::new(BloomStore::builder().shards(4).capacity(4_000).target_fpp(0.01).seed(42).build());
+    // A zero threshold classifies every request as slow, so the test
+    // exercises the slow-request path deterministically.
+    let config = ServerConfig { slow_request_threshold: Duration::ZERO, ..ServerConfig::default() };
+    let handle = Server::spawn(store, "127.0.0.1:0", config).expect("bind loopback");
 
-        let mut client = Client::connect(handle.local_addr()).expect("connect");
-        let members: Vec<String> = (0..100).map(|i| format!("trace-{i}")).collect();
-        let outcome = client.insert_batch(&members).expect("minsert");
-        assert!(outcome.fresh_bits > 0);
-        client.query_batch(&members).expect("mquery");
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let members: Vec<String> = (0..100).map(|i| format!("trace-{i}")).collect();
+    let outcome = client.insert_batch(&members).expect("minsert");
+    assert!(outcome.fresh_bits > 0);
+    client.query_batch(&members).expect("mquery");
 
-        let trace = client.trace().expect("trace");
-        assert!(trace.recorded > 0, "{backend}: recorder saw nothing");
-        let events: Vec<_> = trace.events.iter().map(|e| &e.event).collect();
-        assert!(
-            events.iter().any(|e| matches!(e, evilbloom_server::TraceEvent::ConnOpened { .. })),
-            "{backend}: no conn-open event in {events:?}"
-        );
-        let insert_event = events
+    let trace = client.trace().expect("trace");
+    assert!(trace.recorded > 0, "recorder saw nothing");
+    let events: Vec<_> = trace.events.iter().map(|e| &e.event).collect();
+    assert!(
+        events.iter().any(|e| matches!(e, evilbloom_server::TraceEvent::ConnOpened { .. })),
+        "no conn-open event in {events:?}"
+    );
+    let insert_event =
+        events
             .iter()
             .find_map(|e| match e {
                 evilbloom_server::TraceEvent::BatchExecuted {
@@ -856,40 +759,39 @@ fn trace_scrape_surfaces_events_and_suspects() {
                 _ => None,
             })
             .expect("a batch event carrying fresh bits");
-        assert_eq!(insert_event.1, 100, "{backend}");
-        assert_eq!(insert_event.2, outcome.fresh_bits, "{backend}");
-        assert!(
-            events.iter().any(|e| matches!(e, evilbloom_server::TraceEvent::SlowRequest { .. })),
-            "{backend}: zero threshold produced no slow-request event"
-        );
-        // Sequence numbers come back oldest-first and strictly increasing.
-        assert!(trace.events.windows(2).all(|w| w[0].seq < w[1].seq), "{backend}");
+    assert_eq!(insert_event.1, 100);
+    assert_eq!(insert_event.2, outcome.fresh_bits);
+    assert!(
+        events.iter().any(|e| matches!(e, evilbloom_server::TraceEvent::SlowRequest { .. })),
+        "zero threshold produced no slow-request event"
+    );
+    // Sequence numbers come back oldest-first and strictly increasing.
+    assert!(trace.events.windows(2).all(|w| w[0].seq < w[1].seq));
 
-        // The inserting connection tops the (one-row) suspect ranking, its
-        // EWMA seeded at the observed fresh-bits-per-item rate.
-        assert_eq!(trace.suspects.len(), 1, "{backend}: {:?}", trace.suspects);
-        assert_eq!(trace.suspects[0].conn_id, insert_event.0, "{backend}");
-        assert_eq!(trace.suspects[0].items, 100, "{backend}");
-        let expected_rate = outcome.fresh_bits as f64 / 100.0;
-        assert!(
-            (trace.suspects[0].ewma_bits_per_item - expected_rate).abs() < 1e-9,
-            "{backend}: ewma {} != seeded rate {expected_rate}",
-            trace.suspects[0].ewma_bits_per_item
-        );
+    // The inserting connection tops the (one-row) suspect ranking, its
+    // EWMA seeded at the observed fresh-bits-per-item rate.
+    assert_eq!(trace.suspects.len(), 1, "{:?}", trace.suspects);
+    assert_eq!(trace.suspects[0].conn_id, insert_event.0);
+    assert_eq!(trace.suspects[0].items, 100);
+    let expected_rate = outcome.fresh_bits as f64 / 100.0;
+    assert!(
+        (trace.suspects[0].ewma_bits_per_item - expected_rate).abs() < 1e-9,
+        "ewma {} != seeded rate {expected_rate}",
+        trace.suspects[0].ewma_bits_per_item
+    );
 
-        // The scrape itself samples the store, so the drift timeline has at
-        // least one point covering the inserts above.
-        assert!(!trace.drift.is_empty(), "{backend}: empty drift timeline");
-        assert_eq!(trace.drift.last().unwrap().inserts, 100, "{backend}");
+    // The scrape itself samples the store, so the drift timeline has at
+    // least one point covering the inserts above.
+    assert!(!trace.drift.is_empty(), "empty drift timeline");
+    assert_eq!(trace.drift.last().unwrap().inserts, 100);
 
-        let text = trace.render();
-        assert!(text.contains("== evilbloom trace:"), "{text}");
-        assert!(text.contains("slow-request"), "{text}");
-        assert!(text.contains("-- suspects"), "{text}");
+    let text = trace.render();
+    assert!(text.contains("== evilbloom trace:"), "{text}");
+    assert!(text.contains("slow-request"), "{text}");
+    assert!(text.contains("-- suspects"), "{text}");
 
-        drop(client);
-        handle.shutdown();
-    }
+    drop(client);
+    handle.shutdown();
 }
 
 /// `TRACE` is also reachable through a pool and the `RemoteStore` trait.
@@ -897,7 +799,7 @@ fn trace_scrape_surfaces_events_and_suspects() {
 fn pooled_trace_scrape_round_trips() {
     use evilbloom_server::RemoteStore;
 
-    let (handle, _store) = spawn_on(Backend::Threaded, true, 2);
+    let (handle, _store) = spawn_on(true, 2);
     let mut pool = ClientPool::connect(handle.local_addr(), 2).expect("pool");
     pool.minsert(&["pooled-a", "pooled-b"]).expect("minsert");
     let trace = RemoteStore::trace(&mut pool).expect("trace");

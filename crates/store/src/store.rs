@@ -318,23 +318,10 @@ impl BloomStore {
     pub fn builder() -> StoreBuilder {
         StoreBuilder::new()
     }
-
-    /// Builds a plain-Bloom store, drawing all secret key material (per-shard
-    /// filter keys and the shard-routing key) from `rng`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or not a power of two, or if the per-shard
-    /// capacity would be zero.
-    #[deprecated(note = "use BloomStore::builder(), which also selects counting/scalable backends")]
-    pub fn new<R: RngCore>(config: StoreConfig, rng: &mut R) -> Self {
-        BloomStore::build_with(config, (), rng)
-    }
 }
 
 impl<B: FilterBackend> BloomStore<B> {
-    /// The shared non-deprecated constructor behind the builder, the legacy
-    /// shim and recovery. Overwrites `config.backend` with the type
+    /// The shared constructor behind the builder and recovery. Overwrites `config.backend` with the type
     /// parameter's [`FilterBackend::KIND`] so the two can never disagree.
     fn build_with<R: RngCore + ?Sized>(
         mut config: StoreConfig,
@@ -1113,23 +1100,6 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_shards_rejected() {
         BloomStore::builder().shards(3).capacity(100).build();
-    }
-
-    #[test]
-    fn deprecated_constructor_still_builds_an_equivalent_store() {
-        // The pre-builder API must keep working for downstream callers.
-        #[allow(deprecated)]
-        let legacy =
-            BloomStore::new(StoreConfig::hardened(8, 4_000, 0.01), &mut StdRng::seed_from_u64(42));
-        let fluent = hardened_store(8);
-        assert_eq!(legacy.shard_params(), fluent.shard_params());
-        assert_eq!(legacy.config(), fluent.config());
-        assert_eq!(legacy.backend_kind(), BackendKind::Bloom);
-        // Same seed, same construction order: routing keys agree.
-        for i in 0..100 {
-            let item = format!("item-{i}");
-            assert_eq!(legacy.route(item.as_bytes()), fluent.route(item.as_bytes()));
-        }
     }
 
     #[test]

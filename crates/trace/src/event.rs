@@ -12,7 +12,7 @@ pub const EVENT_PAYLOAD_WORDS: usize = 5;
 /// One forensic event, as recorded by the server or the store.
 ///
 /// `conn_id`s are allocated per accepted connection, starting at 1, by
-/// whichever I/O backend serves the socket; 0 means "no connection" and is
+/// the reactor shard that serves the socket; 0 means "no connection" and is
 /// never allocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {

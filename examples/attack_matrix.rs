@@ -1,5 +1,4 @@
-//! The scenario matrix over TCP: {filter family} × {attack} × {hardened?},
-//! on every supported server I/O backend.
+//! The scenario matrix over TCP: {filter family} × {attack} × {hardened?}.
 //!
 //! This is the paper's Table 2 run against live servers instead of local
 //! filters. For each non-plain family the same crafted traffic is delivered
@@ -27,7 +26,7 @@
 
 use std::sync::Arc;
 
-use evilbloom::server::{Backend, ClientPool, RemoteStore, Server, ServerConfig, ServerHandle};
+use evilbloom::server::{ClientPool, RemoteStore, Server, ServerConfig, ServerHandle};
 use evilbloom::store::{
     craft_store_pollution, forge_store_ghosts, plan_store_deletion, BackendKind, BloomStore,
     ConcurrentCountingFilter, ConcurrentScalableFilter, FilterBackend,
@@ -48,10 +47,6 @@ const POOL: usize = 3;
 /// Offline crafting budget.
 const CRAFT_BUDGET: u64 = 500_000_000;
 
-fn backends() -> Vec<Backend> {
-    Backend::ALL.into_iter().filter(|b| b.is_supported()).collect()
-}
-
 fn counting_store(hardened: bool, seed: u64) -> BloomStore<ConcurrentCountingFilter> {
     let builder =
         BloomStore::builder().shards(SHARDS).capacity(CAPACITY).target_fpp(TARGET_FPP).seed(seed);
@@ -66,13 +61,10 @@ fn scalable_store(hardened: bool, seed: u64) -> BloomStore<ConcurrentScalableFil
     builder.scalable(0.9).build()
 }
 
-fn spawn<B: FilterBackend + 'static>(
-    store: BloomStore<B>,
-    wire: Backend,
-) -> (ServerHandle, ClientPool) {
-    // The backend selector doubles as a deployment assertion here: a matrix
+fn spawn<B: FilterBackend + 'static>(store: BloomStore<B>) -> (ServerHandle, ClientPool) {
+    // The family selector doubles as a deployment assertion here: a matrix
     // row that accidentally served the wrong family would fail at bind time.
-    let config = ServerConfig::with_backend(wire).expect_store_backend(B::KIND);
+    let config = ServerConfig::default().expect_store_backend(B::KIND);
     let handle = Server::spawn(Arc::new(store), "127.0.0.1:0", config).expect("bind loopback");
     let pool = ClientPool::connect(handle.local_addr(), POOL).expect("connect pool");
     (handle, pool)
@@ -98,18 +90,17 @@ fn remote_fpp<R: RemoteStore>(remote: &mut R) -> f64 {
 /// drift ratios against an honest baseline at identical total load.
 fn pollution_drift<B: FilterBackend + 'static>(
     family: &str,
-    wire: Backend,
     mk: impl Fn(bool, u64) -> BloomStore<B>,
 ) -> (f64, f64) {
-    let (baseline_handle, mut baseline) = spawn(mk(true, 3), wire);
+    let (baseline_handle, mut baseline) = spawn(mk(true, 3));
     load(&mut baseline, "public-web", CORPUS);
     load(&mut baseline, "extra-honest", CRAFTED as u64);
     let baseline_fpp = remote_fpp(&mut baseline);
     drop(baseline);
     baseline_handle.shutdown();
 
-    let (unhardened_handle, mut unhardened) = spawn(mk(false, 2), wire);
-    let (hardened_handle, mut hardened) = spawn(mk(true, 2), wire);
+    let (unhardened_handle, mut unhardened) = spawn(mk(false, 2));
+    let (hardened_handle, mut hardened) = spawn(mk(true, 2));
     load(&mut unhardened, "public-web", CORPUS);
     load(&mut hardened, "public-web", CORPUS);
 
@@ -134,7 +125,7 @@ fn pollution_drift<B: FilterBackend + 'static>(
     let unhardened_ratio = remote_fpp(&mut unhardened) / baseline_fpp;
     let hardened_ratio = remote_fpp(&mut hardened) / baseline_fpp;
     println!(
-        "{wire}/{family:<8} chosen insertions : unhardened {unhardened_ratio:.1}x honest, \
+        "{family:<8} chosen insertions : unhardened {unhardened_ratio:.1}x honest, \
          hardened {hardened_ratio:.1}x honest"
     );
 
@@ -148,7 +139,7 @@ fn pollution_drift<B: FilterBackend + 'static>(
 /// The deletion arm: crafted `MDELETE` frames evict a victim from the
 /// unhardened counting server; on the hardened server the identical frames
 /// decrement unrelated cells and the victim survives.
-fn deletion_eviction(wire: Backend) {
+fn deletion_eviction() {
     let victim = b"http://victim.example/delisted";
     // The plan is pure geometry, computed once against a public mirror.
     let mirror = counting_store(false, 777);
@@ -157,7 +148,7 @@ fn deletion_eviction(wire: Backend) {
     assert!(!plan.items.is_empty(), "deletion plan must cover the victim");
 
     for hardened_posture in [false, true] {
-        let (handle, mut pool) = spawn(counting_store(hardened_posture, 2), wire);
+        let (handle, mut pool) = spawn(counting_store(hardened_posture, 2));
         load(&mut pool, "public-web", CORPUS);
         let mut client = pool.checkout_validated().expect("lane");
         client.insert(victim).expect("insert victim");
@@ -174,7 +165,7 @@ fn deletion_eviction(wire: Backend) {
         let evicted = !client.query(victim).expect("query");
         let posture = if hardened_posture { "hardened" } else { "unhardened" };
         println!(
-            "{wire}/counting deletion adversary: {posture} victim {} after {rounds} round(s)",
+            "counting deletion adversary: {posture} victim {} after {rounds} round(s)",
             if evicted { "EVICTED (false negative)" } else { "survives" }
         );
         if hardened_posture {
@@ -192,7 +183,7 @@ fn deletion_eviction(wire: Backend) {
 /// items forged against a mirror of the unhardened server's state all answer
 /// "present" over `MQUERY`; against the hardened server the same ghosts are
 /// just random probes and hit at the honest false-positive rate.
-fn ghost_forgery(wire: Backend) {
+fn ghost_forgery() {
     const GHOSTS: usize = 200;
     let mirror = counting_store(false, 777);
     let generator = UrlGenerator::new("public-web");
@@ -204,7 +195,7 @@ fn ghost_forgery(wire: Backend) {
 
     let mut rates = [0.0f64; 2];
     for (slot, hardened_posture) in [false, true].into_iter().enumerate() {
-        let (handle, mut pool) = spawn(counting_store(hardened_posture, 2), wire);
+        let (handle, mut pool) = spawn(counting_store(hardened_posture, 2));
         load(&mut pool, "public-web", CORPUS);
         let answers = pool.mquery(&forged.items).expect("remote MQUERY");
         rates[slot] = answers.iter().filter(|&&a| a).count() as f64 / GHOSTS as f64;
@@ -212,7 +203,7 @@ fn ghost_forgery(wire: Backend) {
         handle.shutdown();
     }
     println!(
-        "{wire}/counting ghost forgery     : unhardened {:.0}% of ghosts answer present, \
+        "counting ghost forgery     : unhardened {:.0}% of ghosts answer present, \
          hardened {:.1}%",
         rates[0] * 100.0,
         rates[1] * 100.0
@@ -223,8 +214,8 @@ fn ghost_forgery(wire: Backend) {
 
 /// The forced-growth arm: overfilling a scalable server over the wire
 /// forces new slices, and the amplification is remotely visible in `STATS`.
-fn forced_growth(wire: Backend) {
-    let (handle, mut pool) = spawn(scalable_store(false, 2), wire);
+fn forced_growth() {
+    let (handle, mut pool) = spawn(scalable_store(false, 2));
     let before = pool.stats().expect("stats");
     assert_eq!(before.backend, BackendKind::Scalable);
     let m_before: u64 = before.shards.iter().map(|s| s.m).sum();
@@ -234,7 +225,7 @@ fn forced_growth(wire: Backend) {
     let after = pool.stats().expect("stats");
     let m_after: u64 = after.shards.iter().map(|s| s.m).sum();
     println!(
-        "{wire}/scalable forced growth    : {m_before} -> {m_after} bits over STATS \
+        "scalable forced growth    : {m_before} -> {m_after} bits over STATS \
          ({:.1}x memory)",
         m_after as f64 / m_before as f64
     );
@@ -251,25 +242,16 @@ fn main() {
          {CRAFTED} crafted items, {PROBES} probes\n"
     );
 
-    for wire in backends() {
-        let (unhardened, hardened) = pollution_drift("counting", wire, counting_store);
-        assert!(
-            unhardened >= 3.0,
-            "counting drift must be measurable over TCP (got {unhardened:.2}x)"
-        );
-        assert!(hardened <= 1.35, "hardened counting must stay ~1.0x (got {hardened:.2}x)");
+    let (unhardened, hardened) = pollution_drift("counting", counting_store);
+    assert!(unhardened >= 3.0, "counting drift must be measurable over TCP (got {unhardened:.2}x)");
+    assert!(hardened <= 1.35, "hardened counting must stay ~1.0x (got {hardened:.2}x)");
 
-        let (unhardened, hardened) = pollution_drift("scalable", wire, scalable_store);
-        assert!(
-            unhardened >= 3.0,
-            "scalable drift must be measurable over TCP (got {unhardened:.2}x)"
-        );
-        assert!(hardened <= 1.35, "hardened scalable must stay ~1.0x (got {hardened:.2}x)");
+    let (unhardened, hardened) = pollution_drift("scalable", scalable_store);
+    assert!(unhardened >= 3.0, "scalable drift must be measurable over TCP (got {unhardened:.2}x)");
+    assert!(hardened <= 1.35, "hardened scalable must stay ~1.0x (got {hardened:.2}x)");
 
-        deletion_eviction(wire);
-        ghost_forgery(wire);
-        forced_growth(wire);
-        println!();
-    }
-    println!("attack matrix demonstrated on {} wire backend(s)", backends().len());
+    deletion_eviction();
+    ghost_forgery();
+    forced_growth();
+    println!("\nattack matrix demonstrated over TCP");
 }

@@ -1,9 +1,7 @@
-//! High-connection-count smoke for the async (epoll reactor) backend,
-//! sized for CI: opens 1000 concurrent loopback connections against one
-//! server, proves every one of them is *served* (one PING each), then does
-//! real batch work while they all stay open. This is the C10k claim scaled
-//! to a smoke test — the threaded backend would need 1000 dedicated worker
-//! threads for the same feat.
+//! High-connection-count smoke for the epoll reactor, sized for CI: opens
+//! 1000 concurrent loopback connections against one server, proves every
+//! one of them is *served* (one PING each), then does real batch work while
+//! they all stay open. This is the C10k claim scaled to a smoke test.
 //!
 //! Run with: `cargo run --release --example c10k_smoke`
 //! (the process needs a soft fd limit of at least ~2300; the example checks
@@ -12,7 +10,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use evilbloom::server::{loopback_connection_budget, Backend, Client, Server, ServerConfig};
+use evilbloom::server::{loopback_connection_budget, Client, Server, ServerConfig};
 use evilbloom::store::BloomStore;
 
 const CONNECTIONS: usize = 1000;
@@ -25,10 +23,6 @@ fn main() {
         std::process::exit(1);
     });
 
-    if !Backend::Async.is_supported() {
-        println!("c10k smoke skipped: the async backend needs Linux epoll");
-        return;
-    }
     let connections = match loopback_connection_budget() {
         Some(budget) if (budget as usize) < CONNECTIONS => {
             eprintln!("fd budget {budget}: scaling down from {CONNECTIONS} connections");
@@ -46,16 +40,9 @@ fn main() {
             .seed(42)
             .build(),
     );
-    let handle = Server::spawn(
-        Arc::clone(&store),
-        "127.0.0.1:0",
-        ServerConfig::with_backend(Backend::Async),
-    )
-    .expect("bind");
-    println!(
-        "serving on {} (async backend), opening {connections} connections",
-        handle.local_addr()
-    );
+    let handle =
+        Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::default()).expect("bind");
+    println!("serving on {}, opening {connections} connections", handle.local_addr());
 
     let started = Instant::now();
     let mut clients: Vec<Client> = Vec::with_capacity(connections);

@@ -1,6 +1,6 @@
 //! Chaos soak: a mixed workload against a server whose I/O layer is
 //! being actively sabotaged by a **seeded, replayable fault schedule**
-//! (`evilbloom-fault`), on both serving backends.
+//! (`evilbloom-fault`).
 //!
 //! The parent re-execs itself as a child server process with a
 //! persistent store and an armed [`FaultPlan`]: probabilistic socket
@@ -8,8 +8,7 @@
 //! fault that breaks the write-ahead log mid-soak. The parent drives a
 //! [`ResilientClient`] (connect + request deadlines, seeded
 //! decorrelated-jitter retries, writes opted in — the store is a plain
-//! Bloom filter, so replaying an insert is idempotent) and asserts, per
-//! backend:
+//! Bloom filter, so replaying an insert is idempotent) and asserts:
 //!
 //! 1. **No panic**: the child survives the whole soak (until the
 //!    deliberate SIGKILL) and every client error is a typed refusal or a
@@ -25,8 +24,6 @@
 //!    insert the client saw acknowledged must still answer `true`.
 //!
 //! Run with: `cargo run --release --example chaos_soak`
-//! (append `-- --backend async` for the Linux epoll reactor only,
-//! `-- --backend threaded` for the worker pool only; default soaks both).
 //!
 //! [`FaultPlan`]: evilbloom::fault::FaultPlan
 //! [`ResilientClient`]: evilbloom::server::ResilientClient
@@ -38,8 +35,7 @@ use std::time::Duration;
 
 use evilbloom::fault::{self, FaultPlan, FaultPoint};
 use evilbloom::server::{
-    Backend, ClientConfig, ClientError, ResilientClient, RetryPolicy, Server, ServerConfig,
-    TraceEvent,
+    ClientConfig, ClientError, ResilientClient, RetryPolicy, Server, ServerConfig, TraceEvent,
 };
 use evilbloom::store::{BloomStore, PersistConfig};
 
@@ -54,27 +50,12 @@ const ACCEPT_FAULT_PER_MILLE: u16 = 10;
 /// The exact WAL-fsync hit that breaks the log (one hit per write batch,
 /// so this trips mid-soak).
 const WAL_BREAK_AT_HIT: u64 = 12;
-/// Workload rounds per backend.
+/// Workload rounds.
 const ROUNDS: usize = 30;
 /// Items inserted per round.
 const BATCH: usize = 40;
 /// Hard-failure budget after retries, as a fraction of operations.
 const MAX_ERROR_RATE: f64 = 0.10;
-
-fn backend_arg(args: &[String]) -> Option<Backend> {
-    args.iter().position(|a| a == "--backend").map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| {
-                eprintln!("--backend requires a value (threaded|async)");
-                std::process::exit(2);
-            })
-            .parse()
-            .unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            })
-    })
-}
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -85,7 +66,7 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
 /// Child mode: serve a persistent store out of `dir` with the chaos
 /// schedule armed (seed 0 = disarmed, for the post-recovery verification
 /// server). Prints the listen address on stdout for the parent.
-fn serve_child(dir: &str, backend: Backend, fault_seed: u64, wal_break: u64) -> ! {
+fn serve_child(dir: &str, fault_seed: u64, wal_break: u64) -> ! {
     std::thread::spawn(|| {
         std::thread::sleep(Duration::from_secs(180));
         eprintln!("chaos_soak child: watchdog fired after 180s, aborting");
@@ -126,8 +107,8 @@ fn serve_child(dir: &str, backend: Backend, fault_seed: u64, wal_break: u64) -> 
             store
         }
     };
-    let handle = Server::spawn(Arc::new(store), "127.0.0.1:0", ServerConfig::with_backend(backend))
-        .expect("bind");
+    let handle =
+        Server::spawn(Arc::new(store), "127.0.0.1:0", ServerConfig::default()).expect("bind");
     println!("serving on {}", handle.local_addr());
     loop {
         std::thread::sleep(Duration::from_secs(3600));
@@ -135,14 +116,12 @@ fn serve_child(dir: &str, backend: Backend, fault_seed: u64, wal_break: u64) -> 
 }
 
 /// Spawns a child server on `dir` and waits for its address line.
-fn spawn_server(dir: &str, backend: Backend, fault_seed: u64, wal_break: u64) -> (Child, String) {
+fn spawn_server(dir: &str, fault_seed: u64, wal_break: u64) -> (Child, String) {
     let exe = std::env::current_exe().expect("own path");
     let mut child = ProcCommand::new(exe)
         .args([
             "--serve",
             dir,
-            "--backend",
-            &backend.to_string(),
             "--fault-seed",
             &fault_seed.to_string(),
             "--wal-break",
@@ -185,16 +164,14 @@ fn chaos_client(addr: &str) -> ResilientClient {
     ResilientClient::connect(addr, config).expect("dial chaos server")
 }
 
-fn soak(backend: Backend) {
-    println!("=== chaos soak: {backend} backend ===");
-    let dir =
-        std::env::temp_dir().join(format!("evilbloom-chaos-soak-{}-{backend}", std::process::id()));
+fn soak() {
+    let dir = std::env::temp_dir().join(format!("evilbloom-chaos-soak-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create store dir");
     let dir = dir.to_str().expect("utf-8 temp path").to_string();
 
     // Phase 1: soak a mixed workload against the sabotaged server.
-    let (mut child, addr) = spawn_server(&dir, backend, CHAOS_SEED, WAL_BREAK_AT_HIT);
+    let (mut child, addr) = spawn_server(&dir, CHAOS_SEED, WAL_BREAK_AT_HIT);
     let mut client = chaos_client(&addr);
 
     let mut acked: Vec<String> = Vec::new();
@@ -205,7 +182,7 @@ fn soak(backend: Backend) {
 
     for round in 0..ROUNDS {
         let batch: Vec<String> =
-            (0..BATCH).map(|i| format!("https://soak.example/{backend}/{round}/{i}")).collect();
+            (0..BATCH).map(|i| format!("https://soak.example/{round}/{i}")).collect();
         ops += 1;
         match client.insert_batch(&batch) {
             Ok(_) => acked.extend(batch.iter().cloned()),
@@ -250,7 +227,7 @@ fn soak(backend: Backend) {
                 Ok(answers) => {
                     assert!(
                         answers.iter().all(|&a| a),
-                        "{backend}: an acknowledged insert answered false mid-soak"
+                        "an acknowledged insert answered false mid-soak"
                     );
                 }
                 Err(e) => {
@@ -280,15 +257,15 @@ fn soak(backend: Backend) {
     // No panic: the child must still be alive after the whole soak.
     assert!(
         child.try_wait().expect("probe child").is_none(),
-        "{backend}: the server process died during the soak"
+        "the server process died during the soak"
     );
-    assert!(degraded_refusals > 0, "{backend}: the WAL break never surfaced as DEGRADED");
-    assert!(repairs > 0, "{backend}: no SNAPSHOT repair succeeded");
+    assert!(degraded_refusals > 0, "the WAL break never surfaced as DEGRADED");
+    assert!(repairs > 0, "no SNAPSHOT repair succeeded");
 
     // Bounded error rate: retries and typed refusals absorb the schedule.
     let error_rate = hard_errors as f64 / ops as f64;
     println!(
-        "{backend}: {ops} ops, {hard_errors} hard errors ({:.1}%), \
+        "{ops} ops, {hard_errors} hard errors ({:.1}%), \
          {} acked inserts, {} retries, {} reconnects",
         error_rate * 100.0,
         acked.len(),
@@ -297,7 +274,7 @@ fn soak(backend: Backend) {
     );
     assert!(
         error_rate <= MAX_ERROR_RATE,
-        "{backend}: hard error rate {error_rate:.3} exceeds the {MAX_ERROR_RATE} budget"
+        "hard error rate {error_rate:.3} exceeds the {MAX_ERROR_RATE} budget"
     );
 
     // Degraded entry and exit must both be on the flight recorder, in
@@ -313,38 +290,37 @@ fn soak(backend: Backend) {
         .iter()
         .position(|e| matches!(e.event, TraceEvent::DegradedExited { .. }))
         .expect("DegradedExited on the flight recorder");
-    assert!(entered < exited, "{backend}: degraded exit recorded before entry");
+    assert!(entered < exited, "degraded exit recorded before entry");
 
     // Phase 2: SIGKILL mid-soak state, restart clean from the same
     // directory, and demand every acked insert back.
     drop(client);
     child.kill().expect("SIGKILL child");
     child.wait().expect("reap child");
-    println!("{backend}: child killed; recovering from {dir}");
+    println!("child killed; recovering from {dir}");
 
-    let (mut child, addr) = spawn_server(&dir, backend, 0, 0);
+    let (mut child, addr) = spawn_server(&dir, 0, 0);
     let mut client = chaos_client(&addr);
     let answers = client.query_batch(&acked).expect("query acked set after recovery");
     let lost = answers.iter().filter(|&&a| !a).count();
-    assert_eq!(lost, 0, "{backend}: {lost} acknowledged inserts lost across kill+recover");
+    assert_eq!(lost, 0, "{lost} acknowledged inserts lost across kill+recover");
 
     drop(client);
     child.kill().expect("kill verification child");
     child.wait().expect("reap verification child");
     let _ = std::fs::remove_dir_all(&dir);
-    println!("{backend}: chaos soak OK ({} acked inserts survived kill+recover)\n", acked.len());
+    println!("chaos soak OK ({} acked inserts survived kill+recover)", acked.len());
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(i) = args.iter().position(|a| a == "--serve") {
         let dir = args.get(i + 1).expect("--serve requires a directory").clone();
-        let backend = backend_arg(&args).unwrap_or(Backend::Threaded);
         let fault_seed =
             flag_value(&args, "--fault-seed").map_or(0, |v| v.parse().expect("fault seed"));
         let wal_break =
             flag_value(&args, "--wal-break").map_or(0, |v| v.parse().expect("wal break hit"));
-        serve_child(&dir, backend, fault_seed, wal_break);
+        serve_child(&dir, fault_seed, wal_break);
     }
 
     // Belt and braces against hangs: CI also wraps this in `timeout`.
@@ -354,12 +330,5 @@ fn main() {
         std::process::exit(1);
     });
 
-    let backends: Vec<Backend> = match backend_arg(&args) {
-        Some(backend) => vec![backend],
-        None => Backend::ALL.into_iter().filter(|b| b.is_supported()).collect(),
-    };
-    for backend in backends {
-        soak(backend);
-    }
-    println!("chaos soak passed on every backend");
+    soak();
 }

@@ -21,13 +21,10 @@
 //! rotate-complete sequence in order.
 //!
 //! Run with: `cargo run --release --example forensics_watch`
-//! (append `-- --backend async` for the Linux epoll reactor).
 
 use std::sync::Arc;
 
-use evilbloom::server::{
-    Backend, Client, Server, ServerConfig, ServerHandle, TraceEvent, WireTrace,
-};
+use evilbloom::server::{Client, Server, ServerConfig, ServerHandle, TraceEvent, WireTrace};
 use evilbloom::store::{craft_store_pollution, BloomStore};
 use evilbloom::urlgen::UrlGenerator;
 
@@ -42,25 +39,7 @@ const ATTACK: usize = 1_200;
 const BATCH: usize = 100;
 const HONEST_CONNS: usize = 4;
 
-fn backend_from_args() -> Backend {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--backend") {
-        None => Backend::Threaded,
-        Some(i) => args
-            .get(i + 1)
-            .unwrap_or_else(|| {
-                eprintln!("--backend requires a value (threaded|async)");
-                std::process::exit(2);
-            })
-            .parse()
-            .unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }),
-    }
-}
-
-fn spawn(backend: Backend) -> (ServerHandle, Arc<BloomStore>) {
+fn spawn() -> (ServerHandle, Arc<BloomStore>) {
     let store = Arc::new(
         BloomStore::builder()
             .shards(SHARDS)
@@ -70,15 +49,12 @@ fn spawn(backend: Backend) -> (ServerHandle, Arc<BloomStore>) {
             .seed(42)
             .build(),
     );
-    // The threaded backend serves one connection per worker; this smoke
-    // holds five connections open at once (four honest + the attacker).
-    let mut config = ServerConfig::with_backend(backend);
-    config.workers = HONEST_CONNS + 2;
-    let handle = Server::spawn(Arc::clone(&store), "127.0.0.1:0", config).expect("bind loopback");
+    let handle = Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::default())
+        .expect("bind loopback");
     (handle, store)
 }
 
-/// Connects one client and pings it. The ping forces the backend to fully
+/// Connects one client and pings it. The ping forces the server to fully
 /// register the connection (allocating its forensic conn id) before the
 /// next connect is accepted, so ids are deterministic: honest connections
 /// get 1..=4 in connect order, the attacker gets 5.
@@ -98,9 +74,6 @@ fn seq_of(trace: &WireTrace, want: &TraceEvent) -> u64 {
 }
 
 fn main() {
-    let backend = backend_from_args();
-    println!("forensics_watch: backend={backend}");
-
     // Craft the pollution set against a mirror of the server's exact state
     // at attack time: same config, same seed, same honest warm-up — the
     // reconstruction the paper's remote adversary performs from public
@@ -122,7 +95,7 @@ fn main() {
             .expect("unhardened mirror yields an adversarial view");
     assert_eq!(plan.items.len(), ATTACK, "crafting fell short");
 
-    let (handle, _store) = spawn(backend);
+    let (handle, _store) = spawn();
 
     // Honest connections first (conn ids 1..=4), then the attacker (5).
     let mut honest_clients: Vec<Client> = (0..HONEST_CONNS).map(|_| connect(&handle)).collect();
@@ -193,7 +166,7 @@ fn main() {
 
     println!(
         "forensics_watch: attacker conn {attacker_id} ranked #1 \
-         (ewma {:.3} vs honest best {:.3}); alarm -> rotation sequence confirmed ({backend})",
+         (ewma {:.3} vs honest best {:.3}); alarm -> rotation sequence confirmed",
         trace.suspects[0].ewma_bits_per_item, trace.suspects[1].ewma_bits_per_item
     );
 

@@ -20,11 +20,10 @@
 //! and the slope keeps decaying.
 //!
 //! Run with: `cargo run --release --example metrics_watch`
-//! (append `-- --backend async` for the Linux epoll reactor).
 
 use std::sync::Arc;
 
-use evilbloom::server::{Backend, Client, Server, ServerConfig, ServerHandle};
+use evilbloom::server::{Client, Server, ServerConfig, ServerHandle};
 use evilbloom::store::{craft_store_pollution, BloomStore};
 use evilbloom::urlgen::UrlGenerator;
 
@@ -38,32 +37,13 @@ const HONEST: usize = 2_000;
 const ATTACK: usize = 600;
 const BATCH: usize = 100;
 
-fn backend_from_args() -> Backend {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--backend") {
-        None => Backend::Threaded,
-        Some(i) => args
-            .get(i + 1)
-            .unwrap_or_else(|| {
-                eprintln!("--backend requires a value (threaded|async)");
-                std::process::exit(2);
-            })
-            .parse()
-            .unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }),
-    }
-}
-
-fn spawn(hardened: bool, backend: Backend) -> (ServerHandle, Arc<BloomStore>) {
+fn spawn(hardened: bool) -> (ServerHandle, Arc<BloomStore>) {
     let builder =
         BloomStore::builder().shards(SHARDS).capacity(CAPACITY).target_fpp(TARGET_FPP).seed(42);
     let builder = if hardened { builder.hardened() } else { builder.unhardened() };
     let store = Arc::new(builder.build());
-    let handle =
-        Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::with_backend(backend))
-            .expect("bind loopback");
+    let handle = Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::default())
+        .expect("bind loopback");
     (handle, store)
 }
 
@@ -118,8 +98,8 @@ struct Run {
 
 /// Feeds one server the honest warm-up then the attack set, returning the
 /// honest-tail and attack-phase slopes.
-fn run(backend: Backend, hardened: bool, attack_items: &[String]) -> Run {
-    let (handle, _store) = spawn(hardened, backend);
+fn run(hardened: bool, attack_items: &[String]) -> Run {
+    let (handle, _store) = spawn(hardened);
     let mut client = Client::connect(handle.local_addr()).expect("connect");
 
     let honest: Vec<String> =
@@ -140,9 +120,6 @@ fn run(backend: Backend, hardened: bool, attack_items: &[String]) -> Run {
 }
 
 fn main() {
-    let backend = backend_from_args();
-    println!("metrics_watch: backend={backend}");
-
     // Craft the pollution set against a mirror of the unhardened store's
     // exact state at attack time: same config, same seed, same honest
     // warm-up. The paper's remote adversary reconstructs this mirror from
@@ -163,8 +140,8 @@ fn main() {
             .expect("unhardened mirror yields an adversarial view");
     assert_eq!(plan.items.len(), ATTACK, "crafting fell short");
 
-    let unhardened = run(backend, false, &plan.items);
-    let hardened = run(backend, true, &plan.items);
+    let unhardened = run(false, &plan.items);
+    let hardened = run(true, &plan.items);
 
     println!(
         "unhardened: honest tail {:.3} bits/insert -> attack {:.3} (gauge {:.3})",
@@ -199,5 +176,5 @@ fn main() {
         hardened.final_gauge
     );
 
-    println!("metrics_watch: drift separation confirmed ({backend})");
+    println!("metrics_watch: drift separation confirmed");
 }

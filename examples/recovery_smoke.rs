@@ -12,40 +12,21 @@
 //! eat an acknowledged insert — that is precisely what this smoke proves.
 //!
 //! Run with: `cargo run --release --example recovery_smoke`
-//! (append `-- --backend async` to smoke the Linux epoll reactor instead
-//! of the default threaded worker pool).
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command as ProcCommand, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
-use evilbloom::server::{Backend, Client, Server, ServerConfig};
+use evilbloom::server::{Client, Server, ServerConfig};
 use evilbloom::store::{BloomStore, PersistConfig};
-
-fn backend_from_args(args: &[String]) -> Backend {
-    match args.iter().position(|a| a == "--backend") {
-        None => Backend::Threaded,
-        Some(i) => args
-            .get(i + 1)
-            .unwrap_or_else(|| {
-                eprintln!("--backend requires a value (threaded|async)");
-                std::process::exit(2);
-            })
-            .parse()
-            .unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }),
-    }
-}
 
 /// Child mode: serve a persistent store out of `dir` on an ephemeral
 /// loopback port, printing the address on stdout for the parent. A fresh
 /// directory gets a new store; a populated one is recovered first. The
 /// child never exits on its own (the parent kills it) beyond a watchdog
 /// that keeps CI bounded if the parent dies.
-fn serve_child(dir: &str, backend: Backend) -> ! {
+fn serve_child(dir: &str) -> ! {
     std::thread::spawn(|| {
         std::thread::sleep(Duration::from_secs(120));
         eprintln!("recovery_smoke child: watchdog fired after 120s, aborting");
@@ -76,8 +57,8 @@ fn serve_child(dir: &str, backend: Backend) -> ! {
             store
         }
     };
-    let handle = Server::spawn(Arc::new(store), "127.0.0.1:0", ServerConfig::with_backend(backend))
-        .expect("bind");
+    let handle =
+        Server::spawn(Arc::new(store), "127.0.0.1:0", ServerConfig::default()).expect("bind");
     // The parent parses this exact line to find the port.
     println!("serving on {}", handle.local_addr());
     loop {
@@ -86,10 +67,10 @@ fn serve_child(dir: &str, backend: Backend) -> ! {
 }
 
 /// Spawns a child server on `dir` and waits for its address line.
-fn spawn_server(dir: &str, backend: Backend) -> (Child, String) {
+fn spawn_server(dir: &str) -> (Child, String) {
     let exe = std::env::current_exe().expect("own path");
     let mut child = ProcCommand::new(exe)
-        .args(["--serve", dir, "--backend", &backend.to_string()])
+        .args(["--serve", dir])
         .stdout(Stdio::piped())
         .spawn()
         .expect("spawn child server");
@@ -110,10 +91,9 @@ fn spawn_server(dir: &str, backend: Backend) -> (Child, String) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let backend = backend_from_args(&args);
     if let Some(i) = args.iter().position(|a| a == "--serve") {
         let dir = args.get(i + 1).expect("--serve requires a directory").clone();
-        serve_child(&dir, backend);
+        serve_child(&dir);
     }
 
     // Belt and braces against hangs: CI also wraps this in `timeout`.
@@ -123,14 +103,13 @@ fn main() {
         std::process::exit(1);
     });
 
-    let dir = std::env::temp_dir()
-        .join(format!("evilbloom-recovery-smoke-{}-{backend}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("evilbloom-recovery-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create store dir");
     let dir = dir.to_str().expect("utf-8 temp path").to_string();
 
     // Phase 1: populate, snapshot remotely, keep inserting into the WAL.
-    let (mut child, addr) = spawn_server(&dir, backend);
+    let (mut child, addr) = spawn_server(&dir);
     let mut client = Client::connect(&addr).expect("connect");
     let before: Vec<String> = (0..600).map(|i| format!("https://pre.example/{i}")).collect();
     client.insert_batch(&before).expect("minsert before snapshot");
@@ -156,7 +135,7 @@ fn main() {
     println!("child killed; restarting from {dir}");
 
     // Phase 3: restart from disk and demand bit-for-bit equivalence.
-    let (mut child, addr) = spawn_server(&dir, backend);
+    let (mut child, addr) = spawn_server(&dir);
     let mut client = Client::connect(&addr).expect("reconnect");
     let replayed = client.query_batch(&probes).expect("mquery after recovery");
     assert!(
@@ -169,8 +148,5 @@ fn main() {
     child.kill().expect("kill second child");
     child.wait().expect("reap second child");
     let _ = std::fs::remove_dir_all(&dir);
-    println!(
-        "recovery smoke OK on the {backend} backend ({} probes bit-for-bit identical)",
-        probes.len()
-    );
+    println!("recovery smoke OK ({} probes bit-for-bit identical)", probes.len());
 }

@@ -6,32 +6,12 @@
 //! without an external `timeout`.
 //!
 //! Run with: `cargo run --release --example server_smoke`
-//! (append `-- --backend async` to smoke the Linux epoll reactor instead
-//! of the default threaded worker pool).
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use evilbloom::server::{Backend, Client, Server, ServerConfig};
+use evilbloom::server::{Client, Server, ServerConfig};
 use evilbloom::store::BloomStore;
-
-fn backend_from_args() -> Backend {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.iter().position(|a| a == "--backend") {
-        None => Backend::Threaded,
-        Some(i) => args
-            .get(i + 1)
-            .unwrap_or_else(|| {
-                eprintln!("--backend requires a value (threaded|async)");
-                std::process::exit(2);
-            })
-            .parse()
-            .unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }),
-    }
-}
 
 fn main() {
     // Belt and braces against hangs: CI also wraps this in `timeout`.
@@ -41,7 +21,6 @@ fn main() {
         std::process::exit(1);
     });
 
-    let backend = backend_from_args();
     let store = Arc::new(
         BloomStore::builder()
             .shards(4)
@@ -52,9 +31,8 @@ fn main() {
             .build(),
     );
     let handle =
-        Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::with_backend(backend))
-            .expect("bind");
-    println!("serving on {} ({backend} backend)", handle.local_addr());
+        Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::default()).expect("bind");
+    println!("serving on {}", handle.local_addr());
 
     let mut client = Client::connect(handle.local_addr()).expect("connect");
     client.ping().expect("ping");
@@ -111,5 +89,5 @@ fn main() {
     assert!(served >= 15, "only {served} requests recorded");
     drop(client);
     handle.shutdown();
-    println!("server smoke OK on the {backend} backend ({served} requests served)");
+    println!("server smoke OK ({served} requests served)");
 }
