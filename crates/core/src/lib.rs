@@ -39,8 +39,8 @@ use evilbloom_filters::{
     FilterParams, HardeningLevel,
 };
 use evilbloom_hashes::{
-    IndexStrategy, KirschMitzenmacher, Md5Split, Murmur3_128, RecycledCrypto, SaltedCrypto, Sha256,
-    Sha512,
+    IndexStrategy, KeyedPair, KirschMitzenmacher, KmIndexes, Md5Split, Murmur3_128, RecycledCrypto,
+    SaltedCrypto, Sha256, Sha512, SipHash24, SipKey,
 };
 
 /// The index-derivation families a deployment can use, mirroring the systems
@@ -75,9 +75,9 @@ impl StrategyKind {
             StrategyKind::SaltedSha => Box::new(SaltedCrypto::new(Box::new(Sha256))),
             StrategyKind::Md5Split => Box::new(Md5Split),
             StrategyKind::RecycledSha512 => Box::new(RecycledCrypto::new(Box::new(Sha512))),
-            StrategyKind::KeyedSipHash => Box::new(evilbloom_hashes::KeyedIndexes::new(Box::new(
-                evilbloom_hashes::SipHash24::new(evilbloom_hashes::SipKey::new(0, 0)),
-            ))),
+            StrategyKind::KeyedSipHash => Box::new(KmIndexes::new(KeyedPair::new(Box::new(
+                SipHash24::new(SipKey::new(0, 0)),
+            )))),
         }
     }
 }

@@ -260,9 +260,7 @@ impl core::fmt::Debug for BlockedBloomFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use evilbloom_hashes::{
-        DoubleHasher, KeyedPair, Murmur128Pair, Murmur3_128, SipHash24, SipKey,
-    };
+    use evilbloom_hashes::{KeyedPair, Murmur128Pair, Murmur3_128, SipHash24, SipKey};
 
     fn filter(m: u64, k: u32, capacity: u64) -> BlockedBloomFilter {
         BlockedBloomFilter::new(FilterParams::explicit(m, k, capacity), Murmur128Pair)
@@ -363,11 +361,8 @@ mod tests {
     }
 
     #[test]
-    fn double_hasher_and_keyed_sources_work() {
-        let mut plain = BlockedBloomFilter::new(
-            FilterParams::optimal(500, 0.01),
-            DoubleHasher::new(Murmur3_128),
-        );
+    fn seeded_and_keyed_sources_work() {
+        let mut plain = BlockedBloomFilter::new(FilterParams::optimal(500, 0.01), Murmur3_128);
         let mut keyed = BlockedBloomFilter::new(
             FilterParams::optimal(500, 0.01),
             KeyedPair::new(Box::new(SipHash24::new(SipKey::new(7, 9)))),

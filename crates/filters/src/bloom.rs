@@ -211,7 +211,8 @@ impl core::fmt::Debug for BloomFilter {
 mod tests {
     use super::*;
     use evilbloom_hashes::{
-        KeyedIndexes, KirschMitzenmacher, Murmur3_32, SaltedCrypto, Sha256, SipHash24, SipKey,
+        KeyedPair, KirschMitzenmacher, KmIndexes, Murmur3_32, SaltedCrypto, Sha256, SipHash24,
+        SipKey,
     };
 
     fn small_filter() -> BloomFilter {
@@ -334,11 +335,11 @@ mod tests {
         let params = FilterParams::explicit(1 << 12, 4, 100);
         let mut a = BloomFilter::new(
             params,
-            KeyedIndexes::new(Box::new(SipHash24::new(SipKey::new(1, 1)))),
+            KmIndexes::new(KeyedPair::new(Box::new(SipHash24::new(SipKey::new(1, 1))))),
         );
         let mut b = BloomFilter::new(
             params,
-            KeyedIndexes::new(Box::new(SipHash24::new(SipKey::new(2, 2)))),
+            KmIndexes::new(KeyedPair::new(Box::new(SipHash24::new(SipKey::new(2, 2))))),
         );
         a.insert(b"item");
         b.insert(b"item");

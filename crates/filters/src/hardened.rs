@@ -8,13 +8,20 @@
 //!   minimised (defeats chosen-insertion adversaries, not query-only ones);
 //! * [`HardeningLevel::KeyedSipHash`] — derive indexes with SipHash-2-4 under
 //!   a secret key (defeats every adversary, cheapest keyed option);
-//! * [`HardeningLevel::KeyedHmac`] — derive indexes from a recycled
-//!   HMAC-SHA-256 digest (defeats every adversary, strongest margin).
+//! * [`HardeningLevel::KeyedHmac`] — derive indexes with HMAC-SHA-256 under
+//!   a secret key (defeats every adversary, strongest margin).
+//!
+//! Both keyed levels make exactly two PRF calls per item, whatever `k`: the
+//! keyed pair `(mac(x, 0), mac(x, 1))` ([`KeyedPair`]) feeds the same
+//! Kirsch–Mitzenmacher loop ([`KmIndexes`]) the unkeyed Dablooms-style
+//! strategy runs.
+//! Double hashing keeps the defence intact: without the key nobody can
+//! evaluate the pair, so nobody can evaluate any index derived from it.
 
 use rand::RngCore;
 
 use evilbloom_hashes::{
-    Hmac, IndexStrategy, KeyedIndexes, Murmur3_128, SaltedHashes, Sha256, SipHash24, SipKey,
+    Hmac, IndexStrategy, KeyedPair, KmIndexes, Murmur3_128, SaltedHashes, Sha256, SipHash24, SipKey,
 };
 
 use crate::bloom::BloomFilter;
@@ -57,6 +64,10 @@ impl FilterKey {
     /// Builds a key from explicit bytes (e.g. loaded from configuration).
     pub fn from_bytes(bytes: [u8; 32]) -> Self {
         FilterKey(bytes)
+    }
+
+    fn hmac(&self) -> Hmac {
+        Hmac::new(Box::new(Sha256), &self.0)
     }
 
     fn sip_key(&self) -> SipKey {
@@ -127,11 +138,9 @@ pub fn hardened_parts(
     let strategy: Box<dyn IndexStrategy> = match level {
         HardeningLevel::WorstCaseParameters => Box::new(SaltedHashes::new(Murmur3_128)),
         HardeningLevel::KeyedSipHash => {
-            Box::new(KeyedIndexes::new(Box::new(SipHash24::new(key.sip_key()))))
+            Box::new(KmIndexes::new(KeyedPair::new(Box::new(SipHash24::new(key.sip_key())))))
         }
-        HardeningLevel::KeyedHmac => {
-            Box::new(KeyedIndexes::new(Box::new(Hmac::new(Box::new(Sha256), &key.0))))
-        }
+        HardeningLevel::KeyedHmac => Box::new(KmIndexes::new(KeyedPair::new(Box::new(key.hmac())))),
     };
     (params, strategy)
 }
@@ -191,7 +200,8 @@ pub fn audit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use evilbloom_hashes::{KirschMitzenmacher, Murmur3_32};
+    use evilbloom_hashes::double::km_indexes_from_pair;
+    use evilbloom_hashes::{KeyedHash64, KirschMitzenmacher, Murmur3_32};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -224,6 +234,36 @@ mod tests {
         assert!(sip.strategy_name().contains("SipHash"));
         assert!(hmac.strategy_name().contains("HMAC"));
         assert!(worst.strategy_name().contains("Murmur"));
+    }
+
+    /// The keyed levels derive their indexes by Kirsch–Mitzenmacher double
+    /// hashing over the keyed pair `(mac(x, 0), mac(x, 1))`: two PRF calls
+    /// per item, whatever `k`.
+    #[test]
+    fn keyed_levels_derive_km_indexes_from_a_keyed_pair() {
+        let key = key();
+        let macs: [(HardeningLevel, Box<dyn KeyedHash64>); 2] = [
+            (HardeningLevel::KeyedSipHash, Box::new(SipHash24::new(key.sip_key()))),
+            (HardeningLevel::KeyedHmac, Box::new(key.hmac())),
+        ];
+        for (level, mac) in macs {
+            let (params, strategy) = hardened_parts(1000, 0.01, level, &key);
+            for k in [1u32, 7, 16] {
+                for i in 0..50 {
+                    let item = format!("item-{i}");
+                    let pair = (
+                        mac.mac_with_tweak(item.as_bytes(), 0),
+                        mac.mac_with_tweak(item.as_bytes(), 1),
+                    );
+                    let expect: Vec<u64> = km_indexes_from_pair(pair, k, params.m).collect();
+                    assert_eq!(
+                        strategy.indexes(item.as_bytes(), k, params.m),
+                        expect,
+                        "{level:?} k={k} {item}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,23 +2,21 @@
 //! all `k` Bloom-filter indexes are derived — the Kirsch–Mitzenmacher "less
 //! hashing, same performance" result packaged as a reusable *hash strategy*.
 //!
-//! [`crate::KirschMitzenmacher`] already applies the KM trick as an
-//! [`IndexStrategy`], but it recomputes both base hashes on every call and
-//! cannot be shared with structures that need the raw pair (the blocked
-//! filter picks a *block* with one half and probes inside it with the other).
 //! [`HashStrategy`] separates the expensive part (hashing the item once into
-//! a `(u64, u64)` pair) from the cheap part (deriving indexes from the pair),
-//! which is what makes batch APIs able to precompute hashes in one pass and
-//! replay them in a second, memory-bound pass.
+//! a `(u64, u64)` pair) from the cheap part (deriving indexes from the pair).
+//! That split lets the blocked filter pick a *block* with one half and probe
+//! inside it with the other, and lets batch APIs precompute hashes in one
+//! pass and replay them in a second, memory-bound pass. [`KmIndexes`] turns
+//! any pair source into an [`IndexStrategy`] through the one index loop,
+//! [`km_indexes_from_pair`].
 //!
 //! Three pair sources are provided:
 //!
 //! * [`Murmur128Pair`] — a **single** MurmurHash3 x64_128 call split into its
 //!   two 64-bit halves (the cheapest option, what Dablooms would do if it
 //!   used the full digest); predictable, hence attackable;
-//! * [`DoubleHasher`] — two seeded calls of any [`Hasher64`] (seeds 0 and 1),
-//!   bit-compatible with [`crate::KirschMitzenmacher`] over the same hash;
-//!   predictable;
+//! * any [`Hasher64`] — its seed-0 and seed-1 digests, the classic
+//!   formulation behind [`crate::KirschMitzenmacher`]; predictable;
 //! * [`KeyedPair`] — two tweaked calls of a secret-keyed [`KeyedHash64`]
 //!   (SipHash/HMAC), the Section 8.2 countermeasure carried over to the
 //!   double-hashing world; **unpredictable** without the key.
@@ -60,28 +58,16 @@ impl HashStrategy for Murmur128Pair {
     }
 }
 
-/// Two seeded calls (seeds 0 and 1) of any 64-bit hash — the classic
-/// formulation, pair-compatible with [`crate::KirschMitzenmacher`] over the
-/// same base hash.
-#[derive(Debug, Clone)]
-pub struct DoubleHasher<H> {
-    hasher: H,
-}
-
-impl<H: Hasher64> DoubleHasher<H> {
-    /// Uses `hasher` with seeds 0 and 1.
-    pub fn new(hasher: H) -> Self {
-        DoubleHasher { hasher }
-    }
-}
-
-impl<H: Hasher64> HashStrategy for DoubleHasher<H> {
+/// Any seeded 64-bit hash is a pair source: its seed-0 and seed-1 digests.
+/// The pair is named after the derivation it feeds, so
+/// [`crate::KirschMitzenmacher`] reports as `"Kirsch-Mitzenmacher"`.
+impl<H: Hasher64> HashStrategy for H {
     fn hash_pair(&self, item: &[u8]) -> (u64, u64) {
-        (self.hasher.hash_with_seed(item, 0), self.hasher.hash_with_seed(item, 1))
+        (self.hash_with_seed(item, 0), self.hash_with_seed(item, 1))
     }
 
     fn name(&self) -> &'static str {
-        self.hasher.name()
+        "Kirsch-Mitzenmacher"
     }
 }
 
@@ -120,7 +106,8 @@ impl HashStrategy for KeyedPair {
 }
 
 /// Derives the `k` Kirsch–Mitzenmacher indexes `g_i = h1 + i·h2 mod m` from a
-/// precomputed pair. Shared by [`KmIndexes`] and the batch query paths.
+/// precomputed pair: the one Kirsch–Mitzenmacher index loop, behind every
+/// [`KmIndexes`].
 #[inline]
 pub fn km_indexes_from_pair(pair: (u64, u64), k: u32, m: u64) -> impl Iterator<Item = u64> {
     let h1 = pair.0 % m;
@@ -131,10 +118,11 @@ pub fn km_indexes_from_pair(pair: (u64, u64), k: u32, m: u64) -> impl Iterator<I
 /// Kirsch–Mitzenmacher double hashing over any [`HashStrategy`] pair source,
 /// as an [`IndexStrategy`] pluggable into every filter in `evilbloom-filters`.
 ///
-/// Over [`DoubleHasher`] this produces exactly the same indexes as
-/// [`crate::KirschMitzenmacher`] over the same base hash; over
-/// [`Murmur128Pair`] it halves the hashing work; over [`KeyedPair`] it is the
-/// keyed (unpredictable) variant.
+/// Over a seeded [`Hasher64`] it is the classic
+/// [`crate::KirschMitzenmacher`] strategy; over [`Murmur128Pair`] it halves
+/// the hashing work; over [`KeyedPair`] it is the keyed (unpredictable)
+/// derivation every hardened filter uses.
+#[derive(Debug, Clone)]
 pub struct KmIndexes<S> {
     strategy: S,
 }
@@ -144,24 +132,9 @@ impl<S: HashStrategy> KmIndexes<S> {
     pub fn new(strategy: S) -> Self {
         KmIndexes { strategy }
     }
-
-    /// The underlying pair source.
-    pub fn pair_strategy(&self) -> &S {
-        &self.strategy
-    }
-}
-
-impl<S: core::fmt::Debug> core::fmt::Debug for KmIndexes<S> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("KmIndexes").field("strategy", &self.strategy).finish()
-    }
 }
 
 impl<S: HashStrategy> IndexStrategy for KmIndexes<S> {
-    fn indexes(&self, item: &[u8], k: u32, m: u64) -> Vec<u64> {
-        km_indexes_from_pair(self.strategy.hash_pair(item), k, m).collect()
-    }
-
     fn indexes_into(&self, item: &[u8], k: u32, m: u64, out: &mut Vec<u64>) {
         out.extend(km_indexes_from_pair(self.strategy.hash_pair(item), k, m));
     }
@@ -178,7 +151,7 @@ impl<S: HashStrategy> IndexStrategy for KmIndexes<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{KirschMitzenmacher, Murmur3_128, SipHash24, SipKey};
+    use crate::{Murmur3_128, SipHash24, SipKey};
 
     #[test]
     fn murmur128_pair_matches_reference_halves() {
@@ -187,25 +160,10 @@ mod tests {
     }
 
     #[test]
-    fn double_hasher_matches_seeded_calls() {
-        let pair = DoubleHasher::new(Murmur3_128).hash_pair(b"item");
+    fn seeded_hasher_pair_is_the_seed_0_and_1_digests() {
+        let pair = Murmur3_128.hash_pair(b"item");
         assert_eq!(pair.0, Murmur3_128.hash_with_seed(b"item", 0));
         assert_eq!(pair.1, Murmur3_128.hash_with_seed(b"item", 1));
-    }
-
-    #[test]
-    fn km_over_double_hasher_matches_classic_strategy() {
-        let classic = KirschMitzenmacher::new(Murmur3_128);
-        let pair_based = KmIndexes::new(DoubleHasher::new(Murmur3_128));
-        for m in [97u64, 3200, 1 << 20] {
-            for k in [1u32, 4, 10] {
-                assert_eq!(
-                    pair_based.indexes(b"http://example.org/", k, m),
-                    classic.indexes(b"http://example.org/", k, m),
-                    "m={m} k={k}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -11,10 +11,15 @@
 //! | [`KirschMitzenmacher`] | Dablooms (MurmurHash + KM trick) | yes |
 //! | [`Md5Split`] | Squid cache digests | yes |
 //! | [`RecycledCrypto`] | Section 8.2 recycling countermeasure | yes (but at full-digest cost per trial) |
-//! | [`KeyedIndexes`] | HMAC / SipHash countermeasure | **no** (secret key) |
+//! | [`KmIndexes`] over [`KeyedPair`](crate::KeyedPair) | HMAC / SipHash countermeasure | **no** (secret key) |
+//!
+//! Both Kirsch–Mitzenmacher rows are the same [`KmIndexes`] loop over a
+//! different `(h1, h2)` pair source (see [`crate::double`]): two seeded
+//! public hash calls, or two keyed PRF calls.
 
+use crate::double::KmIndexes;
 use crate::recycle::recycled_indexes;
-use crate::traits::{CryptoHash, Hasher64, KeyedHash64};
+use crate::traits::{CryptoHash, Hasher64};
 use crate::truncate::prefix_to_u64;
 
 /// Derives the `k` filter indexes of an item for a filter with `m` cells.
@@ -23,16 +28,16 @@ use crate::truncate::prefix_to_u64;
 /// always produce the same indexes, otherwise the filter would exhibit false
 /// negatives.
 pub trait IndexStrategy: Send + Sync {
-    /// Returns the `k` indexes of `item` in `[0, m)`.
-    fn indexes(&self, item: &[u8], k: u32, m: u64) -> Vec<u64>;
+    /// Appends the `k` indexes of `item` in `[0, m)` to `out` — the building
+    /// block of the batch insert/query APIs, which reuse one flat buffer
+    /// across a whole batch.
+    fn indexes_into(&self, item: &[u8], k: u32, m: u64, out: &mut Vec<u64>);
 
-    /// Appends the `k` indexes of `item` to `out` instead of allocating a
-    /// fresh vector — the building block of the batch insert/query APIs,
-    /// which reuse one flat buffer across a whole batch. The default
-    /// implementation delegates to [`IndexStrategy::indexes`]; hot strategies
-    /// override it to write directly.
-    fn indexes_into(&self, item: &[u8], k: u32, m: u64, out: &mut Vec<u64>) {
-        out.extend(self.indexes(item, k, m));
+    /// Returns the `k` indexes of `item` in `[0, m)` in a fresh vector.
+    fn indexes(&self, item: &[u8], k: u32, m: u64) -> Vec<u64> {
+        let mut out = Vec::with_capacity(k as usize);
+        self.indexes_into(item, k, m, &mut out);
+        out
     }
 
     /// Human-readable name used in reports and benchmarks.
@@ -61,10 +66,6 @@ impl<H: Hasher64> SaltedHashes<H> {
 }
 
 impl<H: Hasher64> IndexStrategy for SaltedHashes<H> {
-    fn indexes(&self, item: &[u8], k: u32, m: u64) -> Vec<u64> {
-        (0..u64::from(k)).map(|salt| self.hasher.hash_with_seed(item, salt) % m).collect()
-    }
-
     fn indexes_into(&self, item: &[u8], k: u32, m: u64, out: &mut Vec<u64>) {
         out.extend((0..u64::from(k)).map(|salt| self.hasher.hash_with_seed(item, salt) % m));
     }
@@ -99,15 +100,13 @@ impl core::fmt::Debug for SaltedCrypto {
 }
 
 impl IndexStrategy for SaltedCrypto {
-    fn indexes(&self, item: &[u8], k: u32, m: u64) -> Vec<u64> {
-        (0..u64::from(k))
-            .map(|salt| {
-                let mut buf = Vec::with_capacity(item.len() + 8);
-                buf.extend_from_slice(item);
-                buf.extend_from_slice(&salt.to_le_bytes());
-                prefix_to_u64(&self.hash.digest(&buf)) % m
-            })
-            .collect()
+    fn indexes_into(&self, item: &[u8], k: u32, m: u64, out: &mut Vec<u64>) {
+        out.extend((0..u64::from(k)).map(|salt| {
+            let mut buf = Vec::with_capacity(item.len() + 8);
+            buf.extend_from_slice(item);
+            buf.extend_from_slice(&salt.to_le_bytes());
+            prefix_to_u64(&self.hash.digest(&buf)) % m
+        }));
     }
 
     fn name(&self) -> &'static str {
@@ -116,37 +115,10 @@ impl IndexStrategy for SaltedCrypto {
 }
 
 /// The Kirsch–Mitzenmacher "less hashing, same performance" derivation:
-/// `g_i(x) = h1(x) + i * h2(x) mod m`, computed from two seeded calls of one
-/// base hash — exactly what Dablooms does with MurmurHash.
-#[derive(Debug, Clone)]
-pub struct KirschMitzenmacher<H> {
-    hasher: H,
-}
-
-impl<H: Hasher64> KirschMitzenmacher<H> {
-    /// Uses `hasher` with seeds 0 and 1 for the two base hashes.
-    pub fn new(hasher: H) -> Self {
-        KirschMitzenmacher { hasher }
-    }
-}
-
-impl<H: Hasher64> IndexStrategy for KirschMitzenmacher<H> {
-    fn indexes(&self, item: &[u8], k: u32, m: u64) -> Vec<u64> {
-        let h1 = self.hasher.hash_with_seed(item, 0) % m;
-        let h2 = self.hasher.hash_with_seed(item, 1) % m;
-        (0..u64::from(k)).map(|i| (h1 + i.wrapping_mul(h2) % m) % m).collect()
-    }
-
-    fn indexes_into(&self, item: &[u8], k: u32, m: u64, out: &mut Vec<u64>) {
-        let h1 = self.hasher.hash_with_seed(item, 0) % m;
-        let h2 = self.hasher.hash_with_seed(item, 1) % m;
-        out.extend((0..u64::from(k)).map(|i| (h1 + i.wrapping_mul(h2) % m) % m));
-    }
-
-    fn name(&self) -> &'static str {
-        "Kirsch-Mitzenmacher"
-    }
-}
+/// `g_i(x) = h1(x) + i * h2(x) mod m`, with `h1` and `h2` the seed-0 and
+/// seed-1 calls of one base hash — exactly what Dablooms does with
+/// MurmurHash. Built with `KirschMitzenmacher::new(hasher)`.
+pub type KirschMitzenmacher<H> = KmIndexes<H>;
 
 /// Squid's cache-digest derivation: one 128-bit MD5 of the key, split into
 /// four 32-bit words, each reduced modulo `m`.
@@ -158,16 +130,14 @@ impl<H: Hasher64> IndexStrategy for KirschMitzenmacher<H> {
 pub struct Md5Split;
 
 impl IndexStrategy for Md5Split {
-    fn indexes(&self, item: &[u8], k: u32, m: u64) -> Vec<u64> {
+    fn indexes_into(&self, item: &[u8], k: u32, m: u64, out: &mut Vec<u64>) {
         let digest = crate::md5::md5(item);
         let words = crate::truncate::split_u32_words(&digest, 4);
-        (0..k as usize)
-            .map(|i| {
-                let base = u64::from(words[i % 4]);
-                let round = (i / 4) as u64;
-                (base.wrapping_add(round.wrapping_mul(0x9e37_79b9))) % m
-            })
-            .collect()
+        out.extend((0..k as usize).map(|i| {
+            let base = u64::from(words[i % 4]);
+            let round = (i / 4) as u64;
+            (base.wrapping_add(round.wrapping_mul(0x9e37_79b9))) % m
+        }));
     }
 
     fn name(&self) -> &'static str {
@@ -196,50 +166,12 @@ impl core::fmt::Debug for RecycledCrypto {
 }
 
 impl IndexStrategy for RecycledCrypto {
-    fn indexes(&self, item: &[u8], k: u32, m: u64) -> Vec<u64> {
-        recycled_indexes(self.hash.as_ref(), item, k, m)
+    fn indexes_into(&self, item: &[u8], k: u32, m: u64, out: &mut Vec<u64>) {
+        out.extend(recycled_indexes(self.hash.as_ref(), item, k, m));
     }
 
     fn name(&self) -> &'static str {
         self.hash.name()
-    }
-}
-
-/// The keyed countermeasure: a secret-keyed PRF (HMAC or SipHash) with a
-/// per-index tweak. Without the key the adversary cannot evaluate the map and
-/// none of the offline forgery searches apply.
-pub struct KeyedIndexes {
-    prf: Box<dyn KeyedHash64>,
-}
-
-impl KeyedIndexes {
-    /// Uses `prf` with tweaks `0..k`.
-    pub fn new(prf: Box<dyn KeyedHash64>) -> Self {
-        KeyedIndexes { prf }
-    }
-}
-
-impl core::fmt::Debug for KeyedIndexes {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("KeyedIndexes").field("prf", &self.prf.name()).finish()
-    }
-}
-
-impl IndexStrategy for KeyedIndexes {
-    fn indexes(&self, item: &[u8], k: u32, m: u64) -> Vec<u64> {
-        (0..u64::from(k)).map(|tweak| self.prf.mac_with_tweak(item, tweak) % m).collect()
-    }
-
-    fn indexes_into(&self, item: &[u8], k: u32, m: u64, out: &mut Vec<u64>) {
-        out.extend((0..u64::from(k)).map(|tweak| self.prf.mac_with_tweak(item, tweak) % m));
-    }
-
-    fn name(&self) -> &'static str {
-        self.prf.name()
-    }
-
-    fn is_predictable(&self) -> bool {
-        false
     }
 }
 
@@ -249,7 +181,11 @@ pub type BoxedIndexStrategy = Box<dyn IndexStrategy>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Md5, Murmur3_32, Sha1, Sha256, Sha512, SipHash24, SipKey};
+    use crate::{KeyedPair, Md5, Murmur3_128, Murmur3_32, Sha1, Sha256, Sha512, SipHash24, SipKey};
+
+    fn keyed_sip(key: SipKey) -> KmIndexes<KeyedPair> {
+        KmIndexes::new(KeyedPair::new(Box::new(SipHash24::new(key))))
+    }
 
     fn all_strategies() -> Vec<BoxedIndexStrategy> {
         vec![
@@ -258,7 +194,7 @@ mod tests {
             Box::new(KirschMitzenmacher::new(Murmur3_32)),
             Box::new(Md5Split),
             Box::new(RecycledCrypto::new(Box::new(Sha512))),
-            Box::new(KeyedIndexes::new(Box::new(SipHash24::new(SipKey::new(1, 2))))),
+            Box::new(keyed_sip(SipKey::new(1, 2))),
         ]
     }
 
@@ -313,6 +249,30 @@ mod tests {
         }
     }
 
+    /// Pins the unhardened derivation bit for bit: persisted unhardened
+    /// snapshots and crafted attack sets depend on these exact indexes.
+    #[test]
+    fn kirsch_mitzenmacher_known_answers() {
+        let strategy = KirschMitzenmacher::new(Murmur3_128);
+        let cases: [(&[u8], u64, [u64; 7]); 6] = [
+            (b"http://example.org/", 95_851, [43578, 24883, 6188, 83344, 64649, 45954, 27259]),
+            (b"item-0", 95_851, [11648, 69015, 30531, 87898, 49414, 10930, 68297]),
+            (b"evilbloom", 95_851, [10302, 33771, 57240, 80709, 8327, 31796, 55265]),
+            (
+                b"http://example.org/",
+                1 << 20,
+                [396172, 249447, 102722, 1004573, 857848, 711123, 564398],
+            ),
+            (b"item-0", 1 << 20, [283238, 1038897, 745980, 453063, 160146, 915805, 622888]),
+            (b"evilbloom", 1 << 20, [884477, 18459, 201017, 383575, 566133, 748691, 931249]),
+        ];
+        for (item, m, expect) in cases {
+            assert_eq!(strategy.indexes(item, 7, m), expect, "{item:?} m={m}");
+        }
+        assert_eq!(strategy.name(), "Kirsch-Mitzenmacher");
+        assert!(strategy.is_predictable());
+    }
+
     #[test]
     fn md5_split_uses_the_four_digest_words() {
         let m = 1u64 << 32;
@@ -344,8 +304,8 @@ mod tests {
 
     #[test]
     fn keyed_indexes_depend_on_the_key() {
-        let a = KeyedIndexes::new(Box::new(SipHash24::new(SipKey::new(1, 2))));
-        let b = KeyedIndexes::new(Box::new(SipHash24::new(SipKey::new(3, 4))));
+        let a = keyed_sip(SipKey::new(1, 2));
+        let b = keyed_sip(SipKey::new(3, 4));
         assert_ne!(a.indexes(b"item", 4, 1 << 16), b.indexes(b"item", 4, 1 << 16));
     }
 

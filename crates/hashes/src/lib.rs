@@ -59,12 +59,12 @@ pub mod siphash;
 pub mod traits;
 pub mod truncate;
 
-pub use double::{DoubleHasher, HashStrategy, KeyedPair, KmIndexes, Murmur128Pair};
+pub use double::{HashStrategy, KeyedPair, KmIndexes, Murmur128Pair};
 pub use fnv::{Fnv1a32, Fnv1a64};
 pub use hmac::{hmac, Hmac};
 pub use index::{
-    BoxedIndexStrategy, IndexStrategy, KeyedIndexes, KirschMitzenmacher, Md5Split, RecycledCrypto,
-    SaltedCrypto, SaltedHashes,
+    BoxedIndexStrategy, IndexStrategy, KirschMitzenmacher, Md5Split, RecycledCrypto, SaltedCrypto,
+    SaltedHashes,
 };
 pub use jenkins::{JenkinsLookup3, JenkinsOneAtATime};
 pub use md5::{md5, Md5, Md5Context};

@@ -27,7 +27,7 @@
 //!   [`BloomStore::complete_rotation`]): a shard re-keys and rebuilds in the
 //!   background while its old generation keeps answering queries;
 //! * durability ([`BloomStore::enable_persistence`] /
-//!   [`BloomStore::recover`]): racy per-shard snapshots plus a group-commit
+//!   [`BloomStore::recover`]): fenced per-shard snapshots plus a group-commit
 //!   write-ahead log, so a restarted store comes back with its exact bit
 //!   state — accumulated pollution included (see [`persist`]);
 //! * [`StoreStats`] — per-shard fill, false-positive estimates, and

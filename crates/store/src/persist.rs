@@ -8,18 +8,22 @@
 //! module makes a restarted store come back with its exact bit state —
 //! accumulated pollution, alarm trajectories and all.
 //!
-//! ## The torn-read safety argument
+//! ## Exact copies and per-shard fences
 //!
-//! Snapshots copy each shard's `AtomicBitVec` word array **racily under
-//! `&self`** ([`evilbloom_filters::atomic_bitvec::AtomicBitVec::snapshot_words`]):
-//! concurrent inserts may land between word loads, so the copy can mix
-//! "before" and "after" words of an in-flight insert. For a Bloom filter
-//! that is safe — bits are only ever set, so a torn copy only re-observes
-//! bits an in-flight insert set, and replaying that insert from the log is
-//! idempotent. The one trap is the ones-counter: the live running counter is
-//! updated *after* each `fetch_or` and can disagree with any given word
-//! copy, so it is **recounted from the snapshotted words** on recovery,
-//! never persisted.
+//! Replay must apply every logged write exactly once. Only the bits of a
+//! plain filter are idempotent: the per-shard insert count is not (it feeds
+//! the pollution alarms), a counting filter's counters are not (a doubled
+//! increment leaves a zombie member `DELETE` cannot clear, a doubled
+//! decrement drops an unrelated member), and replaying any write twice
+//! breaks bit-for-bit recovery. So a snapshot copies each shard **under
+//! the shard write lock**, which holds off that shard's writers for the
+//! copy alone, and records the shard's *fence*: how many records the WAL
+//! segment it just rotated to had been handed at that moment. Writers
+//! apply and then log under the shard read lock, so at the fence every
+//! write the copy holds is logged below it and no write above it is in the
+//! copy. Replay of that segment skips the shard's records below its fence
+//! ([`RecoveryReport::skipped_in_snapshot`]). The ones count is not
+//! persisted; recovery recounts it from the copied words.
 //!
 //! ## Write-ahead log and group commit
 //!
@@ -39,13 +43,13 @@
 //! ## Snapshot ⇄ WAL protocol
 //!
 //! A snapshot first rotates the WAL to a fresh segment, then copies the
-//! shards, then atomically publishes `snapshot-<seq>.evbs` (tmp + rename)
-//! recording the first WAL segment to replay on top. Because log records
-//! are appended only *after* their insert was applied, every record in the
-//! rotated-out segments is already reflected in the bit copy; records
-//! racing into the new segment may additionally be in the copy, which
-//! replay tolerates (idempotence). Old segments and snapshots are pruned
-//! after the rename.
+//! shards (recording each one's fence), then atomically publishes
+//! `snapshot-<seq>.evbs` (tmp + rename) recording the first WAL segment to
+//! replay on top. Because log records are appended only *after* their write
+//! was applied, every record in the rotated-out segments is already
+//! reflected in the copy; records racing into the new segment are in the
+//! copy exactly when they sit below their shard's fence. Old segments and
+//! snapshots are pruned after the rename.
 //!
 //! ## Recovery
 //!
@@ -240,6 +244,9 @@ pub struct RecoveryReport {
     pub replayed_removes: u64,
     /// Rotation records applied.
     pub replayed_rotations: u64,
+    /// Records skipped because the snapshot's copy of their shard already
+    /// holds them (they precede the shard's fence).
+    pub skipped_in_snapshot: u64,
     /// Insert records discarded because their generation was rotated out
     /// (replaying them would resurrect dropped pollution).
     pub discarded_stale: u64,
@@ -258,7 +265,9 @@ pub struct RecoveryReport {
 /// Format version shared by snapshot and WAL files. Bump on incompatible
 /// layout changes. Version 2 added the backend-family byte pair to the
 /// snapshot header and the `REMOVE` WAL record; version-1 files are
-/// rejected with [`PersistError::BadVersion`].
+/// rejected with [`PersistError::BadVersion`]. The snapshot's per-shard
+/// fence record came later within version 2 and is optional on read: a
+/// snapshot without one replays its whole WAL tail.
 pub const PERSIST_FORMAT_VERSION: u8 = 2;
 
 const SNAPSHOT_MAGIC: &[u8; 4] = b"EVBS";
@@ -267,6 +276,7 @@ const WAL_MAGIC: &[u8; 4] = b"EVBW";
 const REC_SNAP_HEADER: u8 = 0x01;
 const REC_SNAP_GENERATION: u8 = 0x02;
 const REC_SNAP_END: u8 = 0x03;
+const REC_SNAP_FENCE: u8 = 0x04;
 const REC_WAL_INSERT: u8 = 0x10;
 const REC_WAL_ROTATE_BEGIN: u8 = 0x11;
 const REC_WAL_ROTATE_COMPLETE: u8 = 0x12;
@@ -408,6 +418,9 @@ struct WalState {
     buf: Vec<u8>,
     /// Log sequence number the next appended record gets.
     next_lsn: u64,
+    /// LSN of the first record appended to the current segment, so
+    /// `next_lsn - segment_lsn` is that record's position in the segment.
+    segment_lsn: u64,
     /// Every record below this has reached `write(2)`.
     written_lsn: u64,
     /// … and `fsync`.
@@ -449,6 +462,7 @@ impl WalWriter {
                 seq,
                 buf: Vec::new(),
                 next_lsn: 1,
+                segment_lsn: 1,
                 written_lsn: 0,
                 durable_lsn: 0,
                 flushing: false,
@@ -590,6 +604,7 @@ impl WalWriter {
             Ok((file, seq)) => {
                 s.file = file;
                 s.seq = seq;
+                s.segment_lsn = s.next_lsn;
                 s.written_lsn = upto;
                 s.durable_lsn = upto;
                 self.flushed.notify_all();
@@ -605,6 +620,13 @@ impl WalWriter {
 
     fn broken(&self) -> Option<String> {
         self.state.lock().expect("wal lock poisoned").broken.clone()
+    }
+
+    /// How many records the current segment has been handed so far: the
+    /// position the next record will take in it.
+    fn segment_records(&self) -> u64 {
+        let s = self.state.lock().expect("wal lock poisoned");
+        s.next_lsn - s.segment_lsn
     }
 
     /// Repairs a broken log: discards the unwritable buffer (every record
@@ -636,6 +658,7 @@ impl WalWriter {
             Ok(file) => {
                 s.file = file;
                 s.seq = seq;
+                s.segment_lsn = s.next_lsn;
                 s.buf.clear();
                 let upto = s.next_lsn - 1;
                 s.written_lsn = upto;
@@ -835,8 +858,8 @@ impl StorePersistence {
         let started = Instant::now();
         let _serialised = self.snapshot_lock.lock().expect("snapshot lock poisoned");
         // 1. Rotate the WAL first: every record in the segments this closes
-        //    was appended after its insert was applied, so the bit copy
-        //    below is guaranteed to contain it. A *broken* WAL is repaired
+        //    was appended after its write was applied, so the copy below is
+        //    guaranteed to contain it. A *broken* WAL is repaired
         //    instead — appends switch to a fresh segment and this snapshot
         //    captures the applied-but-unlogged state; degraded mode (the
         //    broken flag) only clears once the snapshot has published.
@@ -848,10 +871,6 @@ impl StorePersistence {
         };
         let seq = self.next_snapshot_seq.fetch_add(1, Ordering::SeqCst);
 
-        // 2. Racy per-shard copy. The shard read lock pins the generation
-        //    *pair* (a rotation cannot install or drop a generation while we
-        //    hold it), so a mid-rotation shard records both generations
-        //    coherently; the word arrays themselves are copied racily.
         let mut out = Vec::new();
         out.extend_from_slice(SNAPSHOT_MAGIC);
         out.push(PERSIST_FORMAT_VERSION);
@@ -869,18 +888,26 @@ impl StorePersistence {
         header.push(B::persist_aux(store.options()));
         put_record(&mut out, REC_SNAP_HEADER, &header);
 
+        // 2. Exact per-shard copy under the shard write lock, which pins the
+        //    generation pair and holds off writers for the copy alone. The
+        //    shard's fence is the new segment's record count at that point:
+        //    its records there below the fence are in the copy, the rest are
+        //    not, so replay skips exactly the former.
         let mut generations = 0u32;
+        let mut fences = Vec::with_capacity(store.shard_count() * 8);
         for index in 0..store.shard_count() {
-            store.shard(index).with_generations(|active, draining| {
+            let fence = store.shard(index).with_generations_exclusive(|active, draining| {
                 put_generation(&mut out, index, ROLE_ACTIVE, active)?;
                 generations += 1;
                 if let Some(draining) = draining {
                     put_generation(&mut out, index, ROLE_DRAINING, draining)?;
                     generations += 1;
                 }
-                Ok::<(), PersistError>(())
+                Ok::<u64, PersistError>(self.wal.as_ref().map_or(0, WalWriter::segment_records))
             })?;
+            fences.extend_from_slice(&fence.to_le_bytes());
         }
+        put_record(&mut out, REC_SNAP_FENCE, &fences);
         put_record(&mut out, REC_SNAP_END, &generations.to_le_bytes());
 
         // 3. Publish atomically: tmp + fsync + rename, then prune.
@@ -933,6 +960,8 @@ impl StorePersistence {
     }
 }
 
+/// Appends one generation's snapshot record. Called under the shard write
+/// lock, so the words and the insert count are one consistent state.
 fn put_generation<B: FilterBackend>(
     out: &mut Vec<u8>,
     shard: usize,
@@ -940,9 +969,7 @@ fn put_generation<B: FilterBackend>(
     generation: &crate::shard::Generation<B>,
 ) -> Result<(), PersistError> {
     let filter = &generation.filter;
-    // The racy word copy; the ones count is deliberately NOT persisted —
-    // recovery recounts it from these words (the live RMW counter may
-    // disagree with any given copy; see the module docs).
+    // The ones count is not persisted: recovery recounts it from the words.
     let Some(words) = filter.snapshot_words() else {
         // `enable_persistence` gates on `persist_words_len`, so only a
         // backend lying about its own capability can reach this.
@@ -998,6 +1025,10 @@ pub(crate) struct SnapshotDoc {
     pub(crate) backend_aux: u8,
     /// `(shard, role, generation id, inserted, words)` in file order.
     pub(crate) generations: Vec<(u32, u8, u64, u64, Vec<u64>)>,
+    /// Per shard, how many leading records of WAL segment `wal_seq` the
+    /// copy already holds (replay skips that shard's records among them).
+    /// Empty for a snapshot written before fences were recorded.
+    pub(crate) fences: Vec<u64>,
 }
 
 /// The [`BackendKind`] a decoded snapshot claims, if its code is known.
@@ -1053,6 +1084,7 @@ pub(crate) fn read_snapshot(path: &Path) -> Result<SnapshotDoc, PersistError> {
     }
 
     let mut generations = Vec::new();
+    let mut fences = None;
     loop {
         match read_record(&bytes, pos) {
             RecordRead::Record { kind: REC_SNAP_GENERATION, body, consumed } => {
@@ -1085,6 +1117,17 @@ pub(crate) fn read_snapshot(path: &Path) -> Result<SnapshotDoc, PersistError> {
                 }
                 generations.push((shard, role, id, inserted, words));
             }
+            RecordRead::Record { kind: REC_SNAP_FENCE, body, consumed } => {
+                pos += consumed;
+                if fences.is_some() {
+                    return Err(corrupt(path, "duplicate fence record"));
+                }
+                if body.len() != shards as usize * 8 {
+                    return Err(corrupt(path, "fence record does not match the shard count"));
+                }
+                let mut c = Cursor::new(body);
+                fences = Some((0..shards).map_while(|_| c.u64()).collect());
+            }
             RecordRead::Record { kind: REC_SNAP_END, body, consumed } => {
                 let mut c = Cursor::new(body);
                 let count = c.u32();
@@ -1112,6 +1155,7 @@ pub(crate) fn read_snapshot(path: &Path) -> Result<SnapshotDoc, PersistError> {
         backend,
         backend_aux,
         generations,
+        fences: fences.unwrap_or_default(),
     })
 }
 
@@ -1125,6 +1169,18 @@ pub(crate) enum WalRecord<'a> {
     Remove { shard: u32, generation: u64, items: Vec<&'a [u8]> },
     RotateBegin { shard: u32, generation: u64 },
     RotateComplete { shard: u32, generation: u64 },
+}
+
+impl WalRecord<'_> {
+    /// The shard the record applies to.
+    pub(crate) fn shard(&self) -> u32 {
+        match *self {
+            WalRecord::Insert { shard, .. }
+            | WalRecord::Remove { shard, .. }
+            | WalRecord::RotateBegin { shard, .. }
+            | WalRecord::RotateComplete { shard, .. } => shard,
+        }
+    }
 }
 
 /// Decodes a WAL segment body (header already validated) into records,

@@ -40,9 +40,9 @@ struct GenerationPair<B> {
 /// A store shard: an active filter generation, plus an optional draining
 /// generation while a key rotation's rebuild is in flight.
 ///
-/// The `RwLock` only guards the *installation* of generations; inserts and
-/// queries take the read lock (shared, uncontended in steady state) and then
-/// operate lock-free on the [`FilterBackend`] inside.
+/// The `RwLock` guards the *installation* of generations and the snapshot
+/// copy; inserts and queries take the read lock (shared, uncontended in
+/// steady state) and then operate lock-free on the [`FilterBackend`] inside.
 #[derive(Debug)]
 pub struct Shard<B = ConcurrentBloomFilter> {
     generations: RwLock<GenerationPair<B>>,
@@ -75,6 +75,18 @@ impl<B: FilterBackend> Shard<B> {
         f: impl FnOnce(&Generation<B>, Option<&Generation<B>>) -> R,
     ) -> R {
         let pair = self.generations.read().expect("shard lock poisoned");
+        f(&pair.active, pair.draining.as_ref())
+    }
+
+    /// [`Shard::with_generations`] under the *write* lock: no insert or
+    /// removal is in flight on this shard while `f` runs, so every write
+    /// applied so far has also been logged and none is half-applied. The
+    /// snapshot's exact copy point.
+    pub(crate) fn with_generations_exclusive<R>(
+        &self,
+        f: impl FnOnce(&Generation<B>, Option<&Generation<B>>) -> R,
+    ) -> R {
+        let pair = self.generations.write().expect("shard lock poisoned");
         f(&pair.active, pair.draining.as_ref())
     }
 

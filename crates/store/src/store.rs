@@ -751,7 +751,7 @@ impl<B: FilterBackend> BloomStore<B> {
     ///
     /// The recovered store answers queries identically to the crashed one
     /// for every acknowledged insert and removal (plus any operation that
-    /// was mid-flight, which replay applies idempotently).
+    /// was mid-flight and logged), each applied exactly once.
     ///
     /// # Errors
     ///
@@ -857,7 +857,8 @@ impl<B: FilterBackend> BloomStore<B> {
         // without a log (nothing to replay).
         if doc.wal_seq > 0 {
             for &seq in wal_seqs.iter().filter(|&&s| s >= doc.wal_seq) {
-                store.replay_segment(&config.dir, seq, &mut report)?;
+                let fences = if seq == doc.wal_seq { &doc.fences[..] } else { &[] };
+                store.replay_segment(&config.dir, seq, fences, &mut report)?;
                 report.wal_segments += 1;
             }
         }
@@ -877,11 +878,13 @@ impl<B: FilterBackend> BloomStore<B> {
     }
 
     /// Replays one WAL segment during recovery (persistence is not attached
-    /// yet, so nothing here is re-logged).
+    /// yet, so nothing here is re-logged). A shard's records at positions
+    /// below its entry in `fences` are already in the snapshot and skipped.
     fn replay_segment(
         &self,
         dir: &std::path::Path,
         seq: u64,
+        fences: &[u64],
         report: &mut RecoveryReport,
     ) -> Result<(), PersistError> {
         let path = persist::wal_path(dir, seq);
@@ -890,7 +893,11 @@ impl<B: FilterBackend> BloomStore<B> {
         let (records, torn) = persist::decode_wal_records(&bytes[body..]);
         report.torn_tail |= torn;
         let mut rng = StdRng::seed_from_u64(0);
-        for record in records {
+        for (position, record) in records.into_iter().enumerate() {
+            if fences.get(record.shard() as usize).is_some_and(|&fence| (position as u64) < fence) {
+                report.skipped_in_snapshot += 1;
+                continue;
+            }
             match record {
                 WalRecord::Insert { shard, generation, items } => {
                     let Some(target) = self.shards.get(shard as usize) else {

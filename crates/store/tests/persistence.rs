@@ -8,10 +8,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use evilbloom_fault::{self as fault, ArmedPlan, FaultPlan, FaultPoint};
 use evilbloom_filters::ConcurrentCountingFilter;
 use evilbloom_store::{
     BackendKind, BloomStore, FilterBackend, PersistConfig, PersistError, RecoveryReport,
 };
+
+/// Fault plans are process-wide, so every test here that does WAL or
+/// snapshot I/O holds the fault session for its whole run (an empty plan
+/// when it injects nothing): a fault armed by one test can then never fire
+/// inside another test's I/O.
+fn fault_session() -> ArmedPlan {
+    fault::arm(FaultPlan::new(0))
+}
 
 /// A unique scratch directory per test, removed on drop.
 struct TempDir(PathBuf);
@@ -67,6 +76,7 @@ fn assert_equivalent<B: FilterBackend>(a: &BloomStore<B>, b: &BloomStore<B>, pro
 
 #[test]
 fn snapshot_only_roundtrip_is_bit_for_bit() {
+    let _faults = fault_session();
     let dir = TempDir::new("roundtrip");
     let mut store = unhardened_store();
     store.insert_batch(&items("member", 800));
@@ -86,6 +96,7 @@ fn snapshot_only_roundtrip_is_bit_for_bit() {
 
 #[test]
 fn wal_replays_inserts_after_the_last_snapshot() {
+    let _faults = fault_session();
     let dir = TempDir::new("replay");
     let mut store = unhardened_store();
     store.enable_persistence(&PersistConfig::new(dir.path())).expect("enable");
@@ -113,6 +124,7 @@ fn wal_replays_inserts_after_the_last_snapshot() {
 
 #[test]
 fn replay_discards_rotated_out_generations() {
+    let _faults = fault_session();
     let dir = TempDir::new("rotation");
     let mut store = unhardened_store();
     store.enable_persistence(&PersistConfig::new(dir.path())).expect("enable");
@@ -141,6 +153,7 @@ fn replay_discards_rotated_out_generations() {
 
 #[test]
 fn stale_generation_records_in_the_tail_are_discarded() {
+    let _faults = fault_session();
     // The snapshot race window: an insert logged to the fresh segment just
     // before the shard copy is both *in* the snapshot and *in* the tail. If
     // a rotation also completed in that window, the tail holds insert
@@ -187,6 +200,7 @@ fn stale_generation_records_in_the_tail_are_discarded() {
 
 #[test]
 fn mid_rotation_snapshot_records_both_generations() {
+    let _faults = fault_session();
     let dir = TempDir::new("midrot");
     let mut store = unhardened_store();
     store.insert_batch(&items("old", 300));
@@ -215,6 +229,7 @@ fn mid_rotation_snapshot_records_both_generations() {
 
 #[test]
 fn seeded_interleavings_of_rotation_and_snapshot() {
+    let _faults = fault_session();
     // Satellite 3: drive every interleaving of (insert*, begin, insert*,
     // snapshot, insert*, complete) deterministically and require recovery
     // to answer every acknowledged insert.
@@ -262,6 +277,7 @@ fn seeded_interleavings_of_rotation_and_snapshot() {
 
 #[test]
 fn group_commit_fsync_policy_roundtrips() {
+    let _faults = fault_session();
     let dir = TempDir::new("fsync");
     let mut store = unhardened_store();
     store.enable_persistence(&PersistConfig::fsync(dir.path())).expect("enable");
@@ -287,6 +303,7 @@ fn group_commit_fsync_policy_roundtrips() {
 
 #[test]
 fn snapshot_while_inserting_never_loses_acknowledged_items() {
+    let _faults = fault_session();
     // The racy-copy safety argument, end to end: snapshots run concurrently
     // with writers; recovery from snapshot + WAL must answer every insert
     // that completed before the crash point.
@@ -312,6 +329,7 @@ fn snapshot_while_inserting_never_loses_acknowledged_items() {
 
 #[test]
 fn hardened_store_refuses_persistence() {
+    let _faults = fault_session();
     let dir = TempDir::new("hardened");
     let mut store =
         BloomStore::builder().shards(4).capacity(4_000).target_fpp(0.01).hardened().seed(7).build();
@@ -324,6 +342,7 @@ fn hardened_store_refuses_persistence() {
 
 #[test]
 fn double_enable_and_snapshot_without_persistence_are_typed_errors() {
+    let _faults = fault_session();
     let dir = TempDir::new("typed");
     let mut store = unhardened_store();
     assert!(matches!(store.snapshot_to_disk(), Err(PersistError::NotPersistent)));
@@ -336,6 +355,7 @@ fn double_enable_and_snapshot_without_persistence_are_typed_errors() {
 
 #[test]
 fn recover_from_empty_dir_is_a_typed_error() {
+    let _faults = fault_session();
     let dir = TempDir::new("empty");
     assert!(matches!(recover(&PersistConfig::new(dir.path())), Err(PersistError::NoSnapshot)));
 }
@@ -364,6 +384,7 @@ fn wal_segments(dir: &std::path::Path) -> Vec<PathBuf> {
 
 #[test]
 fn corrupt_snapshot_is_a_typed_error_not_a_panic() {
+    let _faults = fault_session();
     let dir = TempDir::new("corrupt-snap");
     let mut store = unhardened_store();
     store.insert_batch(&items("member", 200));
@@ -423,6 +444,7 @@ fn restore_dir(dir: &std::path::Path, saved: &[(PathBuf, Vec<u8>)]) {
 
 #[test]
 fn truncated_wal_tail_recovers_the_prefix() {
+    let _faults = fault_session();
     let dir = TempDir::new("torn");
     let mut store = unhardened_store();
     store.enable_persistence(&PersistConfig::new(dir.path())).expect("enable");
@@ -452,6 +474,7 @@ fn truncated_wal_tail_recovers_the_prefix() {
 
 #[test]
 fn byte_soup_wal_never_panics_recovery() {
+    let _faults = fault_session();
     let dir = TempDir::new("soup");
     let mut store = unhardened_store();
     store.enable_persistence(&PersistConfig::new(dir.path())).expect("enable");
@@ -490,6 +513,7 @@ fn counting_store() -> BloomStore<ConcurrentCountingFilter> {
 
 #[test]
 fn counting_snapshot_roundtrips_counter_state_including_removes() {
+    let _faults = fault_session();
     let dir = TempDir::new("counting-snap");
     let mut store = counting_store();
     store.insert_batch(&items("member", 600));
@@ -514,7 +538,48 @@ fn counting_snapshot_roundtrips_counter_state_including_removes() {
 }
 
 #[test]
+fn counting_snapshot_while_writing_replays_each_write_exactly_once() {
+    let _faults = fault_session();
+    // Counter increments and decrements are not idempotent: a write that is
+    // both in a snapshot's copy and replayed from the WAL would leave a
+    // zombie count (insert) or knock out an unrelated member (remove).
+    let dir = TempDir::new("counting-racy");
+    let mut store = counting_store();
+    store.enable_persistence(&PersistConfig::new(dir.path())).expect("enable");
+    let all = items("racing", 1_500);
+    std::thread::scope(|scope| {
+        let (store, all) = (&store, &all);
+        let writer = scope.spawn(move || {
+            for (i, item) in all.iter().enumerate() {
+                store.insert(item);
+                if i % 3 == 0 {
+                    assert!(store.remove(item).expect("counting supports remove"));
+                }
+            }
+        });
+        for _ in 0..5 {
+            store.snapshot_to_disk().expect("snapshot under load");
+        }
+        writer.join().expect("writer");
+    });
+    let (recovered, _) =
+        BloomStore::<ConcurrentCountingFilter>::recover(&PersistConfig::new(dir.path()))
+            .expect("recover");
+    let survivors: Vec<Vec<u8>> =
+        all.iter().enumerate().filter(|(i, _)| i % 3 != 0).map(|(_, x)| x.clone()).collect();
+    assert!(recovered.query_batch(&survivors).iter().all(|&a| a));
+    let probes: Vec<Vec<u8>> = all.iter().cloned().chain(items("absent", 300)).collect();
+    assert_equivalent(&store, &recovered, &probes);
+    // Equal counters, not just equal occupancy: draining every survivor
+    // must empty both stores alike.
+    store.remove_batch(&survivors).expect("drain live");
+    recovered.remove_batch(&survivors).expect("drain recovered");
+    assert_equivalent(&store, &recovered, &probes);
+}
+
+#[test]
 fn wal_replays_removes_after_the_last_snapshot() {
+    let _faults = fault_session();
     let dir = TempDir::new("counting-replay");
     let mut store = counting_store();
     store.enable_persistence(&PersistConfig::new(dir.path())).expect("enable");
@@ -537,6 +602,7 @@ fn wal_replays_removes_after_the_last_snapshot() {
 
 #[test]
 fn scalable_store_refuses_persistence_with_a_typed_error() {
+    let _faults = fault_session();
     let dir = TempDir::new("scalable");
     let mut store = BloomStore::builder()
         .shards(2)
@@ -555,6 +621,7 @@ fn scalable_store_refuses_persistence_with_a_typed_error() {
 
 #[test]
 fn recovering_a_snapshot_under_the_wrong_backend_is_a_config_mismatch() {
+    let _faults = fault_session();
     let dir = TempDir::new("backend-mismatch");
     let mut store = unhardened_store();
     store.insert_batch(&items("member", 100));
@@ -574,6 +641,7 @@ fn recovering_a_snapshot_under_the_wrong_backend_is_a_config_mismatch() {
 
 #[test]
 fn recovery_prunes_superseded_files() {
+    let _faults = fault_session();
     let dir = TempDir::new("prune");
     let mut store = unhardened_store();
     store.enable_persistence(&PersistConfig::new(dir.path())).expect("enable");
@@ -593,13 +661,14 @@ fn recovery_prunes_superseded_files() {
 
 #[test]
 fn wal_break_enters_degraded_mode_and_snapshot_repairs_it() {
-    use evilbloom_fault::{self as fault, FaultPlan, FaultPoint};
     use evilbloom_store::{ServeStore, WriteRefusal};
 
+    let setup = fault_session();
     let dir = TempDir::new("degraded");
     let mut store = unhardened_store();
     store.enable_persistence(&PersistConfig::fsync(dir.path())).expect("enable");
     store.insert(b"acked-before-break");
+    drop(setup);
 
     let _chaos = fault::arm(FaultPlan::new(1).fail_nth(FaultPoint::WalFsync, 1));
     // This write's own group-commit flush fails: the WAL breaks, the store
@@ -636,12 +705,13 @@ fn wal_break_enters_degraded_mode_and_snapshot_repairs_it() {
 
 #[test]
 fn failed_repair_snapshot_keeps_the_store_degraded() {
-    use evilbloom_fault::{self as fault, FaultPlan, FaultPoint};
     use evilbloom_store::{ServeStore, WriteRefusal};
 
+    let setup = fault_session();
     let dir = TempDir::new("degraded-stuck");
     let mut store = unhardened_store();
     store.enable_persistence(&PersistConfig::fsync(dir.path())).expect("enable");
+    drop(setup);
 
     let plan =
         FaultPlan::new(2).fail_nth(FaultPoint::WalFsync, 1).fail_nth(FaultPoint::SnapshotWrite, 1);

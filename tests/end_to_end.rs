@@ -86,8 +86,8 @@ trait InstantiateForFilter {
 struct BoxedStrategy(Box<dyn IndexStrategy>);
 
 impl IndexStrategy for BoxedStrategy {
-    fn indexes(&self, item: &[u8], k: u32, m: u64) -> Vec<u64> {
-        self.0.indexes(item, k, m)
+    fn indexes_into(&self, item: &[u8], k: u32, m: u64, out: &mut Vec<u64>) {
+        self.0.indexes_into(item, k, m, out)
     }
 
     fn name(&self) -> &'static str {
