@@ -13,7 +13,7 @@
 
 use std::collections::HashSet;
 
-use evilbloom_filters::CountingBloomFilter;
+use evilbloom_filters::ConcurrentCountingFilter;
 use evilbloom_urlgen::UrlGenerator;
 
 use crate::search::{search, SearchStats};
@@ -34,7 +34,7 @@ pub struct DeletionPlan {
 /// Crafts a set of items whose deletion evicts `victim` from a deletable
 /// (counting) filter: together, the crafted items cover every cell of the
 /// victim. Generic over [`TargetFilter`], so the same offline search runs
-/// against a local [`CountingBloomFilter`] or an unhardened store's
+/// against a local [`ConcurrentCountingFilter`] or an unhardened store's
 /// flattened adversarial view — and the planned items can then be executed
 /// locally or shipped as `DELETE` frames over the wire.
 ///
@@ -128,9 +128,9 @@ pub fn plan_counter_overflow<F: TargetFilter>(
 }
 
 /// Executes a deletion plan: deletes every planned item once.
-pub fn execute_deletions(filter: &mut CountingBloomFilter, plan: &DeletionPlan) {
+pub fn execute_deletions(filter: &ConcurrentCountingFilter, plan: &DeletionPlan) {
     for item in &plan.items {
-        filter.delete(item.as_bytes());
+        filter.remove(item.as_bytes());
     }
 }
 
@@ -138,12 +138,12 @@ pub fn execute_deletions(filter: &mut CountingBloomFilter, plan: &DeletionPlan) 
 mod tests {
     use super::*;
     use evilbloom_filters::counting::OverflowPolicy;
-    use evilbloom_filters::FilterParams;
+    use evilbloom_filters::{CountingOptions, FilterParams};
     use evilbloom_hashes::{KirschMitzenmacher, Murmur3_128};
     use std::sync::Arc;
 
-    fn counting_filter(m: u64, k: u32) -> CountingBloomFilter {
-        CountingBloomFilter::new(
+    fn counting_filter(m: u64, k: u32) -> ConcurrentCountingFilter {
+        ConcurrentCountingFilter::new(
             FilterParams::explicit(m, k, m / 8),
             KirschMitzenmacher::new(Murmur3_128),
         )
@@ -151,7 +151,7 @@ mod tests {
 
     #[test]
     fn targeted_deletion_evicts_the_victim() {
-        let mut filter = counting_filter(1024, 4);
+        let filter = counting_filter(1024, 4);
         // A population of genuine entries plus the victim.
         for i in 0..50 {
             filter.insert(format!("legit-{i}").as_bytes());
@@ -172,7 +172,7 @@ mod tests {
         // of an item may require other deletions" caveat.
         let mut rounds = 0;
         while filter.contains(victim) && rounds < 8 {
-            execute_deletions(&mut filter, &plan);
+            execute_deletions(&filter, &plan);
             rounds += 1;
         }
         assert!(!filter.contains(victim), "victim must be evicted after {rounds} rounds");
@@ -180,7 +180,7 @@ mod tests {
 
     #[test]
     fn deletion_plan_reports_costs() {
-        let mut filter = counting_filter(4096, 4);
+        let filter = counting_filter(4096, 4);
         filter.insert(b"victim");
         let generator = UrlGenerator::new("cost");
         let plan = plan_targeted_deletion(&filter, b"victim", &generator, 10_000_000);
@@ -207,10 +207,10 @@ mod tests {
         // counter returns to zero — the slice looks empty although its
         // insertion counter says otherwise.
         let strategy = Arc::new(KirschMitzenmacher::new(Murmur3_128));
-        let mut filter = CountingBloomFilter::with_policy(
+        let filter = ConcurrentCountingFilter::with_overflow_policy(
             FilterParams::explicit(256, 2, 32),
             strategy,
-            4,
+            CountingOptions::default(),
             OverflowPolicy::Wrap,
         );
         let generator = UrlGenerator::new("waste");

@@ -22,11 +22,11 @@
 //!
 //! ```
 //! use evilbloom_attacks::pollution::craft_polluting_items;
-//! use evilbloom_filters::{BloomFilter, FilterParams};
+//! use evilbloom_filters::{ConcurrentBloomFilter, FilterParams};
 //! use evilbloom_hashes::{KirschMitzenmacher, Murmur3_128};
 //! use evilbloom_urlgen::UrlGenerator;
 //!
-//! let mut dedup = BloomFilter::new(
+//! let dedup = ConcurrentBloomFilter::new(
 //!     FilterParams::explicit(3200, 4, 600),
 //!     KirschMitzenmacher::new(Murmur3_128),
 //! );
@@ -54,7 +54,7 @@ pub use target::TargetFilter;
 #[cfg(test)]
 mod integration {
     use super::*;
-    use evilbloom_filters::BloomFilter;
+    use evilbloom_filters::ConcurrentBloomFilter;
     use evilbloom_filters::{hardened_filter, FilterKey, FilterParams, HardeningLevel};
     use evilbloom_hashes::{KirschMitzenmacher, Murmur3_128};
     use evilbloom_urlgen::UrlGenerator;
@@ -65,7 +65,7 @@ mod integration {
     #[test]
     fn keyed_filter_defeats_offline_pollution() {
         let key = FilterKey::from_bytes([7u8; 32]);
-        let mut real = hardened_filter(500, 0.01, HardeningLevel::KeyedSipHash, &key);
+        let real = hardened_filter(500, 0.01, HardeningLevel::KeyedSipHash, &key);
 
         // The adversary guesses the construction but not the key: she plans
         // against a filter keyed with her own (wrong) key.
@@ -97,7 +97,7 @@ mod integration {
     /// query-only adversary forges false positives far more cheaply.
     #[test]
     fn pollution_makes_forgery_cheaper() {
-        let mut filter = BloomFilter::new(
+        let filter = ConcurrentBloomFilter::new(
             FilterParams::explicit(4096, 4, 700),
             KirschMitzenmacher::new(Murmur3_128),
         );

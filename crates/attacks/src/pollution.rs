@@ -135,16 +135,19 @@ pub fn insertion_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use evilbloom_filters::{BloomFilter, FilterParams};
+    use evilbloom_filters::{ConcurrentBloomFilter, FilterParams};
     use evilbloom_hashes::{KirschMitzenmacher, Murmur3_128, SaltedCrypto, Sha256};
 
-    fn figure3_filter() -> BloomFilter {
-        BloomFilter::new(FilterParams::explicit(3200, 4, 600), SaltedCrypto::new(Box::new(Sha256)))
+    fn figure3_filter() -> ConcurrentBloomFilter {
+        ConcurrentBloomFilter::new(
+            FilterParams::explicit(3200, 4, 600),
+            SaltedCrypto::new(Box::new(Sha256)),
+        )
     }
 
     #[test]
     fn polluting_items_set_k_fresh_bits_each() {
-        let mut filter = figure3_filter();
+        let filter = figure3_filter();
         let generator = UrlGenerator::new("pollute");
         let plan = craft_polluting_items(&filter, &generator, 50, 1_000_000);
         assert_eq!(plan.items.len(), 50);
@@ -157,7 +160,7 @@ mod tests {
 
     #[test]
     fn pollution_beats_honest_false_positive_rate() {
-        let mut filter = figure3_filter();
+        let filter = figure3_filter();
         let generator = UrlGenerator::new("pollute");
         let plan = craft_polluting_items(&filter, &generator, 422, 10_000_000);
         assert_eq!(plan.items.len(), 422);
@@ -173,7 +176,7 @@ mod tests {
 
     #[test]
     fn pollution_works_on_partially_filled_filters() {
-        let mut filter = figure3_filter();
+        let filter = figure3_filter();
         for i in 0..400 {
             filter.insert(format!("honest-{i}").as_bytes());
         }
@@ -190,7 +193,7 @@ mod tests {
     #[test]
     fn saturation_plan_kills_the_filter() {
         let params = FilterParams::explicit(64, 2, 20);
-        let mut filter = BloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
+        let filter = ConcurrentBloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
         let generator = UrlGenerator::new("saturate");
         let plan = craft_saturating_items(&filter, &generator, 50_000_000);
         assert_eq!(plan.items.len(), 32, "m/k items saturate an empty filter");
@@ -203,7 +206,7 @@ mod tests {
 
     #[test]
     fn search_cost_grows_with_filter_occupancy() {
-        let mut filter = figure3_filter();
+        let filter = figure3_filter();
         let generator = UrlGenerator::new("cost");
         let empty_plan = craft_polluting_items(&filter, &generator, 20, 1_000_000);
         for i in 0..500 {

@@ -6,7 +6,7 @@
 //! index derivation, and which bits/cells are currently set.
 
 use evilbloom_filters::{
-    BlockedBloomFilter, BloomFilter, CacheDigest, ConcurrentBloomFilter, CountingBloomFilter,
+    BlockedBloomFilter, CacheDigest, ConcurrentBloomFilter, ConcurrentCountingFilter,
 };
 
 /// Read-only adversarial view of a Bloom-filter-like structure.
@@ -32,28 +32,6 @@ pub trait TargetFilter {
     /// Fill ratio `weight / m`.
     fn fill_ratio(&self) -> f64 {
         self.weight() as f64 / self.m() as f64
-    }
-}
-
-impl TargetFilter for BloomFilter {
-    fn m(&self) -> u64 {
-        BloomFilter::m(self)
-    }
-
-    fn k(&self) -> u32 {
-        BloomFilter::k(self)
-    }
-
-    fn indexes_of(&self, item: &[u8]) -> Vec<u64> {
-        self.indexes(item)
-    }
-
-    fn is_set(&self, index: u64) -> bool {
-        BloomFilter::is_set(self, index)
-    }
-
-    fn weight(&self) -> u64 {
-        self.hamming_weight()
     }
 }
 
@@ -106,13 +84,13 @@ impl TargetFilter for BlockedBloomFilter {
     }
 }
 
-impl TargetFilter for CountingBloomFilter {
+impl TargetFilter for ConcurrentCountingFilter {
     fn m(&self) -> u64 {
-        CountingBloomFilter::m(self)
+        ConcurrentCountingFilter::m(self)
     }
 
     fn k(&self) -> u32 {
-        CountingBloomFilter::k(self)
+        ConcurrentCountingFilter::k(self)
     }
 
     fn indexes_of(&self, item: &[u8]) -> Vec<u64> {
@@ -145,11 +123,11 @@ impl TargetFilter for CacheDigest {
     }
 
     fn is_set(&self, index: u64) -> bool {
-        self.bits().get(index)
+        self.filter().is_set(index)
     }
 
     fn weight(&self) -> u64 {
-        self.bits().count_ones()
+        self.filter().hamming_weight()
     }
 }
 
@@ -161,7 +139,7 @@ mod tests {
 
     #[test]
     fn bloom_filter_view_is_consistent() {
-        let mut filter = BloomFilter::new(
+        let filter = ConcurrentBloomFilter::new(
             FilterParams::explicit(256, 3, 20),
             KirschMitzenmacher::new(Murmur3_128),
         );
@@ -173,27 +151,6 @@ mod tests {
         assert_eq!(view.indexes_of(b"item"), filter.indexes(b"item"));
         assert!(view.indexes_of(b"item").iter().all(|&i| view.is_set(i)));
         assert!(view.fill_ratio() > 0.0);
-    }
-
-    #[test]
-    fn concurrent_filter_view_matches_sequential_view() {
-        let params = FilterParams::explicit(256, 3, 20);
-        let mut sequential = BloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
-        let concurrent = ConcurrentBloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
-        for i in 0..20 {
-            let item = format!("item-{i}");
-            sequential.insert(item.as_bytes());
-            concurrent.insert(item.as_bytes());
-        }
-        let seq_view: &dyn TargetFilter = &sequential;
-        let conc_view: &dyn TargetFilter = &concurrent;
-        assert_eq!(conc_view.m(), seq_view.m());
-        assert_eq!(conc_view.k(), seq_view.k());
-        assert_eq!(conc_view.weight(), seq_view.weight());
-        assert_eq!(conc_view.indexes_of(b"probe"), seq_view.indexes_of(b"probe"));
-        for i in 0..256 {
-            assert_eq!(conc_view.is_set(i), seq_view.is_set(i));
-        }
     }
 
     #[test]
@@ -234,7 +191,7 @@ mod tests {
 
     #[test]
     fn counting_filter_view_reports_occupied_cells() {
-        let mut filter = CountingBloomFilter::new(
+        let filter = ConcurrentCountingFilter::new(
             FilterParams::explicit(128, 4, 10),
             KirschMitzenmacher::new(Murmur3_128),
         );

@@ -4,13 +4,16 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use evilbloom_attacks::craft_polluting_items;
-use evilbloom_filters::{BloomFilter, FilterParams};
+use evilbloom_filters::{ConcurrentBloomFilter, FilterParams};
 use evilbloom_hashes::{KirschMitzenmacher, Murmur3_128};
 use evilbloom_urlgen::UrlGenerator;
 use std::hint::black_box;
 
-fn figure3_filter() -> BloomFilter {
-    BloomFilter::new(FilterParams::explicit(3200, 4, 600), KirschMitzenmacher::new(Murmur3_128))
+fn figure3_filter() -> ConcurrentBloomFilter {
+    ConcurrentBloomFilter::new(
+        FilterParams::explicit(3200, 4, 600),
+        KirschMitzenmacher::new(Murmur3_128),
+    )
 }
 
 fn bench_fig3(c: &mut Criterion) {
@@ -20,7 +23,7 @@ fn bench_fig3(c: &mut Criterion) {
 
     group.bench_function("honest_600_insertions", |b| {
         b.iter(|| {
-            let mut filter = figure3_filter();
+            let filter = figure3_filter();
             for i in 0..600u32 {
                 filter.insert(format!("honest-{i}").as_bytes());
             }
@@ -30,7 +33,7 @@ fn bench_fig3(c: &mut Criterion) {
 
     group.bench_function("adversarial_422_insertions", |b| {
         b.iter(|| {
-            let mut filter = figure3_filter();
+            let filter = figure3_filter();
             let generator = UrlGenerator::new("fig3-bench");
             let plan = craft_polluting_items(&filter, &generator, 422, u64::MAX);
             for item in &plan.items {

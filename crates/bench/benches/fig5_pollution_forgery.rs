@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use evilbloom_attacks::craft_polluting_items;
-use evilbloom_filters::{BloomFilter, FilterParams};
+use evilbloom_filters::{ConcurrentBloomFilter, FilterParams};
 use evilbloom_hashes::{SaltedCrypto, Sha512};
 use evilbloom_urlgen::UrlGenerator;
 use std::hint::black_box;
@@ -16,7 +16,7 @@ fn bench_fig5(c: &mut Criterion) {
 
     for exponent in [5i32, 10, 15, 20] {
         let params = FilterParams::optimal(20_000, 2f64.powi(-exponent));
-        let filter = BloomFilter::new(params, SaltedCrypto::new(Box::new(Sha512)));
+        let filter = ConcurrentBloomFilter::new(params, SaltedCrypto::new(Box::new(Sha512)));
         let generator = UrlGenerator::new("fig5-bench");
         group.bench_with_input(
             BenchmarkId::new("forge_100_urls", format!("f=2^-{exponent}")),

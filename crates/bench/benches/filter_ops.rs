@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use evilbloom_bench::ITEM_32B;
 use evilbloom_filters::{
-    hardened_filter, BloomFilter, CountingBloomFilter, FilterKey, FilterParams, HardeningLevel,
+    hardened_filter, ConcurrentBloomFilter, ConcurrentCountingFilter, FilterKey, FilterParams,
+    HardeningLevel,
 };
 use evilbloom_hashes::{KirschMitzenmacher, Murmur3_128, SaltedCrypto, Sha256};
 use std::hint::black_box;
@@ -18,12 +19,12 @@ fn bench_filter_ops(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(200));
 
     group.bench_function("bloom_murmur_km/query", |b| {
-        let mut filter = BloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
+        let filter = ConcurrentBloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
         filter.insert(&ITEM_32B);
         b.iter(|| filter.contains(black_box(&ITEM_32B)))
     });
     group.bench_function("bloom_salted_sha256/query", |b| {
-        let mut filter = BloomFilter::new(params, SaltedCrypto::new(Box::new(Sha256)));
+        let filter = ConcurrentBloomFilter::new(params, SaltedCrypto::new(Box::new(Sha256)));
         filter.insert(&ITEM_32B);
         b.iter(|| filter.contains(black_box(&ITEM_32B)))
     });
@@ -46,10 +47,10 @@ fn bench_filter_ops(c: &mut Criterion) {
         b.iter(|| filter.contains(black_box(&ITEM_32B)))
     });
     group.bench_function("counting_murmur_km/insert_delete", |b| {
-        let mut filter = CountingBloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
+        let filter = ConcurrentCountingFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
         b.iter(|| {
             filter.insert(black_box(&ITEM_32B));
-            filter.delete(black_box(&ITEM_32B));
+            filter.remove(black_box(&ITEM_32B));
         })
     });
     group.finish();

@@ -26,8 +26,8 @@ use evilbloom_attacks::pollution::craft_polluting_items;
 use evilbloom_bench::{load_baseline, select_workloads, workload_selected, PERF_SCHEMA_VERSION};
 use evilbloom_fault::{FaultPlan, FaultPoint};
 use evilbloom_filters::{
-    hardened_filter, BlockedBloomFilter, BloomFilter, ConcurrentBloomFilter, FilterKey,
-    FilterParams, HardeningLevel, BLOCK_BITS,
+    hardened_filter, BlockedBloomFilter, ConcurrentBloomFilter, FilterKey, FilterParams,
+    HardeningLevel, BLOCK_BITS,
 };
 use evilbloom_hashes::{
     md5, sha256, siphash24, HashStrategy, KirschMitzenmacher, Murmur128Pair, Murmur3_128, SipKey,
@@ -468,7 +468,7 @@ impl Suite {
 
         // Standard filter: classic layout, KM over two Murmur3 calls — the
         // Dablooms configuration.
-        let mut standard = BloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
+        let standard = ConcurrentBloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
         for item in members {
             standard.insert(item.as_bytes());
         }
@@ -510,7 +510,7 @@ impl Suite {
 
         // Hardened filter: keyed SipHash indexes (Section 8.2) — the price
         // of unpredictability, for the Table 2 narrative.
-        let mut hardened = hardened_filter(
+        let hardened = hardened_filter(
             n,
             0.01,
             HardeningLevel::KeyedSipHash,
@@ -1069,7 +1069,7 @@ impl Suite {
         if self.selected("attack/pollution_drift/standard") {
             // Classic Figure 3 geometry: m = 3200, k = 4, 300 honest then
             // 150 crafted insertions.
-            let mut standard = BloomFilter::new(
+            let mut standard = ConcurrentBloomFilter::new(
                 FilterParams::explicit(3200, 4, 600),
                 KirschMitzenmacher::new(Murmur3_128),
             );
@@ -1139,7 +1139,7 @@ trait PollutionTarget {
     fn insert_item(&mut self, item: &[u8]);
 }
 
-impl PollutionTarget for BloomFilter {
+impl PollutionTarget for ConcurrentBloomFilter {
     fn insert_item(&mut self, item: &[u8]) {
         self.insert(item);
     }

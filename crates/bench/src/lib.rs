@@ -7,7 +7,7 @@
 #![warn(missing_docs)]
 
 use criterion::report::Json;
-use evilbloom_filters::{BloomFilter, FilterParams};
+use evilbloom_filters::{ConcurrentBloomFilter, FilterParams};
 use evilbloom_hashes::{IndexStrategy, KirschMitzenmacher, Murmur3_128};
 
 /// Schema version of the perf runner's report (`BENCH_<n>.json`). Bump when
@@ -60,9 +60,9 @@ pub fn select_workloads<'a>(ids: &[&'a str], filter: Option<&str>) -> Vec<&'a st
 
 /// Builds a Bloom filter loaded to roughly `fill` fraction of set bits, used
 /// as the target of forgery benches.
-pub fn loaded_filter(m: u64, k: u32, fill: f64) -> BloomFilter {
+pub fn loaded_filter(m: u64, k: u32, fill: f64) -> ConcurrentBloomFilter {
     assert!((0.0..1.0).contains(&fill), "fill must be in [0, 1)");
-    let mut filter = BloomFilter::new(
+    let filter = ConcurrentBloomFilter::new(
         FilterParams::explicit(m, k, m / (2 * u64::from(k)).max(1)),
         KirschMitzenmacher::new(Murmur3_128),
     );

@@ -35,8 +35,7 @@ use rand::SeedableRng;
 
 use evilbloom_analysis::{attack_probability, worst_case};
 use evilbloom_filters::{
-    hardened_concurrent_filter, hardened_filter, BloomFilter, ConcurrentBloomFilter, FilterKey,
-    FilterParams, HardeningLevel,
+    hardened_filter, ConcurrentBloomFilter, FilterKey, FilterParams, HardeningLevel,
 };
 use evilbloom_hashes::{
     IndexStrategy, KeyedPair, KirschMitzenmacher, KmIndexes, Md5Split, Murmur3_128, RecycledCrypto,
@@ -169,28 +168,16 @@ impl SecureBloomBuilder {
         self
     }
 
-    /// Builds the hardened filter.
-    pub fn build(&self) -> BloomFilter {
-        hardened_filter(self.capacity, self.target_fpp, self.level, &self.effective_key())
-    }
-
-    /// Builds the concurrent (lock-free, `&self` insert/query) counterpart
-    /// of [`SecureBloomBuilder::build`] — the per-shard filter of the
-    /// `evilbloom-store` serving layer.
+    /// Builds the hardened filter (lock-free, `&self` insert/query — also
+    /// the per-shard filter of the `evilbloom-store` serving layer).
     ///
-    /// The two builds are index-compatible (identical parameters and
-    /// strategy) **only when an explicit key was supplied with
-    /// [`SecureBloomBuilder::key`]**: without one, every call to `build` or
-    /// `build_concurrent` draws its own fresh random key, so the resulting
-    /// filters disagree by design — exactly as two independently keyed
-    /// deployments should.
-    pub fn build_concurrent(&self) -> ConcurrentBloomFilter {
-        hardened_concurrent_filter(
-            self.capacity,
-            self.target_fpp,
-            self.level,
-            &self.effective_key(),
-        )
+    /// Two builds are index-compatible (identical parameters and strategy)
+    /// **only when an explicit key was supplied with
+    /// [`SecureBloomBuilder::key`]**: without one, every call draws its own
+    /// fresh random key, so the resulting filters disagree by design —
+    /// exactly as two independently keyed deployments should.
+    pub fn build(&self) -> ConcurrentBloomFilter {
+        hardened_filter(self.capacity, self.target_fpp, self.level, &self.effective_key())
     }
 
     fn effective_key(&self) -> FilterKey {
@@ -254,7 +241,7 @@ mod tests {
             HardeningLevel::KeyedSipHash,
             HardeningLevel::KeyedHmac,
         ] {
-            let mut filter = SecureBloomBuilder::new(500, 0.01)
+            let filter = SecureBloomBuilder::new(500, 0.01)
                 .level(level)
                 .key(FilterKey::from_bytes([9u8; 32]))
                 .build();
@@ -277,14 +264,25 @@ mod tests {
             let builder = SecureBloomBuilder::new(300, 0.01)
                 .level(level)
                 .key(FilterKey::from_bytes([7u8; 32]));
-            let mut sequential = builder.build();
-            let concurrent = builder.build_concurrent();
-            for i in 0..300 {
-                let item = format!("item-{i}");
+            // Two builds under one explicit key: one filled by three
+            // threads, one by a single thread, must end bit-for-bit equal.
+            let sequential = builder.build();
+            let concurrent = builder.build();
+            let items: Vec<String> = (0..300).map(|i| format!("item-{i}")).collect();
+            for item in &items {
                 sequential.insert(item.as_bytes());
-                concurrent.insert(item.as_bytes());
             }
-            assert_eq!(concurrent.snapshot(), *sequential.bits(), "{level:?}");
+            std::thread::scope(|scope| {
+                for chunk in items.chunks(100) {
+                    let concurrent = &concurrent;
+                    scope.spawn(move || {
+                        for item in chunk {
+                            concurrent.insert(item.as_bytes());
+                        }
+                    });
+                }
+            });
+            assert_eq!(concurrent.snapshot(), sequential.snapshot(), "{level:?}");
             for i in 0..300 {
                 assert!(concurrent.contains(format!("item-{i}").as_bytes()), "{level:?}");
             }
@@ -293,11 +291,11 @@ mod tests {
 
     #[test]
     fn builder_random_key_filters_differ() {
-        let mut a = SecureBloomBuilder::new(100, 0.01).build();
-        let mut b = SecureBloomBuilder::new(100, 0.01).build();
+        let a = SecureBloomBuilder::new(100, 0.01).build();
+        let b = SecureBloomBuilder::new(100, 0.01).build();
         a.insert(b"item");
         b.insert(b"item");
         // Random keys: the probability the two layouts coincide is negligible.
-        assert_ne!(a.support(), b.support());
+        assert_ne!(a.snapshot().support(), b.snapshot().support());
     }
 }

@@ -28,7 +28,7 @@ use std::time::Instant;
 use evilbloom_analysis::{attack_probability, false_positive, hash_domain, scalable, worst_case};
 use evilbloom_attacks::pollution::insertion_sweep;
 use evilbloom_attacks::{craft_false_positives, craft_polluting_items};
-use evilbloom_filters::{BloomFilter, CountingBloomFilter, FilterParams};
+use evilbloom_filters::{ConcurrentBloomFilter, ConcurrentCountingFilter, FilterParams};
 use evilbloom_hashes::{
     CryptoHash, IndexStrategy, KirschMitzenmacher, Md5, Murmur2_32, Murmur3_128, RecycledCrypto,
     SaltedCrypto, SaltedHashes, Sha1, Sha256, Sha384, Sha512, SipHash24, SipKey,
@@ -80,7 +80,7 @@ pub fn table1_attack_probabilities(scale: Scale) -> String {
         Scale::Paper => 200_000,
     };
     // Load the filter to half weight with random items.
-    let mut filter = BloomFilter::new(
+    let filter = ConcurrentBloomFilter::new(
         FilterParams::explicit(m, k, m / (2 * u64::from(k))),
         KirschMitzenmacher::new(Murmur3_128),
     );
@@ -178,7 +178,7 @@ pub fn fig5_polluting_url_cost(scale: Scale) -> String {
     for exponent in [5i32, 10, 15, 20] {
         let f = 2f64.powi(-exponent);
         let params = FilterParams::optimal(capacity, f);
-        let filter = BloomFilter::new(params, SaltedCrypto::new(Box::new(Sha512)));
+        let filter = ConcurrentBloomFilter::new(params, SaltedCrypto::new(Box::new(Sha512)));
         let generator = UrlGenerator::new(&format!("fig5-{exponent}"));
         let start = Instant::now();
         let plan = craft_polluting_items(&filter, &generator, batch, u64::MAX);
@@ -221,7 +221,7 @@ pub fn fig6_ghost_url_cost(scale: Scale) -> String {
         let f = 2f64.powi(-exponent);
         let params = FilterParams::optimal(capacity, f);
         for occupation in [20u64, 40, 60, 80, 100] {
-            let mut filter = BloomFilter::new(params, SaltedCrypto::new(Box::new(Sha512)));
+            let filter = ConcurrentBloomFilter::new(params, SaltedCrypto::new(Box::new(Sha512)));
             let load = capacity * occupation / 100;
             for i in 0..load {
                 filter.insert(format!("member-{i}").as_bytes());
@@ -310,13 +310,14 @@ pub fn fig8_dablooms_pollution() -> String {
 pub fn dablooms_overflow() -> String {
     use evilbloom_attacks::deletion::plan_counter_overflow;
     use evilbloom_filters::counting::OverflowPolicy;
+    use evilbloom_filters::CountingOptions;
     use std::sync::Arc;
 
     let strategy = Arc::new(KirschMitzenmacher::new(Murmur3_128));
-    let mut filter = CountingBloomFilter::with_policy(
+    let filter = ConcurrentCountingFilter::with_overflow_policy(
         FilterParams::explicit(256, 2, 32),
         strategy,
-        4,
+        CountingOptions::default(),
         OverflowPolicy::Wrap,
     );
     let generator = UrlGenerator::new("overflow-experiment");

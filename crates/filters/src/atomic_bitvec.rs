@@ -1,12 +1,16 @@
-//! Lock-free bit vector backed by atomic words — the concurrent counterpart
-//! of [`crate::bitvec::BitVec`].
+//! Lock-free bit vector backed by atomic words — the storage of every Bloom
+//! filter in this crate. [`crate::bitvec::BitVec`] is its plain value type:
+//! snapshots are taken into one.
 //!
 //! Every operation takes `&self`: readers and writers proceed without locks.
-//! Bit writes use a `fetch_or` read-modify-write, so for every bit exactly
-//! one thread observes the 0 → 1 transition; that makes the running
-//! ones-counter exact once all writers are quiescent, while concurrent
-//! readers may see a value that lags in-flight writers by a few bits (hence
-//! "approximate" in the accessor names).
+//! A bit write first loads the word and returns at once when the bit is
+//! already set, so re-inserting into a loaded filter costs a load, not a
+//! locked read-modify-write. Only a bit that reads 0 goes through
+//! `fetch_or`, and the `fetch_or` result decides which caller saw the
+//! 0 → 1 transition: exactly one does. That makes the running ones-counter
+//! exact once all writers are quiescent, while concurrent readers may see a
+//! value that lags in-flight writers by a few bits (hence "approximate" in
+//! the accessor names).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -83,13 +87,21 @@ impl AtomicBitVec {
     /// value. Exactly one concurrent caller observes `false` for any given
     /// bit, which keeps the ones-counter exact.
     ///
+    /// A bit that is already set returns `true` after a plain load, with no
+    /// read-modify-write: bits are never cleared, so a set bit stays set and
+    /// that caller could not have been the one to flip it.
+    ///
     /// # Panics
     ///
     /// Panics if `index >= len`.
     #[inline]
     pub fn set(&self, index: u64) -> bool {
         let (word, mask) = self.locate(index);
-        let was = self.words[word].fetch_or(mask, Ordering::Release) & mask != 0;
+        let slot = &self.words[word];
+        if slot.load(Ordering::Relaxed) & mask != 0 {
+            return true;
+        }
+        let was = slot.fetch_or(mask, Ordering::Release) & mask != 0;
         if !was {
             self.ones.fetch_add(1, Ordering::Relaxed);
         }
@@ -183,18 +195,6 @@ impl AtomicBitVec {
     }
 }
 
-impl From<&BitVec> for AtomicBitVec {
-    /// Builds an atomic copy of a sequential bit vector (e.g. when promoting
-    /// a filter built offline onto the concurrent serving path).
-    fn from(bits: &BitVec) -> Self {
-        let atomic = AtomicBitVec::new(bits.len());
-        for index in bits.iter_ones() {
-            atomic.set(index);
-        }
-        atomic
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,17 +241,6 @@ mod tests {
             plain.set(i);
         }
         assert_eq!(atomic.snapshot(), plain);
-    }
-
-    #[test]
-    fn from_bitvec_copies_every_bit() {
-        let mut plain = BitVec::new(100);
-        for i in (0..100).step_by(7) {
-            plain.set(i);
-        }
-        let atomic = AtomicBitVec::from(&plain);
-        assert_eq!(atomic.snapshot(), plain);
-        assert_eq!(atomic.count_ones_approx(), plain.count_ones());
     }
 
     #[test]

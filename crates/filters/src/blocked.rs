@@ -1,8 +1,8 @@
 //! A cache-line *blocked* Bloom filter — the performance-lab fast path.
 //!
-//! The classic filter of [`crate::BloomFilter`] touches `k` random cache
-//! lines per operation; once `m` outgrows the last-level cache every probe is
-//! a memory stall. The blocked layout (Putze, Sanders & Singler, JEA 2009)
+//! The classic filter ([`crate::ConcurrentBloomFilter`]) touches `k` random
+//! cache lines per operation; once `m` outgrows the last-level cache every
+//! probe is a memory stall. The blocked layout (Putze, Sanders & Singler, JEA 2009)
 //! confines all `k` bits of an item to one 512-bit (cache-line-sized) block:
 //!
 //! 1. a single [`HashStrategy`] call yields the pair `(h1, h2)`;

@@ -14,8 +14,7 @@
 
 use evilbloom_hashes::{IndexStrategy, Md5Split};
 
-use crate::bitvec::BitVec;
-use crate::bloom::BloomFilter;
+use crate::concurrent::ConcurrentBloomFilter;
 use crate::params::FilterParams;
 
 /// Number of hash functions Squid uses ("for the sake of efficiency").
@@ -43,7 +42,7 @@ pub fn digest_key(method: &str, url: &str) -> Vec<u8> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CacheDigest {
-    filter: BloomFilter,
+    filter: ConcurrentBloomFilter,
     entries: u64,
 }
 
@@ -52,7 +51,7 @@ impl CacheDigest {
     /// deployed Squid parameters (`m = 5n + 7`, `k = 4`, MD5 split).
     pub fn with_capacity(capacity: u64) -> Self {
         let params = FilterParams::squid(capacity.max(1));
-        CacheDigest { filter: BloomFilter::new(params, Md5Split), entries: 0 }
+        CacheDigest { filter: ConcurrentBloomFilter::new(params, Md5Split), entries: 0 }
     }
 
     /// Builds a digest directly from an iterator of cached URLs (all `GET`).
@@ -101,9 +100,9 @@ impl CacheDigest {
         self.filter.current_false_positive_probability()
     }
 
-    /// Access to the underlying filter (the attack engines need the support
-    /// and the index mapping).
-    pub fn filter(&self) -> &BloomFilter {
+    /// Access to the underlying filter (the attack engines probe its bits
+    /// with [`ConcurrentBloomFilter::is_set`]).
+    pub fn filter(&self) -> &ConcurrentBloomFilter {
         &self.filter
     }
 
@@ -111,11 +110,6 @@ impl CacheDigest {
     /// them offline.
     pub fn indexes_of(&self, method: &str, url: &str) -> Vec<u64> {
         Md5Split.indexes(&digest_key(method, url), SQUID_HASH_COUNT, self.filter.m())
-    }
-
-    /// Serialized bit vector, as it would be shipped to a sibling proxy.
-    pub fn bits(&self) -> &BitVec {
-        self.filter.bits()
     }
 }
 

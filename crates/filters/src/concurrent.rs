@@ -1,14 +1,14 @@
-//! A Bloom filter with `&self` insert and query, safe to share across
-//! threads — the building block of the `evilbloom-store` serving layer.
+//! The classic Bloom filter of Section 3, with `&self` insert and query and
+//! safe to share across threads. It is the crate's one plain Bloom filter:
+//! the experiments and attack engines drive it from one thread, and every
+//! shard of the `evilbloom-store` serving layer holds one.
 //!
-//! The concurrent filter derives indexes exactly like [`BloomFilter`] with
-//! the same [`IndexStrategy`], so a concurrent filter and a sequential one
-//! built over the same strategy are bit-for-bit equivalent after the same
-//! insert set (see the property tests in `evilbloom-store`). Bloom filters
-//! are monotone — bits are only ever set — which is what makes the lock-free
-//! `fetch_or` formulation correct: there is no state a racing insert can
+//! Bloom filters are monotone — bits are only ever set — which is what makes
+//! the lock-free formulation correct: there is no state a racing insert can
 //! corrupt, and a query that observes all `k` bits set would also have
-//! observed them under any serialisation of the inserts.
+//! observed them under any serialisation of the inserts. After the same
+//! insert set the bits are the same whatever the interleaving (see the
+//! property tests in `evilbloom-store`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -17,11 +17,18 @@ use evilbloom_hashes::IndexStrategy;
 
 use crate::atomic_bitvec::AtomicBitVec;
 use crate::bitvec::BitVec;
-use crate::bloom::BloomFilter;
 use crate::params::FilterParams;
 
-/// A lock-free concurrent Bloom filter: `&self` insert/query over an
-/// [`AtomicBitVec`], plus O(1) approximate fill statistics.
+/// A lock-free Bloom filter: an `m`-bit [`AtomicBitVec`], `k` indexes per
+/// item derived by a pluggable [`IndexStrategy`], `&self` insert/query, and
+/// O(1) approximate fill statistics.
+///
+/// The filter intentionally exposes its internal state (`is_set`,
+/// `snapshot`, `fill_ratio`): the paper's adversary models assume the
+/// implementation is public and the filter contents are known or partially
+/// known, and the attack engines in `evilbloom-attacks` rely on that
+/// visibility. Hiding the state is *not* a defence — a chosen-insertion
+/// adversary can reconstruct it by replaying her own insertions.
 ///
 /// # Examples
 ///
@@ -216,8 +223,9 @@ impl ConcurrentBloomFilter {
         )
     }
 
-    /// Word-wise consistent snapshot of the bit vector (for equivalence
-    /// tests, persistence, or shipping a digest to a peer).
+    /// Word-wise consistent snapshot of the bit vector as a plain
+    /// [`BitVec`] (its support, its zero positions, or a digest to ship to a
+    /// peer).
     pub fn snapshot(&self) -> BitVec {
         self.bits.snapshot()
     }
@@ -252,30 +260,17 @@ impl ConcurrentBloomFilter {
             inserted: AtomicU64::new(inserted),
         }
     }
-
-    /// Freezes the current contents into a sequential [`BloomFilter`]
-    /// sharing the same strategy (e.g. to hand a stable copy to the
-    /// single-threaded analysis tooling).
-    pub fn to_sequential(&self) -> BloomFilter {
-        let mut filter = BloomFilter::with_shared_strategy(self.params, Arc::clone(&self.strategy));
-        filter.absorb_bits(&self.snapshot(), self.inserted());
-        filter
-    }
 }
 
-impl From<&BloomFilter> for ConcurrentBloomFilter {
-    /// Promotes a sequential filter onto the concurrent path, sharing its
-    /// strategy and copying its bits.
-    fn from(filter: &BloomFilter) -> Self {
-        let concurrent = ConcurrentBloomFilter::with_shared_strategy(
-            filter.params(),
-            Arc::clone(filter.strategy_arc()),
-        );
-        for index in filter.bits().iter_ones() {
-            concurrent.bits.set(index);
-        }
-        concurrent.inserted.store(filter.inserted(), Ordering::Relaxed);
-        concurrent
+impl Clone for ConcurrentBloomFilter {
+    /// Copies the bits word by word (see [`ConcurrentBloomFilter::snapshot_words`]).
+    fn clone(&self) -> Self {
+        Self::from_words(
+            self.params,
+            Arc::clone(&self.strategy),
+            self.snapshot_words(),
+            self.inserted(),
+        )
     }
 }
 
@@ -328,22 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_sequential_filter_bit_for_bit() {
-        let strategy: Arc<dyn IndexStrategy> = Arc::new(KirschMitzenmacher::new(Murmur3_128));
-        let params = FilterParams::explicit(2048, 4, 200);
-        let concurrent = ConcurrentBloomFilter::with_shared_strategy(params, Arc::clone(&strategy));
-        let mut sequential = BloomFilter::with_shared_strategy(params, strategy);
-        for i in 0..200 {
-            let item = format!("item-{i}");
-            concurrent.insert(item.as_bytes());
-            sequential.insert(item.as_bytes());
-        }
-        assert_eq!(concurrent.snapshot(), *sequential.bits());
-        assert_eq!(concurrent.hamming_weight(), sequential.hamming_weight());
-        assert_eq!(concurrent.hamming_weight_approx(), sequential.hamming_weight());
-    }
-
-    #[test]
     fn parallel_inserts_have_no_false_negatives() {
         let filter = ConcurrentBloomFilter::new(
             FilterParams::optimal(2000, 0.01),
@@ -366,26 +345,6 @@ mod tests {
         }
         assert_eq!(filter.inserted(), 2000);
         assert_eq!(filter.hamming_weight(), filter.hamming_weight_approx());
-    }
-
-    #[test]
-    fn round_trips_with_sequential_filter() {
-        let mut sequential = BloomFilter::new(
-            FilterParams::explicit(1024, 3, 50),
-            KirschMitzenmacher::new(Murmur3_128),
-        );
-        for i in 0..50 {
-            sequential.insert(format!("x{i}").as_bytes());
-        }
-        let concurrent = ConcurrentBloomFilter::from(&sequential);
-        assert_eq!(concurrent.snapshot(), *sequential.bits());
-        assert_eq!(concurrent.inserted(), sequential.inserted());
-        let back = concurrent.to_sequential();
-        assert_eq!(back.bits(), sequential.bits());
-        assert_eq!(back.inserted(), sequential.inserted());
-        for i in 0..50 {
-            assert!(back.contains(format!("x{i}").as_bytes()));
-        }
     }
 
     #[test]

@@ -1,15 +1,20 @@
-//! A counting Bloom filter with `&self` insert/query/delete — the deletable
-//! backend the store serves the `DELETE` opcode against.
+//! The counting Bloom filter (Fan et al.) with `&self` insert/query/delete:
+//! the deletable variant the Section 4.3 deletion adversary targets, the
+//! slice type [`Dablooms`](crate::Dablooms) stacks, and the backend the
+//! store serves the `DELETE` opcode against.
 //!
 //! Cells are one byte wide, packed eight per `AtomicU64` and updated with
 //! CAS loops, so every individual counter transition is atomic: exactly one
-//! thread observes each 0 → 1 transition (keeping the running occupied-cells
-//! counter exact) and a saturated counter freezes exactly as the sequential
-//! [`CountingBloomFilter`](crate::CountingBloomFilter) under
-//! [`OverflowPolicy::Saturate`](crate::counting::OverflowPolicy::Saturate) does:
-//! frozen cells are never incremented nor decremented again — the
-//! conservative policy, and the one whose incomplete deletions the paper's
-//! Section 6.2 overflow attack weaponises.
+//! thread observes each 0 → 1 transition, which keeps the running
+//! occupied-cells counter exact. What a full cell does is the filter's
+//! [`OverflowPolicy`], fixed at construction:
+//!
+//! * [`OverflowPolicy::Saturate`] (the default, and the only policy the
+//!   store serves) freezes it: frozen cells are never incremented nor
+//!   decremented again — the conservative policy, whose incomplete
+//!   deletions the paper's Section 6.2 overflow attack weaponises;
+//! * [`OverflowPolicy::Wrap`] wraps it to zero, silently erasing membership —
+//!   the Dablooms behaviour the Section 6.2 wrap-around attack exploits.
 //!
 //! **Deletion is not atomic across an item's `k` cells.** `remove` reads the
 //! `k` counters to decide `was_present`, then decrements them one CAS at a
@@ -25,6 +30,7 @@ use std::sync::Arc;
 use evilbloom_hashes::IndexStrategy;
 
 use crate::backend::{BackendKind, FilterBackend};
+use crate::counting::OverflowPolicy;
 use crate::params::FilterParams;
 
 /// Cells per packed word (one byte each).
@@ -44,8 +50,8 @@ impl Default for CountingOptions {
     }
 }
 
-/// A lock-free concurrent counting Bloom filter: one-byte cells packed eight
-/// per atomic word, CAS increments/decrements, saturate-on-overflow.
+/// A lock-free counting Bloom filter: one-byte cells packed eight per atomic
+/// word, CAS increments/decrements, and an [`OverflowPolicy`] for full cells.
 ///
 /// # Examples
 ///
@@ -70,6 +76,7 @@ pub struct ConcurrentCountingFilter {
     params: FilterParams,
     strategy: Arc<dyn IndexStrategy>,
     counter_bits: u8,
+    policy: OverflowPolicy,
     inserted: AtomicU64,
     deleted: AtomicU64,
     overflows: AtomicU64,
@@ -79,7 +86,13 @@ pub struct ConcurrentCountingFilter {
 }
 
 impl ConcurrentCountingFilter {
-    /// Creates an empty filter.
+    /// Creates an empty filter with 4-bit saturating counters (the Dablooms
+    /// width).
+    pub fn new<S: IndexStrategy + 'static>(params: FilterParams, strategy: S) -> Self {
+        Self::with_shared_strategy(params, Arc::new(strategy), CountingOptions::default())
+    }
+
+    /// Creates an empty filter with saturating counters.
     ///
     /// # Panics
     ///
@@ -89,6 +102,20 @@ impl ConcurrentCountingFilter {
         strategy: Arc<dyn IndexStrategy>,
         options: CountingOptions,
     ) -> Self {
+        Self::with_overflow_policy(params, strategy, options, OverflowPolicy::Saturate)
+    }
+
+    /// Creates an empty filter whose full cells follow `policy`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `options.counter_bits` is zero or larger than 8.
+    pub fn with_overflow_policy(
+        params: FilterParams,
+        strategy: Arc<dyn IndexStrategy>,
+        options: CountingOptions,
+        policy: OverflowPolicy,
+    ) -> Self {
         assert!((1..=8).contains(&options.counter_bits), "counter width must be 1..=8 bits");
         let words = (0..params.m.div_ceil(CELLS_PER_WORD)).map(|_| AtomicU64::new(0)).collect();
         ConcurrentCountingFilter {
@@ -96,6 +123,7 @@ impl ConcurrentCountingFilter {
             params,
             strategy,
             counter_bits: options.counter_bits,
+            policy,
             inserted: AtomicU64::new(0),
             deleted: AtomicU64::new(0),
             overflows: AtomicU64::new(0),
@@ -123,9 +151,14 @@ impl ConcurrentCountingFilter {
         self.counter_bits
     }
 
-    /// Maximum value a counter can hold (`2^bits - 1`); cells freeze there.
+    /// Maximum value a counter can hold (`2^bits - 1`).
     pub fn counter_max(&self) -> u8 {
         ((1u16 << self.counter_bits) - 1) as u8
+    }
+
+    /// What an increment does to a cell at the maximum.
+    pub fn overflow_policy(&self) -> OverflowPolicy {
+        self.policy
     }
 
     /// Number of insert calls performed.
@@ -138,7 +171,8 @@ impl ConcurrentCountingFilter {
         self.deleted.load(Ordering::Relaxed)
     }
 
-    /// Counter-overflow events observed (increments refused at saturation).
+    /// Counter-overflow events observed (increments of a cell at the
+    /// maximum, which froze it or wrapped it to zero).
     pub fn overflows(&self) -> u64 {
         self.overflows.load(Ordering::Relaxed)
     }
@@ -169,58 +203,28 @@ impl ConcurrentCountingFilter {
         ((self.words[word].load(Ordering::Acquire) >> shift) & 0xFF) as u8
     }
 
-    /// Atomically increments the cell at `index` unless it is frozen at the
-    /// maximum; returns the prior value.
-    fn increment_cell(&self, index: u64) -> u8 {
+    /// Atomically moves the cell at `index` from its value `prior` to
+    /// `step(prior)` and returns `prior`; a step that keeps the value writes
+    /// nothing. The thread whose CAS takes a cell to or from zero keeps the
+    /// occupied counter.
+    #[inline]
+    fn update_cell(&self, index: u64, step: impl Fn(u8) -> u8) -> u8 {
         let (word, shift) = self.locate(index);
-        let max = self.counter_max();
         let slot = &self.words[word];
         let mut current = slot.load(Ordering::Relaxed);
         loop {
             let prior = ((current >> shift) & 0xFF) as u8;
-            if prior >= max {
-                // Saturated: frozen, no transition to publish.
+            let next = step(prior);
+            if next == prior {
                 return prior;
             }
-            match slot.compare_exchange_weak(
-                current,
-                current + (1u64 << shift),
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
+            let updated = (current & !(0xFF << shift)) | (u64::from(next) << shift);
+            match slot.compare_exchange_weak(current, updated, Ordering::AcqRel, Ordering::Relaxed)
+            {
                 Ok(_) => {
                     if prior == 0 {
                         self.occupied.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return prior;
-                }
-                Err(actual) => current = actual,
-            }
-        }
-    }
-
-    /// Atomically decrements the cell at `index` unless it is zero or frozen
-    /// at the maximum; returns the prior value.
-    fn decrement_cell(&self, index: u64) -> u8 {
-        let (word, shift) = self.locate(index);
-        let max = self.counter_max();
-        let slot = &self.words[word];
-        let mut current = slot.load(Ordering::Relaxed);
-        loop {
-            let prior = ((current >> shift) & 0xFF) as u8;
-            if prior == 0 || prior >= max {
-                // Empty cells stay empty; frozen cells stay frozen (the
-                // saturate policy the overflow attack exploits).
-                return prior;
-            }
-            match slot.compare_exchange_weak(
-                current,
-                current - (1u64 << shift),
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    if prior == 1 {
+                    } else if next == 0 {
                         self.occupied.fetch_sub(1, Ordering::Relaxed);
                     }
                     return prior;
@@ -233,10 +237,10 @@ impl ConcurrentCountingFilter {
     /// Inserts by pre-computed indexes (the batch paths derive indexes once).
     /// Returns how many cells this call took 0 → 1.
     pub fn insert_indexes(&self, indexes: &[u64]) -> u32 {
-        let max = self.counter_max();
+        let (max, policy) = (self.counter_max(), self.policy);
         let mut fresh = 0;
         for &i in indexes {
-            let prior = self.increment_cell(i);
+            let prior = self.update_cell(i, |cell| policy.increment(cell, max));
             if prior == 0 {
                 fresh += 1;
             } else if prior >= max {
@@ -267,15 +271,17 @@ impl ConcurrentCountingFilter {
     /// atomicity caveat.
     pub fn remove_indexes(&self, indexes: &[u64]) -> bool {
         let was_present = self.contains_indexes(indexes);
+        let (max, policy) = (self.counter_max(), self.policy);
         for &i in indexes {
-            self.decrement_cell(i);
+            self.update_cell(i, |cell| policy.decrement(cell, max));
         }
         self.deleted.fetch_add(1, Ordering::Relaxed);
         was_present
     }
 
-    /// Removes `item` (decrementing its `k` counters; zero and frozen cells
-    /// are untouched). Returns whether the item appeared present before.
+    /// Removes `item` (decrementing its `k` counters; zero cells, and frozen
+    /// cells under [`OverflowPolicy::Saturate`], are untouched). Returns
+    /// whether the item appeared present before.
     pub fn remove(&self, item: &[u8]) -> bool {
         self.remove_indexes(&self.indexes(item))
     }
@@ -301,7 +307,8 @@ impl ConcurrentCountingFilter {
         self.occupied.load(Ordering::Relaxed)
     }
 
-    /// Number of cells currently frozen at the maximum counter value.
+    /// Number of cells currently at the maximum counter value (frozen there
+    /// under [`OverflowPolicy::Saturate`]).
     pub fn saturated_cells(&self) -> u64 {
         let max = self.counter_max();
         let mut count = 0u64;
@@ -331,8 +338,9 @@ impl ConcurrentCountingFilter {
         )
     }
 
-    /// Memory footprint as persisted/reported: the *packed* `counter_bits`
-    /// size, for comparability with the sequential filter and the paper.
+    /// Memory footprint as reported: the *packed* `counter_bits` size
+    /// (Dablooms packs two 4-bit counters per byte), for comparability with
+    /// the paper.
     pub fn memory_bytes(&self) -> u64 {
         (self.params.m * u64::from(self.counter_bits)).div_ceil(8)
     }
@@ -524,8 +532,9 @@ impl FilterBackend for ConcurrentCountingFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counting::CountingBloomFilter;
     use evilbloom_hashes::{KirschMitzenmacher, Murmur3_128};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn strategy() -> Arc<dyn IndexStrategy> {
         Arc::new(KirschMitzenmacher::new(Murmur3_128))
@@ -551,36 +560,95 @@ mod tests {
         assert_eq!(filter.deleted(), 2);
     }
 
+    /// Sequential reference model of a counting filter: one plain `u8` per
+    /// cell, following the overflow rules as the paper states them rather
+    /// than the filter's CAS code.
+    struct CounterModel {
+        cells: Vec<u8>,
+        max: u8,
+        wrap: bool,
+        overflows: u64,
+    }
+
+    impl CounterModel {
+        fn insert(&mut self, indexes: &[u64]) -> u32 {
+            let mut fresh = 0;
+            for &i in indexes {
+                let cell = &mut self.cells[i as usize];
+                if *cell == self.max {
+                    self.overflows += 1;
+                    if self.wrap {
+                        *cell = 0;
+                    }
+                } else {
+                    fresh += u32::from(*cell == 0);
+                    *cell += 1;
+                }
+            }
+            fresh
+        }
+
+        fn remove(&mut self, indexes: &[u64]) -> bool {
+            let present = indexes.iter().all(|&i| self.cells[i as usize] > 0);
+            for &i in indexes {
+                let cell = &mut self.cells[i as usize];
+                if *cell > 0 && (self.wrap || *cell < self.max) {
+                    *cell -= 1;
+                }
+            }
+            present
+        }
+    }
+
     #[test]
     fn matches_sequential_counting_filter_cell_for_cell() {
-        let params = FilterParams::explicit(2048, 4, 200);
-        let shared = strategy();
-        let concurrent = ConcurrentCountingFilter::with_shared_strategy(
-            params,
-            Arc::clone(&shared),
-            CountingOptions::default(),
-        );
-        let mut sequential = CountingBloomFilter::with_counter_bits(params, shared, 4);
-        for i in 0..200 {
-            let item = format!("item-{i}");
-            concurrent.insert(item.as_bytes());
-            sequential.insert(item.as_bytes());
+        // Seeded insert/remove streams over a small item pool and a small
+        // filter, so cells reach the maximum, overflow and are removed from
+        // again; every answer and every cell must match the model under
+        // both overflow policies.
+        for policy in [OverflowPolicy::Saturate, OverflowPolicy::Wrap] {
+            for counter_bits in [2u8, 4] {
+                for seed in 0..16u64 {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let params = FilterParams::explicit(64, 3, 8);
+                    let filter = ConcurrentCountingFilter::with_overflow_policy(
+                        params,
+                        strategy(),
+                        CountingOptions { counter_bits },
+                        policy,
+                    );
+                    let mut model = CounterModel {
+                        cells: vec![0; 64],
+                        max: filter.counter_max(),
+                        wrap: policy == OverflowPolicy::Wrap,
+                        overflows: 0,
+                    };
+                    let case = format!("{policy:?} bits {counter_bits} seed {seed}");
+                    for op in 0..600 {
+                        let item = format!("item-{}", rng.gen_range(0..24u32));
+                        let indexes = filter.indexes(item.as_bytes());
+                        if rng.gen_range(0..10u32) < 6 {
+                            let fresh = filter.insert(item.as_bytes());
+                            assert_eq!(fresh, model.insert(&indexes), "{case} op {op}");
+                        } else {
+                            let present = filter.remove(item.as_bytes());
+                            assert_eq!(present, model.remove(&indexes), "{case} op {op}");
+                        }
+                    }
+                    for cell in 0..params.m {
+                        let expected = model.cells[cell as usize];
+                        assert_eq!(filter.counter(cell), expected, "{case} cell {cell}");
+                    }
+                    let occupied = model.cells.iter().filter(|&&c| c > 0).count() as u64;
+                    let at_max = model.cells.iter().filter(|&&c| c == model.max).count() as u64;
+                    assert_eq!(filter.occupied_cells(), occupied, "{case}");
+                    assert_eq!(filter.occupied_cells_approx(), occupied, "{case}");
+                    assert_eq!(filter.saturated_cells(), at_max, "{case}");
+                    assert_eq!(filter.overflows(), model.overflows, "{case}");
+                    assert!(model.overflows > 0, "{case}: the stream must overflow cells");
+                }
+            }
         }
-        // Delete a third of them (including some never-inserted items, the
-        // deletion-adversary shape) and compare every cell.
-        for i in (0..260).step_by(3) {
-            let item = format!("item-{i}");
-            assert_eq!(
-                concurrent.remove(item.as_bytes()),
-                sequential.delete(item.as_bytes()),
-                "{item}"
-            );
-        }
-        for cell in 0..params.m {
-            assert_eq!(concurrent.counter(cell), sequential.counter(cell), "cell {cell}");
-        }
-        assert_eq!(concurrent.occupied_cells(), sequential.occupied_cells());
-        assert_eq!(concurrent.occupied_cells_approx(), sequential.occupied_cells());
     }
 
     #[test]

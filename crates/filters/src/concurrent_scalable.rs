@@ -1,15 +1,17 @@
-//! A scalable Bloom filter with `&self` insert/query — the forced-growth
-//! backend: honest load grows it slice by slice, and a chosen-insertion
-//! adversary can both pollute the active slice and force premature growth.
+//! The scalable Bloom filter (Almeida, Baquero, Preguiça & Hutchison) with
+//! `&self` insert/query — the forced-growth backend: honest load grows it
+//! slice by slice, and a chosen-insertion adversary can both pollute the
+//! active slice and force premature growth.
 //!
 //! The filter is a stack of [`ConcurrentBloomFilter`] slices behind an
 //! `RwLock`. The lock only guards the *stack* (growth pushes a slice); the
 //! slices themselves stay lock-free, so the hot path costs one uncontended
 //! read-lock acquisition on top of the plain filter. Slice `i` targets
-//! `f_i = f_0 · r^i` like the sequential
-//! [`ScalableBloomFilter`](crate::ScalableBloomFilter), with slice 0 using
-//! exactly the base [`FilterParams`] handed to the constructor — so the
-//! store's shard geometry statistics stay meaningful.
+//! `f_i = f_0 · r^i` (the rule [`ScalableConfig`](crate::ScalableConfig)
+//! states for Dablooms), with slice 0 using exactly the base
+//! [`FilterParams`] handed to the constructor — so the store's shard
+//! geometry statistics stay meaningful. Queries consult every slice, so the
+//! compound probability `F = 1 - Π(1 - f_i)` is what a client sees.
 //!
 //! Growth is checked before each insert with a double-checked write lock;
 //! racing inserts that slip past the check may overfill a slice by the

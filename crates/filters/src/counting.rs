@@ -1,11 +1,8 @@
-//! Counting Bloom filter (Fan et al.), the deletable variant Dablooms builds
-//! on — and the variant the deletion adversary of Section 4.3 targets.
-
-use std::sync::Arc;
-
-use evilbloom_hashes::IndexStrategy;
-
-use crate::params::FilterParams;
+//! Counter semantics of the counting Bloom filter (Fan et al.), the
+//! deletable variant Dablooms builds on and the Section 4.3 deletion
+//! adversary targets. The filter itself is
+//! [`ConcurrentCountingFilter`](crate::ConcurrentCountingFilter); this
+//! module holds the rule for what a full counter does.
 
 /// What happens when a counter is incremented past its maximum value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -21,259 +18,69 @@ pub enum OverflowPolicy {
     Wrap,
 }
 
-/// A counting Bloom filter: each cell is a small counter (4 bits in
-/// Dablooms) incremented on insertion and decremented on deletion.
-///
-/// Two failure modes matter for the paper:
-///
-/// * **counter overflow** — depending on the [`OverflowPolicy`], saturated
-///   counters either freeze (making deletions silently incomplete) or wrap
-///   to zero (erasing membership), and both behaviours are weaponised by the
-///   Section 6.2 attacks;
-/// * **false negatives** — deleting an item that was never inserted (or that
-///   shares cells with other items) can clear cells still needed by genuine
-///   members.
-#[derive(Clone)]
-pub struct CountingBloomFilter {
-    counters: Vec<u8>,
-    counter_bits: u8,
-    policy: OverflowPolicy,
-    params: FilterParams,
-    strategy: Arc<dyn IndexStrategy>,
-    inserted: u64,
-    deleted: u64,
-    overflows: u64,
-}
-
-impl CountingBloomFilter {
-    /// Creates a counting filter with 4-bit counters (the Dablooms choice).
-    pub fn new<S: IndexStrategy + 'static>(params: FilterParams, strategy: S) -> Self {
-        Self::with_counter_bits(params, Arc::new(strategy), 4)
-    }
-
-    /// Creates a counting filter with `counter_bits`-bit counters (1..=8).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counter_bits` is zero or larger than 8.
-    pub fn with_counter_bits(
-        params: FilterParams,
-        strategy: Arc<dyn IndexStrategy>,
-        counter_bits: u8,
-    ) -> Self {
-        Self::with_policy(params, strategy, counter_bits, OverflowPolicy::Saturate)
-    }
-
-    /// Creates a counting filter with an explicit [`OverflowPolicy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counter_bits` is zero or larger than 8.
-    pub fn with_policy(
-        params: FilterParams,
-        strategy: Arc<dyn IndexStrategy>,
-        counter_bits: u8,
-        policy: OverflowPolicy,
-    ) -> Self {
-        assert!((1..=8).contains(&counter_bits), "counter width must be 1..=8 bits");
-        CountingBloomFilter {
-            counters: vec![0u8; params.m as usize],
-            counter_bits,
-            policy,
-            params,
-            strategy,
-            inserted: 0,
-            deleted: 0,
-            overflows: 0,
+impl OverflowPolicy {
+    /// The value a cell holding `prior` takes on insertion, for counters
+    /// whose maximum is `max`.
+    #[inline]
+    pub(crate) fn increment(self, prior: u8, max: u8) -> u8 {
+        match self {
+            _ if prior < max => prior + 1,
+            OverflowPolicy::Saturate => prior,
+            OverflowPolicy::Wrap => 0,
         }
     }
 
-    /// The overflow policy in force.
-    pub fn overflow_policy(&self) -> OverflowPolicy {
-        self.policy
-    }
-
-    /// Maximum value a counter can hold (`2^bits - 1`).
-    pub fn counter_max(&self) -> u8 {
-        ((1u16 << self.counter_bits) - 1) as u8
-    }
-
-    /// The filter's sizing parameters.
-    pub fn params(&self) -> FilterParams {
-        self.params
-    }
-
-    /// Number of cells (`m`).
-    pub fn m(&self) -> u64 {
-        self.params.m
-    }
-
-    /// Number of indexes per item (`k`).
-    pub fn k(&self) -> u32 {
-        self.params.k
-    }
-
-    /// Number of insertions performed.
-    pub fn inserted(&self) -> u64 {
-        self.inserted
-    }
-
-    /// Number of deletions performed.
-    pub fn deleted(&self) -> u64 {
-        self.deleted
-    }
-
-    /// Number of counter-overflow events observed so far. Each overflowed
-    /// counter is frozen at its maximum, so a large value here means the
-    /// filter can no longer delete reliably.
-    pub fn overflows(&self) -> u64 {
-        self.overflows
-    }
-
-    /// The `k` cell indexes of `item`.
-    pub fn indexes(&self, item: &[u8]) -> Vec<u64> {
-        self.strategy.indexes(item, self.params.k, self.params.m)
-    }
-
-    /// Value of the counter at `index`.
-    pub fn counter(&self, index: u64) -> u8 {
-        self.counters[index as usize]
-    }
-
-    /// Inserts `item`, incrementing its `k` counters (saturating).
-    pub fn insert(&mut self, item: &[u8]) {
-        let indexes = self.indexes(item);
-        self.insert_indexes(&indexes);
-    }
-
-    /// Inserts by pre-computed indexes (used by the attack engines).
-    pub fn insert_indexes(&mut self, indexes: &[u64]) {
-        let max = self.counter_max();
-        for &i in indexes {
-            let cell = &mut self.counters[i as usize];
-            if *cell == max {
-                self.overflows += 1;
-                if self.policy == OverflowPolicy::Wrap {
-                    *cell = 0;
-                }
-            } else {
-                *cell += 1;
-            }
+    /// The value a cell holding `prior` takes on deletion: empty cells stay
+    /// empty, and under [`OverflowPolicy::Saturate`] full cells stay frozen.
+    #[inline]
+    pub(crate) fn decrement(self, prior: u8, max: u8) -> u8 {
+        match self {
+            _ if prior == 0 => 0,
+            OverflowPolicy::Saturate if prior >= max => prior,
+            _ => prior - 1,
         }
-        self.inserted += 1;
-    }
-
-    /// Deletes `item`, decrementing its `k` counters. Counters already at
-    /// zero stay at zero; counters frozen at the maximum stay frozen (the
-    /// overflow policy that the counter-overflow attack exploits).
-    ///
-    /// Returns `true` if the item appeared to be present before deletion.
-    pub fn delete(&mut self, item: &[u8]) -> bool {
-        let indexes = self.indexes(item);
-        self.delete_indexes(&indexes)
-    }
-
-    /// Deletes by pre-computed indexes.
-    pub fn delete_indexes(&mut self, indexes: &[u64]) -> bool {
-        let was_present = self.contains_indexes(indexes);
-        let max = self.counter_max();
-        for &i in indexes {
-            let cell = &mut self.counters[i as usize];
-            match self.policy {
-                OverflowPolicy::Saturate => {
-                    if *cell > 0 && *cell < max {
-                        *cell -= 1;
-                    }
-                }
-                OverflowPolicy::Wrap => {
-                    if *cell > 0 {
-                        *cell -= 1;
-                    }
-                }
-            }
-        }
-        self.deleted += 1;
-        was_present
-    }
-
-    /// Membership query.
-    pub fn contains(&self, item: &[u8]) -> bool {
-        self.contains_indexes(&self.indexes(item))
-    }
-
-    /// Membership query by pre-computed indexes.
-    pub fn contains_indexes(&self, indexes: &[u64]) -> bool {
-        indexes.iter().all(|&i| self.counters[i as usize] > 0)
-    }
-
-    /// Number of non-zero cells (the analogue of the Hamming weight).
-    pub fn occupied_cells(&self) -> u64 {
-        self.counters.iter().filter(|&&c| c > 0).count() as u64
-    }
-
-    /// Number of cells currently frozen at the maximum counter value.
-    pub fn saturated_cells(&self) -> u64 {
-        let max = self.counter_max();
-        self.counters.iter().filter(|&&c| c == max).count() as u64
-    }
-
-    /// Fraction of non-zero cells.
-    pub fn fill_ratio(&self) -> f64 {
-        self.occupied_cells() as f64 / self.params.m as f64
-    }
-
-    /// Current false-positive probability `(occupied/m)^k`.
-    pub fn current_false_positive_probability(&self) -> f64 {
-        evilbloom_analysis::false_positive::false_positive_for_fill(
-            self.fill_ratio(),
-            self.params.k,
-        )
-    }
-
-    /// Memory footprint in bytes (Dablooms packs two 4-bit counters per
-    /// byte; we report the packed size for comparability with the paper).
-    pub fn memory_bytes(&self) -> u64 {
-        (self.params.m * u64::from(self.counter_bits)).div_ceil(8)
-    }
-}
-
-impl core::fmt::Debug for CountingBloomFilter {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("CountingBloomFilter")
-            .field("m", &self.params.m)
-            .field("k", &self.params.k)
-            .field("counter_bits", &self.counter_bits)
-            .field("inserted", &self.inserted)
-            .field("occupied", &self.occupied_cells())
-            .field("overflows", &self.overflows)
-            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use evilbloom_hashes::{KirschMitzenmacher, Murmur3_32};
+    use std::sync::Arc;
 
-    fn dablooms_like(m: u64, k: u32) -> CountingBloomFilter {
-        CountingBloomFilter::new(
+    use super::*;
+    use crate::{ConcurrentCountingFilter, CountingOptions, FilterParams};
+    use evilbloom_hashes::{IndexStrategy, KirschMitzenmacher, Murmur3_32};
+
+    fn strategy() -> Arc<dyn IndexStrategy> {
+        Arc::new(KirschMitzenmacher::new(Murmur3_32))
+    }
+
+    fn dablooms_like(m: u64, k: u32) -> ConcurrentCountingFilter {
+        ConcurrentCountingFilter::new(
             FilterParams::explicit(m, k, m / 10),
             KirschMitzenmacher::new(Murmur3_32),
         )
     }
 
+    fn with_width(m: u64, k: u32, counter_bits: u8) -> ConcurrentCountingFilter {
+        ConcurrentCountingFilter::with_shared_strategy(
+            FilterParams::explicit(m, k, m / 8),
+            strategy(),
+            CountingOptions { counter_bits },
+        )
+    }
+
     #[test]
     fn insert_then_contains_then_delete() {
-        let mut filter = dablooms_like(1024, 4);
+        let filter = dablooms_like(1024, 4);
         filter.insert(b"http://phish.example/");
         assert!(filter.contains(b"http://phish.example/"));
-        assert!(filter.delete(b"http://phish.example/"));
+        assert!(filter.remove(b"http://phish.example/"));
         assert!(!filter.contains(b"http://phish.example/"));
     }
 
     #[test]
     fn no_false_negatives_without_deletion() {
-        let mut filter = dablooms_like(4096, 4);
+        let filter = dablooms_like(4096, 4);
         let items: Vec<String> = (0..300).map(|i| format!("url-{i}")).collect();
         for item in &items {
             filter.insert(item.as_bytes());
@@ -285,12 +92,12 @@ mod tests {
 
     #[test]
     fn deleting_one_of_two_identical_insertions_keeps_membership() {
-        let mut filter = dablooms_like(1024, 4);
+        let filter = dablooms_like(1024, 4);
         filter.insert(b"dup");
         filter.insert(b"dup");
-        filter.delete(b"dup");
+        filter.remove(b"dup");
         assert!(filter.contains(b"dup"), "one copy must remain");
-        filter.delete(b"dup");
+        filter.remove(b"dup");
         assert!(!filter.contains(b"dup"));
     }
 
@@ -298,7 +105,7 @@ mod tests {
     fn deletion_of_overlapping_item_creates_false_negative() {
         // The deletion-adversary failure mode: removing an item that shares
         // cells with a genuine member can evict the member.
-        let mut filter = dablooms_like(64, 4);
+        let filter = dablooms_like(64, 4);
         // Pick a victim whose index set contains at least one non-duplicated
         // cell (its counter is exactly 1 after insertion), so a single
         // decrement is guaranteed to evict it.
@@ -320,25 +127,18 @@ mod tests {
             .filter(|&c| filter.counter(c) == 1)
             .collect();
         assert!(!victim_cells.is_empty());
-        let victim = victim.as_bytes();
-        let mut overlapping = None;
-        for i in 0..10_000 {
-            let candidate = format!("candidate-{i}");
-            let cells = filter.indexes(candidate.as_bytes());
-            if cells.iter().any(|c| victim_cells.contains(c)) {
-                overlapping = Some(candidate);
-                break;
-            }
-        }
-        let attacker_item = overlapping.expect("small filter guarantees an overlap");
+        let attacker_item = (0..10_000)
+            .map(|i| format!("candidate-{i}"))
+            .find(|c| filter.indexes(c.as_bytes()).iter().any(|i| victim_cells.contains(i)))
+            .expect("small filter guarantees an overlap");
         // Delete the overlapping item even though it was never inserted.
-        filter.delete(attacker_item.as_bytes());
-        assert!(!filter.contains(victim), "victim should have been evicted");
+        filter.remove(attacker_item.as_bytes());
+        assert!(!filter.contains(victim.as_bytes()), "victim should have been evicted");
     }
 
     #[test]
     fn counter_overflow_freezes_cells() {
-        let mut filter = dablooms_like(32, 2);
+        let filter = dablooms_like(32, 2);
         assert_eq!(filter.counter_max(), 15);
         // Insert the same item 20 times: its two cells overflow at 15.
         for _ in 0..20 {
@@ -352,14 +152,14 @@ mod tests {
         // Deleting 20 times leaves the frozen counters at max: the item can
         // never be removed — a permanent false positive.
         for _ in 0..20 {
-            filter.delete(b"hot");
+            filter.remove(b"hot");
         }
         assert!(filter.contains(b"hot"), "frozen counters keep the item visible");
     }
 
     #[test]
     fn overflow_counts_are_reported() {
-        let mut filter = dablooms_like(16, 1);
+        let filter = dablooms_like(16, 1);
         for _ in 0..100 {
             filter.insert(b"x");
         }
@@ -368,9 +168,7 @@ mod tests {
 
     #[test]
     fn custom_counter_width() {
-        let strategy = Arc::new(KirschMitzenmacher::new(Murmur3_32));
-        let filter =
-            CountingBloomFilter::with_counter_bits(FilterParams::explicit(128, 3, 16), strategy, 2);
+        let filter = with_width(128, 3, 2);
         assert_eq!(filter.counter_max(), 3);
         assert_eq!(filter.memory_bytes(), 32);
     }
@@ -378,16 +176,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "counter width")]
     fn zero_width_counters_rejected() {
-        let strategy = Arc::new(KirschMitzenmacher::new(Murmur3_32));
-        CountingBloomFilter::with_counter_bits(FilterParams::explicit(16, 2, 4), strategy, 0);
+        with_width(16, 2, 0);
     }
 
     #[test]
     fn stats_track_operations() {
-        let mut filter = dablooms_like(256, 3);
+        let filter = dablooms_like(256, 3);
         filter.insert(b"a");
         filter.insert(b"b");
-        filter.delete(b"a");
+        filter.remove(b"a");
         assert_eq!(filter.inserted(), 2);
         assert_eq!(filter.deleted(), 1);
         assert!(filter.occupied_cells() >= 1);
@@ -403,11 +200,10 @@ mod tests {
 
     #[test]
     fn wrapping_policy_erases_membership_on_overflow() {
-        let strategy = Arc::new(KirschMitzenmacher::new(Murmur3_32));
-        let mut filter = CountingBloomFilter::with_policy(
+        let filter = ConcurrentCountingFilter::with_overflow_policy(
             FilterParams::explicit(64, 2, 8),
-            strategy,
-            4,
+            strategy(),
+            CountingOptions::default(),
             OverflowPolicy::Wrap,
         );
         assert_eq!(filter.overflow_policy(), OverflowPolicy::Wrap);
@@ -417,11 +213,14 @@ mod tests {
         }
         assert!(!filter.contains(b"wrapped"), "membership silently erased");
         assert!(filter.overflows() > 0);
+        assert_eq!(filter.occupied_cells(), 0);
+        assert_eq!(filter.occupied_cells_approx(), 0);
     }
 
     #[test]
     fn default_policy_is_saturate() {
         let filter = dablooms_like(64, 2);
         assert_eq!(filter.overflow_policy(), OverflowPolicy::Saturate);
+        assert_eq!(OverflowPolicy::default(), OverflowPolicy::Saturate);
     }
 }

@@ -15,15 +15,56 @@ use std::sync::Arc;
 
 use evilbloom_hashes::{IndexStrategy, KirschMitzenmacher, Murmur3_128};
 
-use crate::counting::CountingBloomFilter;
+use crate::concurrent_counting::{ConcurrentCountingFilter, CountingOptions};
 use crate::params::FilterParams;
-use crate::scalable::ScalableConfig;
+
+/// Configuration of a scalable stack of filters (Almeida et al.): slice `i`
+/// is created when slice `i - 1` has taken `slice_capacity` insertions, and
+/// targets `f_i = f_0 · r^i`, so the compound probability
+/// `F = 1 - Π(1 - f_i)` stays bounded.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScalableConfig {
+    /// Capacity `δ` of each sub-filter (number of insertions before a new
+    /// sub-filter is created).
+    pub slice_capacity: u64,
+    /// Target false-positive probability `f_0` of the first sub-filter.
+    pub base_fpp: f64,
+    /// Tightening ratio `r` (Dablooms uses 0.9).
+    pub tightening_ratio: f64,
+}
+
+impl ScalableConfig {
+    /// The configuration used by Dablooms and by Figure 8 of the paper:
+    /// `δ = 10 000`, `f_0 = 0.01`, `r = 0.9`.
+    pub fn dablooms() -> Self {
+        ScalableConfig { slice_capacity: 10_000, base_fpp: 0.01, tightening_ratio: 0.9 }
+    }
+
+    /// Validates the configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any field is out of range.
+    pub fn validate(&self) {
+        assert!(self.slice_capacity > 0, "slice capacity must be positive");
+        assert!(self.base_fpp > 0.0 && self.base_fpp < 1.0, "base fpp must be in (0, 1)");
+        assert!(
+            self.tightening_ratio > 0.0 && self.tightening_ratio <= 1.0,
+            "tightening ratio must be in (0, 1]"
+        );
+    }
+
+    /// Target probability of the `i`-th sub-filter.
+    pub fn slice_fpp(&self, i: u32) -> f64 {
+        self.base_fpp * self.tightening_ratio.powi(i as i32)
+    }
+}
 
 /// A scaling, counting Bloom filter in the style of Bitly's Dablooms.
 pub struct Dablooms {
     config: ScalableConfig,
     strategy: Arc<dyn IndexStrategy>,
-    slices: Vec<CountingBloomFilter>,
+    slices: Vec<ConcurrentCountingFilter>,
     /// Per-slice insertion counters (Dablooms decides growth on the number of
     /// *insertions*, not the number of distinct items).
     slice_insertions: Vec<u64>,
@@ -62,10 +103,10 @@ impl Dablooms {
     fn grow(&mut self) {
         let i = self.slices.len() as u32;
         let params = FilterParams::optimal(self.config.slice_capacity, self.config.slice_fpp(i));
-        self.slices.push(CountingBloomFilter::with_counter_bits(
+        self.slices.push(ConcurrentCountingFilter::with_shared_strategy(
             params,
             Arc::clone(&self.strategy),
-            4,
+            CountingOptions::default(),
         ));
         self.slice_insertions.push(0);
     }
@@ -80,14 +121,10 @@ impl Dablooms {
         self.slices.len()
     }
 
-    /// Read-only access to the sub-filters.
-    pub fn slices(&self) -> &[CountingBloomFilter] {
+    /// The sub-filters, oldest first. They take `&self` inserts, so the
+    /// pollution experiments write into a slice directly.
+    pub fn slices(&self) -> &[ConcurrentCountingFilter] {
         &self.slices
-    }
-
-    /// Mutable access to a sub-filter (used by pollution experiments).
-    pub fn slice_mut(&mut self, index: usize) -> &mut CountingBloomFilter {
-        &mut self.slices[index]
     }
 
     /// Recorded number of insertions into slice `index` (the "insertion
@@ -124,9 +161,9 @@ impl Dablooms {
     /// of them). Returns `true` if at least one slice reported the item.
     pub fn delete(&mut self, item: &[u8]) -> bool {
         let mut was_present = false;
-        for slice in &mut self.slices {
+        for slice in &self.slices {
             if slice.contains(item) {
-                slice.delete(item);
+                slice.remove(item);
                 was_present = true;
             }
         }
@@ -139,8 +176,8 @@ impl Dablooms {
     /// by a caller-supplied id and decrements unconditionally. This is the
     /// entry point the delisting (deletion) attack abuses.
     pub fn force_delete(&mut self, item: &[u8]) {
-        for slice in &mut self.slices {
-            slice.delete(item);
+        for slice in &self.slices {
+            slice.remove(item);
         }
         self.deleted += 1;
     }

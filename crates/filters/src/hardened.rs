@@ -24,7 +24,6 @@ use evilbloom_hashes::{
     Hmac, IndexStrategy, KeyedPair, KmIndexes, Murmur3_128, SaltedHashes, Sha256, SipHash24, SipKey,
 };
 
-use crate::bloom::BloomFilter;
 use crate::concurrent::ConcurrentBloomFilter;
 use crate::params::FilterParams;
 
@@ -92,19 +91,6 @@ pub fn hardened_filter(
     target_fpp: f64,
     level: HardeningLevel,
     key: &FilterKey,
-) -> BloomFilter {
-    let (params, strategy) = hardened_parts(capacity, target_fpp, level, key);
-    BloomFilter::with_shared_strategy(params, strategy.into())
-}
-
-/// The concurrent counterpart of [`hardened_filter`]: same parameters, same
-/// index strategy, but with lock-free `&self` insert/query — what each shard
-/// of the `evilbloom-store` serving layer holds.
-pub fn hardened_concurrent_filter(
-    capacity: u64,
-    target_fpp: f64,
-    level: HardeningLevel,
-    key: &FilterKey,
 ) -> ConcurrentBloomFilter {
     let (params, strategy) = hardened_parts(capacity, target_fpp, level, key);
     ConcurrentBloomFilter::with_shared_strategy(params, strategy.into())
@@ -123,9 +109,8 @@ pub fn hardened_params(capacity: u64, target_fpp: f64, level: HardeningLevel) ->
     }
 }
 
-/// Parameter + strategy selection shared by the sequential and concurrent
-/// hardened constructors, so the two stay index-compatible by construction.
-/// Public so the generic store can build any
+/// Parameter + strategy selection behind [`hardened_filter`]. Public so the
+/// generic store can build any
 /// [`FilterBackend`](crate::backend::FilterBackend) — counting, scalable —
 /// over the same keyed strategies.
 pub fn hardened_parts(
@@ -216,7 +201,7 @@ mod tests {
             HardeningLevel::KeyedSipHash,
             HardeningLevel::KeyedHmac,
         ] {
-            let mut filter = hardened_filter(1000, 0.01, level, &key());
+            let filter = hardened_filter(1000, 0.01, level, &key());
             for i in 0..1000 {
                 filter.insert(format!("item-{i}").as_bytes());
             }
@@ -270,11 +255,11 @@ mod tests {
     fn different_keys_produce_different_layouts() {
         let key_a = FilterKey::from_bytes([1u8; 32]);
         let key_b = FilterKey::from_bytes([2u8; 32]);
-        let mut a = hardened_filter(100, 0.01, HardeningLevel::KeyedSipHash, &key_a);
-        let mut b = hardened_filter(100, 0.01, HardeningLevel::KeyedSipHash, &key_b);
+        let a = hardened_filter(100, 0.01, HardeningLevel::KeyedSipHash, &key_a);
+        let b = hardened_filter(100, 0.01, HardeningLevel::KeyedSipHash, &key_b);
         a.insert(b"same item");
         b.insert(b"same item");
-        assert_ne!(a.support(), b.support());
+        assert_ne!(a.snapshot().support(), b.snapshot().support());
     }
 
     #[test]
@@ -322,21 +307,32 @@ mod tests {
 
     #[test]
     fn concurrent_and_sequential_hardened_filters_agree() {
+        // Two filters built from one key hold the same bits after the same
+        // items, whether four threads insert them or one does.
         for level in [
             HardeningLevel::WorstCaseParameters,
             HardeningLevel::KeyedSipHash,
             HardeningLevel::KeyedHmac,
         ] {
             let key = key();
-            let mut sequential = hardened_filter(400, 0.01, level, &key);
-            let concurrent = hardened_concurrent_filter(400, 0.01, level, &key);
-            assert_eq!(sequential.params(), concurrent.params(), "{level:?}");
-            for i in 0..400 {
-                let item = format!("item-{i}");
+            let sequential = hardened_filter(400, 0.01, level, &key);
+            let concurrent = hardened_filter(400, 0.01, level, &key);
+            let items: Vec<String> = (0..400).map(|i| format!("item-{i}")).collect();
+            for item in &items {
                 sequential.insert(item.as_bytes());
-                concurrent.insert(item.as_bytes());
             }
-            assert_eq!(concurrent.snapshot(), *sequential.bits(), "{level:?}");
+            std::thread::scope(|scope| {
+                for chunk in items.chunks(100) {
+                    let concurrent = &concurrent;
+                    scope.spawn(move || {
+                        for item in chunk {
+                            concurrent.insert(item.as_bytes());
+                        }
+                    });
+                }
+            });
+            assert_eq!(concurrent.snapshot(), sequential.snapshot(), "{level:?}");
+            assert_eq!(concurrent.inserted(), sequential.inserted(), "{level:?}");
         }
     }
 }

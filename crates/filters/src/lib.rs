@@ -4,20 +4,22 @@
 //! Choices in Bloom Filters"* (Gerbet, Kumar & Lauradoux, DSN 2015),
 //! implemented from scratch on top of `evilbloom-hashes`:
 //!
-//! * [`BloomFilter`] — the classic filter of Section 3, with a pluggable
-//!   [`evilbloom_hashes::IndexStrategy`] and full state introspection;
-//! * [`ConcurrentBloomFilter`] — the same filter with lock-free `&self`
-//!   insert/query over an [`AtomicBitVec`], bit-for-bit equivalent to the
-//!   sequential filter under the same strategy (the `evilbloom-store`
-//!   serving layer builds on it);
+//! * [`ConcurrentBloomFilter`] — the classic filter of Section 3, with a
+//!   pluggable [`evilbloom_hashes::IndexStrategy`], full state introspection
+//!   and lock-free `&self` insert/query over an [`AtomicBitVec`] (the
+//!   experiments drive it from one thread, the `evilbloom-store` serving
+//!   layer from many);
 //! * [`BlockedBloomFilter`] — the cache-line blocked fast path: one hash
 //!   pair, one 512-bit block per operation, with the corrected
 //!   (block-load-aware) false-positive accounting from
 //!   `evilbloom-analysis::blocked`;
-//! * [`CountingBloomFilter`] — 4-bit-counter deletable variant (Fan et al.),
-//!   complete with the overflow semantics the deletion attack abuses;
-//! * [`ScalableBloomFilter`] — growing stack of filters (Almeida et al.);
-//! * [`Dablooms`] — Bitly's scaling *and* counting combination (Section 6);
+//! * [`ConcurrentCountingFilter`] — the deletable variant (Fan et al.) with
+//!   4-bit counters by default, complete with the overflow semantics
+//!   ([`counting::OverflowPolicy`]) the deletion and overflow attacks abuse;
+//! * [`ConcurrentScalableFilter`] — growing stack of filters (Almeida et
+//!   al.);
+//! * [`Dablooms`] — Bitly's scaling *and* counting combination (Section 6),
+//!   a [`ScalableConfig`] stack of counting slices;
 //! * [`cache_digest::CacheDigest`] — Squid's `5n + 7`-bit, `k = 4`, MD5-split
 //!   digest (Section 7);
 //! * [`PartitionedBloomFilter`] and [`TwoChoiceBloomFilter`] — common
@@ -32,11 +34,11 @@
 //! ## Example
 //!
 //! ```
-//! use evilbloom_filters::{BloomFilter, FilterParams};
+//! use evilbloom_filters::{ConcurrentBloomFilter, FilterParams};
 //! use evilbloom_hashes::{KirschMitzenmacher, Murmur3_128};
 //!
 //! let params = FilterParams::optimal(10_000, 0.01);
-//! let mut seen = BloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
+//! let seen = ConcurrentBloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
 //! seen.insert(b"http://example.org/");
 //! assert!(seen.contains(b"http://example.org/"));
 //! ```
@@ -48,7 +50,8 @@ pub mod atomic_bitvec;
 pub mod backend;
 pub mod bitvec;
 pub mod blocked;
-pub mod bloom;
+#[cfg(test)]
+mod bloom;
 pub mod cache_digest;
 pub mod concurrent;
 pub mod concurrent_counting;
@@ -59,28 +62,26 @@ pub mod hardened;
 pub mod params;
 pub mod partitioned;
 pub mod power_of_two;
-pub mod scalable;
+#[cfg(test)]
+mod scalable;
 pub mod stats;
 
 pub use atomic_bitvec::AtomicBitVec;
 pub use backend::{BackendKind, FilterBackend};
 pub use bitvec::BitVec;
 pub use blocked::{BlockedBloomFilter, BLOCK_BITS, BLOCK_WORDS};
-pub use bloom::BloomFilter;
 pub use cache_digest::CacheDigest;
 pub use concurrent::ConcurrentBloomFilter;
 pub use concurrent_counting::{ConcurrentCountingFilter, CountingOptions};
 pub use concurrent_scalable::{ConcurrentScalableFilter, ScalableOptions};
-pub use counting::CountingBloomFilter;
-pub use dablooms::Dablooms;
+pub use dablooms::{Dablooms, ScalableConfig};
 pub use hardened::{
-    audit, hardened_concurrent_filter, hardened_filter, hardened_params, hardened_parts, FilterKey,
-    HardeningAudit, HardeningLevel,
+    audit, hardened_filter, hardened_params, hardened_parts, FilterKey, HardeningAudit,
+    HardeningLevel,
 };
 pub use params::{FilterParams, ParamDerivation};
 pub use partitioned::PartitionedBloomFilter;
 pub use power_of_two::TwoChoiceBloomFilter;
-pub use scalable::{ScalableBloomFilter, ScalableConfig};
 pub use stats::{fill_trajectory, measure_false_positive_rate, FalsePositiveMeasurement};
 
 #[cfg(test)]
@@ -122,7 +123,7 @@ mod proptests {
         for seed in 0..CASES {
             let mut rng = StdRng::seed_from_u64(seed);
             let items = random_items(&mut rng, 200, 0, 64);
-            let mut filter = BloomFilter::new(
+            let filter = ConcurrentBloomFilter::new(
                 FilterParams::optimal(items.len().max(1) as u64, 0.01),
                 KirschMitzenmacher::new(Murmur3_128),
             );
@@ -143,7 +144,7 @@ mod proptests {
             let mut rng = StdRng::seed_from_u64(seed);
             let items = random_items(&mut rng, 100, 1, 32);
             let params = FilterParams::explicit(512, 3, 64);
-            let mut filter = BloomFilter::new(params, SaltedCrypto::new(Box::new(Sha256)));
+            let filter = ConcurrentBloomFilter::new(params, SaltedCrypto::new(Box::new(Sha256)));
             for item in &items {
                 filter.insert(item);
             }
@@ -160,7 +161,8 @@ mod proptests {
             let mut rng = StdRng::seed_from_u64(seed);
             let items = random_items(&mut rng, 50, 1, 32);
             let params = FilterParams::optimal(128, 0.01);
-            let mut filter = CountingBloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
+            let filter =
+                ConcurrentCountingFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
             for item in &items {
                 filter.insert(item);
             }
@@ -168,7 +170,7 @@ mod proptests {
             // the symmetry only holds when no cell saturated.
             if filter.saturated_cells() == 0 {
                 for item in items.iter().rev() {
-                    filter.delete(item);
+                    filter.remove(item);
                 }
                 assert_eq!(filter.occupied_cells(), 0, "seed {seed}");
             }
@@ -182,9 +184,10 @@ mod proptests {
         for seed in 0..CASES {
             let mut rng = StdRng::seed_from_u64(seed);
             let count = rng.gen_range(1usize..400);
-            let mut filter = ScalableBloomFilter::new(
-                ScalableConfig { slice_capacity: 50, base_fpp: 0.02, tightening_ratio: 0.9 },
-                KirschMitzenmacher::new(Murmur3_128),
+            let filter = ConcurrentScalableFilter::with_shared_strategy(
+                FilterParams::optimal(50, 0.02),
+                std::sync::Arc::new(KirschMitzenmacher::new(Murmur3_128)),
+                ScalableOptions { tightening_ratio: 0.9 },
             );
             let items: Vec<String> = (0..count).map(|i| format!("item-{seed}-{i}")).collect();
             for item in &items {

@@ -110,7 +110,7 @@ impl core::fmt::Debug for TwoChoiceBloomFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bloom::BloomFilter;
+    use crate::concurrent::ConcurrentBloomFilter;
     use evilbloom_hashes::{Murmur3_128, SaltedHashes};
 
     fn two_choice(m: u64, k: u32, n: u64) -> TwoChoiceBloomFilter {
@@ -133,8 +133,10 @@ mod tests {
     fn sets_fewer_bits_than_classic_filter() {
         // The whole point of two choices: lower fill for the same load.
         let (m, k, n) = (4096u64, 4u32, 600u64);
-        let mut classic =
-            BloomFilter::new(FilterParams::explicit(m, k, n), SaltedHashes::new(Murmur3_128));
+        let classic = ConcurrentBloomFilter::new(
+            FilterParams::explicit(m, k, n),
+            SaltedHashes::new(Murmur3_128),
+        );
         let mut choosy = two_choice(m, k, n);
         for i in 0..n {
             let item = format!("load-{i}");

@@ -1,164 +1,29 @@
-//! Scalable Bloom filter (Almeida, Baquero, Preguiça & Hutchison).
+//! Behaviour of the scalable Bloom filter (Almeida, Baquero, Preguiça &
+//! Hutchison), checked on
+//! [`ConcurrentScalableFilter`](crate::ConcurrentScalableFilter) — the
+//! crate's one implementation — and on the [`ScalableConfig`] Dablooms
+//! stacks its counting slices with.
 //!
 //! A scalable filter is a growing stack of plain Bloom filters. Sub-filter
 //! `i` is created when sub-filter `i-1` reaches its insertion threshold
 //! `δ`, and targets a false-positive probability `f_i = f_0 · r^i` so that
-//! the compound probability `F = 1 - Π(1 - f_i)` stays bounded. Dablooms
-//! uses `r = 0.9`; queries must consult *every* sub-filter.
+//! the compound probability `F = 1 - Π(1 - f_i)` stays bounded.
+//!
+//! [`ScalableConfig`]: crate::ScalableConfig
 
-use std::sync::Arc;
-
-use evilbloom_hashes::IndexStrategy;
-
-use crate::bloom::BloomFilter;
-use crate::params::FilterParams;
-
-/// Configuration of a scalable Bloom filter.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScalableConfig {
-    /// Capacity `δ` of each sub-filter (number of insertions before a new
-    /// sub-filter is created).
-    pub slice_capacity: u64,
-    /// Target false-positive probability `f_0` of the first sub-filter.
-    pub base_fpp: f64,
-    /// Tightening ratio `r` (Dablooms uses 0.9).
-    pub tightening_ratio: f64,
-}
-
-impl ScalableConfig {
-    /// The configuration used by Dablooms and by Figure 8 of the paper:
-    /// `δ = 10 000`, `f_0 = 0.01`, `r = 0.9`.
-    pub fn dablooms() -> Self {
-        ScalableConfig { slice_capacity: 10_000, base_fpp: 0.01, tightening_ratio: 0.9 }
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any field is out of range.
-    pub fn validate(&self) {
-        assert!(self.slice_capacity > 0, "slice capacity must be positive");
-        assert!(self.base_fpp > 0.0 && self.base_fpp < 1.0, "base fpp must be in (0, 1)");
-        assert!(
-            self.tightening_ratio > 0.0 && self.tightening_ratio <= 1.0,
-            "tightening ratio must be in (0, 1]"
-        );
-    }
-
-    /// Target probability of the `i`-th sub-filter.
-    pub fn slice_fpp(&self, i: u32) -> f64 {
-        self.base_fpp * self.tightening_ratio.powi(i as i32)
-    }
-}
-
-/// A scalable Bloom filter built from classic [`BloomFilter`] slices sharing
-/// one index strategy.
-pub struct ScalableBloomFilter {
-    config: ScalableConfig,
-    strategy: Arc<dyn IndexStrategy>,
-    slices: Vec<BloomFilter>,
-    inserted: u64,
-}
-
-impl ScalableBloomFilter {
-    /// Creates an empty scalable filter.
-    pub fn new<S: IndexStrategy + 'static>(config: ScalableConfig, strategy: S) -> Self {
-        Self::with_shared_strategy(config, Arc::new(strategy))
-    }
-
-    /// Creates an empty scalable filter with a shared strategy.
-    pub fn with_shared_strategy(config: ScalableConfig, strategy: Arc<dyn IndexStrategy>) -> Self {
-        config.validate();
-        let mut filter = ScalableBloomFilter { config, strategy, slices: Vec::new(), inserted: 0 };
-        filter.grow();
-        filter
-    }
-
-    fn grow(&mut self) {
-        let i = self.slices.len() as u32;
-        let params = FilterParams::optimal(self.config.slice_capacity, self.config.slice_fpp(i));
-        self.slices.push(BloomFilter::with_shared_strategy(params, Arc::clone(&self.strategy)));
-    }
-
-    /// The configuration this filter was created with.
-    pub fn config(&self) -> ScalableConfig {
-        self.config
-    }
-
-    /// Number of sub-filters currently allocated (`λ`).
-    pub fn slice_count(&self) -> usize {
-        self.slices.len()
-    }
-
-    /// Read-only access to the sub-filters (most recent last).
-    pub fn slices(&self) -> &[BloomFilter] {
-        &self.slices
-    }
-
-    /// Mutable access to a sub-filter — the pollution experiments pollute
-    /// individual slices directly.
-    pub fn slice_mut(&mut self, index: usize) -> &mut BloomFilter {
-        &mut self.slices[index]
-    }
-
-    /// Total number of insertions across all slices.
-    pub fn inserted(&self) -> u64 {
-        self.inserted
-    }
-
-    /// Inserts `item` into the active (most recent) slice, growing first if
-    /// the slice has reached its capacity.
-    pub fn insert(&mut self, item: &[u8]) {
-        if self.slices.last().expect("at least one slice always exists").inserted()
-            >= self.config.slice_capacity
-        {
-            self.grow();
-        }
-        self.slices.last_mut().expect("slice just ensured").insert(item);
-        self.inserted += 1;
-    }
-
-    /// Membership query: present if *any* slice reports the item.
-    pub fn contains(&self, item: &[u8]) -> bool {
-        self.slices.iter().any(|slice| slice.contains(item))
-    }
-
-    /// Compound false-positive probability `1 - Π (1 - fill_i^k_i)` given the
-    /// current fill of every slice.
-    pub fn current_false_positive_probability(&self) -> f64 {
-        let per: Vec<f64> =
-            self.slices.iter().map(|s| s.current_false_positive_probability()).collect();
-        evilbloom_analysis::scalable::compound_false_positive(&per)
-    }
-
-    /// Total memory footprint of all slices in bytes.
-    pub fn memory_bytes(&self) -> u64 {
-        self.slices.iter().map(|s| s.params().memory_bytes()).sum()
-    }
-}
-
-impl core::fmt::Debug for ScalableBloomFilter {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ScalableBloomFilter")
-            .field("slices", &self.slices.len())
-            .field("inserted", &self.inserted)
-            .field("compound_fpp", &self.current_false_positive_probability())
-            .finish()
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::Arc;
+
+    use crate::{ConcurrentScalableFilter, FilterParams, ScalableConfig, ScalableOptions};
     use evilbloom_hashes::{KirschMitzenmacher, Murmur3_32};
 
-    fn small_config() -> ScalableConfig {
-        ScalableConfig { slice_capacity: 100, base_fpp: 0.01, tightening_ratio: 0.9 }
-    }
-
-    fn new_filter(config: ScalableConfig) -> ScalableBloomFilter {
-        ScalableBloomFilter::new(config, KirschMitzenmacher::new(Murmur3_32))
+    /// Slices of 100 insertions, `f_0 = 0.01`, `r = 0.9`.
+    fn new_filter() -> ConcurrentScalableFilter {
+        ConcurrentScalableFilter::with_shared_strategy(
+            FilterParams::optimal(100, 0.01),
+            Arc::new(KirschMitzenmacher::new(Murmur3_32)),
+            ScalableOptions { tightening_ratio: 0.9 },
+        )
     }
 
     #[test]
@@ -172,7 +37,7 @@ mod tests {
 
     #[test]
     fn grows_every_slice_capacity_insertions() {
-        let mut filter = new_filter(small_config());
+        let filter = new_filter();
         assert_eq!(filter.slice_count(), 1);
         for i in 0..550u32 {
             filter.insert(format!("item-{i}").as_bytes());
@@ -183,7 +48,7 @@ mod tests {
 
     #[test]
     fn no_false_negatives_across_slices() {
-        let mut filter = new_filter(small_config());
+        let filter = new_filter();
         let items: Vec<String> = (0..450).map(|i| format!("url-{i}")).collect();
         for item in &items {
             filter.insert(item.as_bytes());
@@ -196,11 +61,12 @@ mod tests {
     #[test]
     fn later_slices_are_larger_per_item() {
         // Tighter targets need more bits per item.
-        let mut filter = new_filter(small_config());
+        let filter = new_filter();
         for i in 0..350u32 {
             filter.insert(format!("x{i}").as_bytes());
         }
-        let sizes: Vec<u64> = filter.slices().iter().map(|s| s.m()).collect();
+        let sizes: Vec<u64> = (0..filter.slice_count()).map(|i| filter.slice_params(i).m).collect();
+        assert_eq!(sizes.len(), 4);
         for pair in sizes.windows(2) {
             assert!(pair[1] >= pair[0]);
         }
@@ -208,7 +74,7 @@ mod tests {
 
     #[test]
     fn compound_fpp_stays_bounded_under_honest_load() {
-        let mut filter = new_filter(small_config());
+        let filter = new_filter();
         for i in 0..1000u32 {
             filter.insert(format!("honest-{i}").as_bytes());
         }
@@ -219,7 +85,7 @@ mod tests {
 
     #[test]
     fn observed_false_positive_rate_matches_compound_estimate() {
-        let mut filter = new_filter(small_config());
+        let filter = new_filter();
         for i in 0..500u32 {
             filter.insert(format!("member-{i}").as_bytes());
         }
@@ -232,18 +98,19 @@ mod tests {
 
     #[test]
     fn slice_mut_allows_direct_pollution() {
-        let mut filter = new_filter(small_config());
-        let m = filter.slices()[0].m();
-        for i in 0..m {
-            filter.slice_mut(0).insert_indexes(&[i]);
+        // The pollution experiments set bits of a slice directly.
+        let filter = new_filter();
+        let slice = filter.active_slice();
+        for i in 0..slice.m() {
+            slice.insert_indexes(&[i]);
         }
-        assert!(filter.slices()[0].is_saturated());
+        assert!(slice.is_saturated());
         assert!(filter.contains(b"never inserted"));
     }
 
     #[test]
     fn memory_grows_with_slices() {
-        let mut filter = new_filter(small_config());
+        let filter = new_filter();
         let initial = filter.memory_bytes();
         for i in 0..300u32 {
             filter.insert(format!("y{i}").as_bytes());
@@ -254,6 +121,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "slice capacity must be positive")]
     fn invalid_config_rejected() {
-        new_filter(ScalableConfig { slice_capacity: 0, base_fpp: 0.01, tightening_ratio: 0.9 });
+        ScalableConfig { slice_capacity: 0, base_fpp: 0.01, tightening_ratio: 0.9 }.validate();
     }
 }

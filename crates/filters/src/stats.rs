@@ -3,7 +3,7 @@
 
 use rand::Rng;
 
-use crate::bloom::BloomFilter;
+use crate::concurrent::ConcurrentBloomFilter;
 
 /// Result of an empirical false-positive measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,7 +22,7 @@ pub struct FalsePositiveMeasurement {
 /// items drawn from `label` + a counter — items guaranteed (by construction
 /// of the experiment) not to have been inserted.
 pub fn measure_false_positive_rate(
-    filter: &BloomFilter,
+    filter: &ConcurrentBloomFilter,
     label: &str,
     probes: u64,
 ) -> FalsePositiveMeasurement {
@@ -44,7 +44,7 @@ pub fn measure_false_positive_rate(
 /// Measures the false-positive rate using random byte-string probes from the
 /// provided RNG (useful when string-shaped probes would bias a strategy).
 pub fn measure_false_positive_rate_random<R: Rng>(
-    filter: &BloomFilter,
+    filter: &ConcurrentBloomFilter,
     rng: &mut R,
     probes: u64,
 ) -> FalsePositiveMeasurement {
@@ -78,7 +78,7 @@ pub struct TrajectoryPoint {
 /// Inserts the given items one by one and records the filter state every
 /// `sample_every` insertions (and after the last one).
 pub fn fill_trajectory<'a, I>(
-    filter: &mut BloomFilter,
+    filter: &ConcurrentBloomFilter,
     items: I,
     sample_every: u64,
 ) -> Vec<TrajectoryPoint>
@@ -117,8 +117,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn loaded_filter() -> BloomFilter {
-        let mut filter = BloomFilter::new(
+    fn loaded_filter() -> ConcurrentBloomFilter {
+        let filter = ConcurrentBloomFilter::new(
             FilterParams::optimal(2000, 0.02),
             KirschMitzenmacher::new(Murmur3_128),
         );
@@ -147,12 +147,12 @@ mod tests {
 
     #[test]
     fn trajectory_is_monotone_and_samples_correctly() {
-        let mut filter = BloomFilter::new(
+        let filter = ConcurrentBloomFilter::new(
             FilterParams::explicit(3200, 4, 600),
             KirschMitzenmacher::new(Murmur3_128),
         );
         let items: Vec<Vec<u8>> = (0..600).map(|i| format!("u{i}").into_bytes()).collect();
-        let points = fill_trajectory(&mut filter, items.iter().map(|v| v.as_slice()), 100);
+        let points = fill_trajectory(&filter, items.iter().map(|v| v.as_slice()), 100);
         assert_eq!(points.len(), 6);
         assert_eq!(points.last().expect("non-empty").inserted, 600);
         for pair in points.windows(2) {
@@ -163,12 +163,12 @@ mod tests {
 
     #[test]
     fn trajectory_records_trailing_partial_sample() {
-        let mut filter = BloomFilter::new(
+        let filter = ConcurrentBloomFilter::new(
             FilterParams::explicit(512, 3, 50),
             KirschMitzenmacher::new(Murmur3_128),
         );
         let items: Vec<Vec<u8>> = (0..55).map(|i| format!("u{i}").into_bytes()).collect();
-        let points = fill_trajectory(&mut filter, items.iter().map(|v| v.as_slice()), 25);
+        let points = fill_trajectory(&filter, items.iter().map(|v| v.as_slice()), 25);
         assert_eq!(points.len(), 3);
         assert_eq!(points[2].inserted, 55);
     }
@@ -176,10 +176,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "sampling interval")]
     fn zero_sampling_interval_rejected() {
-        let mut filter = BloomFilter::new(
+        let filter = ConcurrentBloomFilter::new(
             FilterParams::explicit(64, 2, 5),
             KirschMitzenmacher::new(Murmur3_128),
         );
-        fill_trajectory(&mut filter, core::iter::empty(), 0);
+        fill_trajectory(&filter, core::iter::empty(), 0);
     }
 }

@@ -28,9 +28,9 @@
 //!   connection a non-blocking state machine, so open connections scale to
 //!   C10k and beyond. Admission control answers a typed `BUSY` past
 //!   [`ServerConfig::max_conns`], and peers that stop reading their
-//!   responses are evicted. The server is Linux-only: elsewhere
-//!   [`Server::spawn`] returns [`std::io::ErrorKind::Unsupported`], while
-//!   the client side below stays portable;
+//!   responses are evicted. The server (this module, its accept loop in
+//!   [`backend`] and the fd-budget helpers) is compiled on Linux only,
+//!   while the client side below stays portable;
 //! * [`client`] — typed helpers plus explicit [`Client::send`] /
 //!   [`Client::recv`] pipelining;
 //! * [`client_pool`] — [`ClientPool`]: checkout/checkin connection reuse
@@ -76,49 +76,31 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(target_os = "linux")]
 pub mod backend;
+#[cfg(target_os = "linux")]
 mod buffers;
 pub mod client;
 pub mod client_pool;
 #[cfg(target_os = "linux")]
 mod conn;
+#[cfg(target_os = "linux")]
 mod metrics;
 #[cfg(target_os = "linux")]
 mod reactor;
-/// Platforms without epoll: the server refuses to spawn.
-#[cfg(not(target_os = "linux"))]
-mod reactor {
-    use std::io;
-    use std::net::TcpListener;
-    use std::sync::Arc;
-    use std::thread::JoinHandle;
-    use std::time::Duration;
-
-    use crate::server::Inner;
-
-    pub(crate) type Waker = ();
-
-    pub(crate) fn spawn(
-        _inner: &Arc<Inner>,
-        _listener: TcpListener,
-        _shards: usize,
-        _poll_interval: Duration,
-    ) -> io::Result<(Vec<JoinHandle<()>>, Vec<Waker>)> {
-        Err(io::Error::new(io::ErrorKind::Unsupported, "the evilbloom server needs Linux epoll"))
-    }
-
-    pub(crate) fn wake(_waker: &Waker) {}
-}
 pub mod remote;
 pub mod retry;
+#[cfg(target_os = "linux")]
 pub mod server;
 pub mod wire;
 
+#[cfg(target_os = "linux")]
 pub use backend::{fd_soft_limit, loopback_connection_budget};
 pub use client::{Client, ClientConfig, ClientError, RemoteBatchOutcome, ResilientClient};
 pub use client_pool::{ClientPool, PoolHealth};
 pub use remote::{RemoteStore, POOL_FRAME_ITEMS};
 pub use retry::{Backoff, RetryPolicy};
+#[cfg(target_os = "linux")]
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use wire::{
     Command, Response, WireDriftPoint, WireError, WireShardStats, WireSnapshot, WireStats,

@@ -258,6 +258,7 @@ impl<'a> Command<'a> {
 
     /// The command's wire opcode byte, as recorded in forensic trace
     /// events (both rotation phases share `ROTATE`).
+    #[cfg(target_os = "linux")]
     pub(crate) fn opcode(&self) -> u8 {
         match self {
             Command::Ping => OP_PING,

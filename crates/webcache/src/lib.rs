@@ -292,11 +292,11 @@ impl evilbloom_attacks::TargetFilter for KeyedView<'_> {
     }
 
     fn is_set(&self, index: u64) -> bool {
-        self.digest.bits().get(index)
+        self.digest.filter().is_set(index)
     }
 
     fn weight(&self) -> u64 {
-        self.digest.bits().count_ones()
+        self.digest.filter().hamming_weight()
     }
 }
 

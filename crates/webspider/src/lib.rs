@@ -20,7 +20,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use evilbloom_attacks::forgery::plan_ghost_pages;
 use evilbloom_attacks::pollution::craft_polluting_items;
-use evilbloom_filters::{BloomFilter, FilterParams};
+use evilbloom_filters::{ConcurrentBloomFilter, FilterParams};
 use evilbloom_hashes::{SaltedCrypto, Sha512};
 use evilbloom_store::ConcurrentDedup;
 use evilbloom_urlgen::UrlGenerator;
@@ -83,7 +83,7 @@ pub enum DedupStore {
     /// no false positives, large memory footprint).
     Exact(HashSet<String>),
     /// Bloom-filter membership (small footprint, attackable).
-    Bloom(BloomFilter),
+    Bloom(ConcurrentBloomFilter),
     /// Concurrent sharded-store membership (`evilbloom-store`): the same
     /// probabilistic semantics as [`DedupStore::Bloom`], but shareable
     /// across crawler workers and hardened/rotatable underneath.
@@ -100,11 +100,11 @@ impl DedupStore {
     /// parameters for `capacity` URLs at false-positive probability `fpp`.
     pub fn bloom(capacity: u64, fpp: f64) -> Self {
         let params = FilterParams::optimal(capacity, fpp);
-        DedupStore::Bloom(BloomFilter::new(params, SaltedCrypto::new(Box::new(Sha512))))
+        DedupStore::Bloom(ConcurrentBloomFilter::new(params, SaltedCrypto::new(Box::new(Sha512))))
     }
 
     /// Wraps an existing Bloom filter (used to install hardened filters).
-    pub fn from_filter(filter: BloomFilter) -> Self {
+    pub fn from_filter(filter: ConcurrentBloomFilter) -> Self {
         DedupStore::Bloom(filter)
     }
 
@@ -156,7 +156,7 @@ impl DedupStore {
     /// Read-only access to the underlying Bloom filter, if any. The
     /// concurrent store deliberately returns `None`: its filters are keyed,
     /// so the offline attack tooling has nothing to inspect.
-    pub fn filter(&self) -> Option<&BloomFilter> {
+    pub fn filter(&self) -> Option<&ConcurrentBloomFilter> {
         match self {
             DedupStore::Exact(_) | DedupStore::Concurrent(_) => None,
             DedupStore::Bloom(filter) => Some(filter),

@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use evilbloom::analysis::blocked::blocked_false_positive;
 use evilbloom::attacks::pollution::craft_polluting_items;
-use evilbloom::filters::{BlockedBloomFilter, BloomFilter, FilterParams, BLOCK_BITS};
+use evilbloom::filters::{BlockedBloomFilter, ConcurrentBloomFilter, FilterParams, BLOCK_BITS};
 use evilbloom::hashes::{KirschMitzenmacher, Murmur128Pair, Murmur3_128};
 use evilbloom::urlgen::UrlGenerator;
 
@@ -20,7 +20,7 @@ fn main() {
     println!("budget: {params}\n");
 
     // Same (m, k) budget, two layouts.
-    let mut standard = BloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
+    let standard = ConcurrentBloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
     let mut blocked = BlockedBloomFilter::new(params, Murmur128Pair);
     let members: Vec<String> = (0..n).map(|i| format!("https://host{i}.example/{i}")).collect();
 

@@ -35,7 +35,7 @@ fn main() {
     // adversary plans against her best guess (a filter with a key she made
     // up) and gains nothing against the real one.
     let real_key = FilterKey::from_bytes([42u8; 32]);
-    let mut real = hardened_filter(capacity, target, HardeningLevel::KeyedSipHash, &real_key);
+    let real = hardened_filter(capacity, target, HardeningLevel::KeyedSipHash, &real_key);
     let guessed_key = FilterKey::from_bytes([1u8; 32]);
     let shadow = hardened_filter(capacity, target, HardeningLevel::KeyedSipHash, &guessed_key);
     let plan = craft_polluting_items(&shadow, &UrlGenerator::new("hardened"), 500, u64::MAX);

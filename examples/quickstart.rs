@@ -5,7 +5,7 @@
 
 use evilbloom::attacks::craft_polluting_items;
 use evilbloom::core::{assess, DeploymentSpec, SecureBloomBuilder, StrategyKind};
-use evilbloom::filters::{BloomFilter, FilterParams, HardeningLevel};
+use evilbloom::filters::{ConcurrentBloomFilter, FilterParams, HardeningLevel};
 use evilbloom::hashes::{KirschMitzenmacher, Murmur3_128};
 use evilbloom::urlgen::UrlGenerator;
 
@@ -24,7 +24,7 @@ fn main() {
     println!("indexes predictable by an adversary : {}", report.predictable_indexes);
 
     // 2. Demonstrate the pollution attack on a small filter (Figure 3 size).
-    let mut filter = BloomFilter::new(
+    let filter = ConcurrentBloomFilter::new(
         FilterParams::explicit(3200, 4, 600),
         KirschMitzenmacher::new(Murmur3_128),
     );

@@ -5,7 +5,7 @@
 
 use evilbloom::analysis::{false_positive, worst_case};
 use evilbloom::attacks::craft_polluting_items;
-use evilbloom::filters::{BloomFilter, FilterParams};
+use evilbloom::filters::{ConcurrentBloomFilter, FilterParams};
 use evilbloom::hashes::{
     recycled_indexes, IndexStrategy, KirschMitzenmacher, Murmur3_128, RecycledCrypto, SaltedCrypto,
     Sha512,
@@ -22,13 +22,14 @@ fn worst_case_parameters_limit_pollution_damage() {
     assert!(hardened.k < classic.k);
 
     let generator = UrlGenerator::new("worst-case-compare");
-    let mut classic_filter = BloomFilter::new(classic, KirschMitzenmacher::new(Murmur3_128));
+    let classic_filter = ConcurrentBloomFilter::new(classic, KirschMitzenmacher::new(Murmur3_128));
     let plan = craft_polluting_items(&classic_filter, &generator, capacity as usize, u64::MAX);
     for url in &plan.items {
         classic_filter.insert(url.as_bytes());
     }
 
-    let mut hardened_filter = BloomFilter::new(hardened, KirschMitzenmacher::new(Murmur3_128));
+    let hardened_filter =
+        ConcurrentBloomFilter::new(hardened, KirschMitzenmacher::new(Murmur3_128));
     let plan = craft_polluting_items(&hardened_filter, &generator, capacity as usize, u64::MAX);
     for url in &plan.items {
         hardened_filter.insert(url.as_bytes());
@@ -71,7 +72,7 @@ fn recycling_is_equivalent_in_behaviour_but_cheaper_in_calls() {
 
     // A filter built on recycled indexes behaves like a normal Bloom filter.
     let params = FilterParams::optimal(2_000, 0.01);
-    let mut filter = BloomFilter::new(params, RecycledCrypto::new(Box::new(Sha512)));
+    let filter = ConcurrentBloomFilter::new(params, RecycledCrypto::new(Box::new(Sha512)));
     for i in 0..2_000 {
         filter.insert(format!("member-{i}").as_bytes());
     }
@@ -89,7 +90,7 @@ fn recycling_is_equivalent_in_behaviour_but_cheaper_in_calls() {
 fn analytic_model_matches_simulation_across_parameters() {
     for (capacity, target) in [(500u64, 0.05f64), (1_000, 0.01), (2_000, 0.002)] {
         let params = FilterParams::optimal(capacity, target);
-        let mut filter = BloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
+        let filter = ConcurrentBloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
         for i in 0..capacity {
             filter.insert(format!("item-{i}").as_bytes());
         }

@@ -3,7 +3,7 @@
 
 use evilbloom::attacks::{craft_false_positives, craft_polluting_items, TargetFilter};
 use evilbloom::core::{assess, DeploymentSpec, SecureBloomBuilder, StrategyKind};
-use evilbloom::filters::{BloomFilter, FilterParams, HardeningLevel};
+use evilbloom::filters::{ConcurrentBloomFilter, FilterParams, HardeningLevel};
 use evilbloom::hashes::{IndexStrategy, KirschMitzenmacher, Md5Split, Murmur3_128};
 use evilbloom::urlgen::UrlGenerator;
 
@@ -14,14 +14,14 @@ use evilbloom::urlgen::UrlGenerator;
 fn figure3_end_to_end() {
     let params = FilterParams::explicit(3200, 4, 600);
 
-    let mut honest = BloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
+    let honest = ConcurrentBloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
     for i in 0..600 {
         honest.insert(format!("honest-{i}").as_bytes());
     }
     let honest_fpp = honest.current_false_positive_probability();
     assert!((honest_fpp - 0.077).abs() < 0.03, "honest fpp {honest_fpp}");
 
-    let mut attacked = BloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
+    let attacked = ConcurrentBloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
     let plan = craft_polluting_items(&attacked, &UrlGenerator::new("fig3"), 600, u64::MAX);
     assert_eq!(plan.items.len(), 600);
     for url in &plan.items {
@@ -51,7 +51,7 @@ fn assessment_attack_and_hardening_agree() {
     let report = assess(&spec);
 
     // Attack the predicted deployment.
-    let mut filter = BloomFilter::new(report.params, spec.strategy.instantiate_for_filter());
+    let filter = ConcurrentBloomFilter::new(report.params, spec.strategy.instantiate_for_filter());
     let plan = craft_polluting_items(
         &filter,
         &UrlGenerator::new("assessed"),
@@ -66,7 +66,7 @@ fn assessment_attack_and_hardening_agree() {
 
     // The keyed filter with the same capacity/target keeps its design FPP
     // under the same (now ineffective) adversarial workload.
-    let mut hardened = SecureBloomBuilder::new(spec.capacity, spec.target_fpp)
+    let hardened = SecureBloomBuilder::new(spec.capacity, spec.target_fpp)
         .level(HardeningLevel::KeyedSipHash)
         .build();
     for url in &plan.items {
@@ -77,7 +77,7 @@ fn assessment_attack_and_hardening_agree() {
 }
 
 /// Helper: `StrategyKind::instantiate` returns a boxed strategy; adapt it for
-/// `BloomFilter::new` which needs a concrete `IndexStrategy` value.
+/// `ConcurrentBloomFilter::new` which needs a concrete `IndexStrategy` value.
 trait InstantiateForFilter {
     fn instantiate_for_filter(&self) -> BoxedStrategy;
 }
@@ -115,8 +115,10 @@ fn forgery_works_across_strategies() {
         ("md5-split", StrategyKind::Md5Split),
         ("recycled-sha512", StrategyKind::RecycledSha512),
     ] {
-        let mut filter =
-            BloomFilter::new(FilterParams::optimal(1_000, 0.02), strategy.instantiate_for_filter());
+        let filter = ConcurrentBloomFilter::new(
+            FilterParams::optimal(1_000, 0.02),
+            strategy.instantiate_for_filter(),
+        );
         for i in 0..1_000 {
             filter.insert(format!("member-{i}").as_bytes());
         }
@@ -135,8 +137,10 @@ fn forgery_works_across_strategies() {
 /// filter API across the facade.
 #[test]
 fn target_view_matches_public_api() {
-    let mut filter =
-        BloomFilter::new(FilterParams::optimal(500, 0.01), KirschMitzenmacher::new(Murmur3_128));
+    let filter = ConcurrentBloomFilter::new(
+        FilterParams::optimal(500, 0.01),
+        KirschMitzenmacher::new(Murmur3_128),
+    );
     for i in 0..500 {
         filter.insert(format!("u{i}").as_bytes());
     }
