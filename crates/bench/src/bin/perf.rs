@@ -23,7 +23,9 @@ use criterion::report::Json;
 use criterion::{black_box, measure, MeasureOptions, Measurement};
 
 use evilbloom_attacks::pollution::craft_polluting_items;
-use evilbloom_bench::{load_baseline, select_workloads, workload_selected, PERF_SCHEMA_VERSION};
+use evilbloom_bench::{
+    load_baseline, select_workloads, workload_selected, PERF_SCHEMA_VERSION, WORKLOAD_IDS,
+};
 use evilbloom_fault::{FaultPlan, FaultPoint};
 use evilbloom_filters::{
     hardened_filter, BlockedBloomFilter, ConcurrentBloomFilter, FilterKey, FilterParams,
@@ -86,7 +88,7 @@ fn main() {
 
     let suite = Suite::new(quick, filter);
     if list {
-        for id in select_workloads(&suite.workload_ids(), suite.filter.as_deref()) {
+        for id in select_workloads(WORKLOAD_IDS, suite.filter.as_deref()) {
             println!("{id}");
         }
         return;
@@ -294,10 +296,24 @@ fn env_info() -> Json {
     Json::obj(vec![
         ("os", Json::Str(std::env::consts::OS.to_string())),
         ("arch", Json::Str(std::env::consts::ARCH.to_string())),
+        ("cpu_model", Json::Str(cpu_model())),
         ("cpus", Json::Num(std::thread::available_parallelism().map_or(0, |p| p.get()) as f64)),
         ("debug_build", Json::Bool(cfg!(debug_assertions))),
         ("crate_version", Json::Str(env!("CARGO_PKG_VERSION").to_string())),
     ])
+}
+
+/// The host CPU's `model name` from `/proc/cpuinfo`, or `"unknown"` where
+/// there is none, so reports from different hosts are told apart.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|line| line.strip_prefix("model name")?.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// The fixed workload suite. `quick` shrinks data sizes and sampling budget
@@ -341,55 +357,24 @@ impl Suite {
     /// Whether any id with this prefix is selected (guards expensive
     /// workload-family setup when `--filter` excludes the whole family).
     fn family_selected(&self, prefix: &str) -> bool {
-        self.workload_ids().iter().any(|id| id.starts_with(prefix) && self.selected(id))
-    }
-
-    fn workload_ids(&self) -> Vec<&'static str> {
-        vec![
-            "hash/murmur3_128",
-            "hash/murmur3_128_pair",
-            "hash/siphash24",
-            "hash/sha256",
-            "hash/md5",
-            "filter/standard/insert",
-            "filter/standard/query",
-            "filter/blocked/insert",
-            "filter/blocked/query",
-            "filter/hardened/query",
-            "concurrent/query_loop",
-            "concurrent/query_batch",
-            "store/insert_batch",
-            "store/query_loop",
-            "store/query_batch",
-            "store/snapshot_while_serving",
-            "store/recovery_replay",
-            "server/query",
-            "server/query_batch",
-            "server/metrics_overhead",
-            "server/trace_overhead",
-            "server/fault_hooks_overhead",
-            "server/attack_mix",
-            "server/conn_scaling/c64",
-            "server/conn_scaling/c1k",
-            "server/conn_scaling/c8k",
-            "attack/pollution_drift/standard",
-            "attack/pollution_drift/blocked",
-        ]
+        WORKLOAD_IDS.iter().any(|id| id.starts_with(prefix) && self.selected(id))
     }
 
     fn run(&self) -> Report {
         let mut timings = Vec::new();
         let mut observables = Vec::new();
 
+        let server_selected = self.family_selected("server/query")
+            || self.family_selected("server/attack_mix")
+            || self.family_selected("server/fault")
+            || self.selected("server/delete_batch");
         // One shared item universe: the member/probe sets are the costly
         // part of the setup (millions of string allocations in full mode).
         // Skipped when --filter selects none of the workloads that use it.
         let needs_items = self.family_selected("filter/")
             || self.family_selected("concurrent/")
             || self.family_selected("store/")
-            || self.family_selected("server/query")
-            || self.family_selected("server/attack_mix")
-            || self.family_selected("server/fault");
+            || server_selected;
         let (members, probes) =
             if needs_items { self.items(self.filter_capacity as usize) } else { (vec![], vec![]) };
 
@@ -403,10 +388,7 @@ impl Suite {
         if self.selected("store/snapshot_while_serving") || self.selected("store/recovery_replay") {
             self.persistence_workloads(&mut timings, &members, &probes);
         }
-        if self.family_selected("server/query")
-            || self.family_selected("server/attack_mix")
-            || self.family_selected("server/fault")
-        {
+        if server_selected {
             self.server_workloads(&mut timings, &mut observables, &members, &probes);
         }
         if self.family_selected("server/conn_scaling/") {

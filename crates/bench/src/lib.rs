@@ -51,6 +51,43 @@ pub fn workload_selected(id: &str, filter: Option<&str>) -> bool {
     filter.is_none_or(|needle| id.contains(needle))
 }
 
+/// Every workload id the perf runner can run, in run order — what
+/// `perf --list` prints and what `--filter` selects from.
+pub const WORKLOAD_IDS: &[&str] = &[
+    "hash/murmur3_128",
+    "hash/murmur3_128_pair",
+    "hash/siphash24",
+    "hash/sha256",
+    "hash/md5",
+    "filter/standard/insert",
+    "filter/standard/query",
+    "filter/blocked/insert",
+    "filter/blocked/query",
+    "filter/hardened/query",
+    "concurrent/query_loop",
+    "concurrent/query_batch",
+    "store/insert_batch",
+    "store/query_loop",
+    "store/query_batch",
+    "store/counting_insert_batch",
+    "store/counting_query_batch",
+    "store/counting_remove_batch",
+    "store/snapshot_while_serving",
+    "store/recovery_replay",
+    "server/query",
+    "server/query_batch",
+    "server/metrics_overhead",
+    "server/trace_overhead",
+    "server/fault_hooks_overhead",
+    "server/delete_batch",
+    "server/attack_mix",
+    "server/conn_scaling/c64",
+    "server/conn_scaling/c1k",
+    "server/conn_scaling/c8k",
+    "attack/pollution_drift/standard",
+    "attack/pollution_drift/blocked",
+];
+
 /// Applies [`workload_selected`] to a workload-id list, preserving order —
 /// what `perf --list --filter <substring>` prints and `perf --filter`
 /// runs.
@@ -140,6 +177,35 @@ mod tests {
         let text = r#"{"schema_version": 1.0, "workloads": [{"id": "hash/md5", "ns_per_op_median": 100.0}]}"#;
         let doc = parse_baseline(text, PERF_SCHEMA_VERSION).expect("valid");
         assert_eq!(doc.get("workloads").and_then(Json::as_array).map(<[Json]>::len), Some(1));
+    }
+
+    #[test]
+    fn every_baseline_timing_row_is_listed() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/baseline.json");
+        let baseline = load_baseline(path, PERF_SCHEMA_VERSION).expect("committed baseline");
+        let rows = baseline.get("workloads").and_then(Json::as_array).expect("workloads");
+        for row in rows {
+            if row.get("kind").and_then(Json::as_str) == Some("timing") {
+                let id = row.get("id").and_then(Json::as_str).expect("row id");
+                assert!(WORKLOAD_IDS.contains(&id), "{id} is gated but not listed");
+            }
+        }
+    }
+
+    #[test]
+    fn counting_rows_are_selectable() {
+        assert_eq!(
+            select_workloads(WORKLOAD_IDS, Some("counting")),
+            vec![
+                "store/counting_insert_batch",
+                "store/counting_query_batch",
+                "store/counting_remove_batch"
+            ]
+        );
+        assert_eq!(
+            select_workloads(WORKLOAD_IDS, Some("delete_batch")),
+            vec!["server/delete_batch"]
+        );
     }
 
     #[test]

@@ -3,11 +3,14 @@
 //! slice type [`Dablooms`](crate::Dablooms) stacks, and the backend the
 //! store serves the `DELETE` opcode against.
 //!
-//! Cells are one byte wide, packed eight per `AtomicU64` and updated with
+//! Cells are 4-bit nibbles, packed sixteen per `AtomicU64` and updated with
 //! CAS loops, so every individual counter transition is atomic: exactly one
 //! thread observes each 0 → 1 transition, which keeps the running
-//! occupied-cells counter exact. What a full cell does is the filter's
-//! [`OverflowPolicy`], fixed at construction:
+//! occupied-cells counter exact. Four bits is the width Fan et al. showed
+//! is enough for a counting filter (and the one Dablooms uses), so the cell
+//! layout is fixed at it; `counter_bits` only lowers the saturation
+//! maximum. What a full cell does is the filter's [`OverflowPolicy`], fixed
+//! at construction:
 //!
 //! * [`OverflowPolicy::Saturate`] (the default, and the only policy the
 //!   store serves) freezes it: frozen cells are never incremented nor
@@ -33,14 +36,29 @@ use crate::backend::{BackendKind, FilterBackend};
 use crate::counting::OverflowPolicy;
 use crate::params::FilterParams;
 
-/// Cells per packed word (one byte each).
-const CELLS_PER_WORD: u64 = 8;
+/// Bits per cell: every counter is one nibble, whatever its `counter_bits`.
+const CELL_BITS: u32 = 4;
+/// Cells per packed word.
+const CELLS_PER_WORD: u64 = 64 / CELL_BITS as u64;
+/// Mask of one cell's lane.
+const CELL_MASK: u64 = (1 << CELL_BITS) - 1;
+
+/// The `(cell, value)` lanes of packed `words`, in cell order, stopping at
+/// cell `m` (padding lanes past it are never yielded).
+fn lanes(words: impl IntoIterator<Item = u64>, m: u64) -> impl Iterator<Item = (u64, u8)> {
+    let values = words.into_iter().flat_map(|word| {
+        (0..64).step_by(CELL_BITS as usize).map(move |shift| ((word >> shift) & CELL_MASK) as u8)
+    });
+    (0..m).zip(values)
+}
 
 /// Construction options for [`ConcurrentCountingFilter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CountingOptions {
-    /// Counter width in bits, 1..=8 (Dablooms uses 4). A cell saturates —
-    /// and freezes — at `2^counter_bits - 1`.
+    /// Counter width in bits, 1..=4 (Dablooms uses 4). A cell saturates —
+    /// and freezes — at `2^counter_bits - 1`. Every cell is stored in four
+    /// bits whatever the width, so a narrower counter lowers the maximum
+    /// but saves no memory.
     pub counter_bits: u8,
 }
 
@@ -50,7 +68,7 @@ impl Default for CountingOptions {
     }
 }
 
-/// A lock-free counting Bloom filter: one-byte cells packed eight per atomic
+/// A lock-free counting Bloom filter: 4-bit cells packed sixteen per atomic
 /// word, CAS increments/decrements, and an [`OverflowPolicy`] for full cells.
 ///
 /// # Examples
@@ -71,7 +89,7 @@ impl Default for CountingOptions {
 /// assert!(!filter.contains(b"http://phish.example/"));
 /// ```
 pub struct ConcurrentCountingFilter {
-    /// Eight one-byte cells per word; `m.div_ceil(8)` words.
+    /// Sixteen 4-bit cells per word; `m.div_ceil(16)` words.
     words: Vec<AtomicU64>,
     params: FilterParams,
     strategy: Arc<dyn IndexStrategy>,
@@ -96,7 +114,7 @@ impl ConcurrentCountingFilter {
     ///
     /// # Panics
     ///
-    /// Panics if `options.counter_bits` is zero or larger than 8.
+    /// Panics if `options.counter_bits` is zero or larger than 4.
     pub fn with_shared_strategy(
         params: FilterParams,
         strategy: Arc<dyn IndexStrategy>,
@@ -109,14 +127,17 @@ impl ConcurrentCountingFilter {
     ///
     /// # Panics
     ///
-    /// Panics if `options.counter_bits` is zero or larger than 8.
+    /// Panics if `options.counter_bits` is zero or larger than 4.
     pub fn with_overflow_policy(
         params: FilterParams,
         strategy: Arc<dyn IndexStrategy>,
         options: CountingOptions,
         policy: OverflowPolicy,
     ) -> Self {
-        assert!((1..=8).contains(&options.counter_bits), "counter width must be 1..=8 bits");
+        assert!(
+            (1..=CELL_BITS).contains(&u32::from(options.counter_bits)),
+            "counter width must be 1..=4 bits"
+        );
         let words = (0..params.m.div_ceil(CELLS_PER_WORD)).map(|_| AtomicU64::new(0)).collect();
         ConcurrentCountingFilter {
             words,
@@ -153,7 +174,7 @@ impl ConcurrentCountingFilter {
 
     /// Maximum value a counter can hold (`2^bits - 1`).
     pub fn counter_max(&self) -> u8 {
-        ((1u16 << self.counter_bits) - 1) as u8
+        (1 << self.counter_bits) - 1
     }
 
     /// What an increment does to a cell at the maximum.
@@ -190,7 +211,7 @@ impl ConcurrentCountingFilter {
     #[inline]
     fn locate(&self, index: u64) -> (usize, u32) {
         assert!(index < self.params.m, "cell index {index} out of range (m {})", self.params.m);
-        ((index / CELLS_PER_WORD) as usize, (index % CELLS_PER_WORD) as u32 * 8)
+        ((index / CELLS_PER_WORD) as usize, (index % CELLS_PER_WORD) as u32 * CELL_BITS)
     }
 
     /// Value of the counter at `index` (acquire load).
@@ -200,7 +221,7 @@ impl ConcurrentCountingFilter {
     /// Panics if `index >= m`.
     pub fn counter(&self, index: u64) -> u8 {
         let (word, shift) = self.locate(index);
-        ((self.words[word].load(Ordering::Acquire) >> shift) & 0xFF) as u8
+        ((self.words[word].load(Ordering::Acquire) >> shift) & CELL_MASK) as u8
     }
 
     /// Atomically moves the cell at `index` from its value `prior` to
@@ -213,12 +234,12 @@ impl ConcurrentCountingFilter {
         let slot = &self.words[word];
         let mut current = slot.load(Ordering::Relaxed);
         loop {
-            let prior = ((current >> shift) & 0xFF) as u8;
+            let prior = ((current >> shift) & CELL_MASK) as u8;
             let next = step(prior);
             if next == prior {
                 return prior;
             }
-            let updated = (current & !(0xFF << shift)) | (u64::from(next) << shift);
+            let updated = (current & !(CELL_MASK << shift)) | (u64::from(next) << shift);
             match slot.compare_exchange_weak(current, updated, Ordering::AcqRel, Ordering::Relaxed)
             {
                 Ok(_) => {
@@ -288,17 +309,12 @@ impl ConcurrentCountingFilter {
 
     /// Exact count of non-zero cells (scans every word).
     pub fn occupied_cells(&self) -> u64 {
-        let mut count = 0u64;
-        for (wi, word) in self.words.iter().enumerate() {
-            let bits = word.load(Ordering::Acquire);
-            let base = wi as u64 * CELLS_PER_WORD;
-            for lane in 0..CELLS_PER_WORD {
-                if base + lane < self.params.m && (bits >> (lane * 8)) & 0xFF != 0 {
-                    count += 1;
-                }
-            }
-        }
-        count
+        self.live_lanes().filter(|&(_, value)| value > 0).count() as u64
+    }
+
+    /// The `(cell, value)` lanes of the live words (acquire loads).
+    fn live_lanes(&self) -> impl Iterator<Item = (u64, u8)> + '_ {
+        lanes(self.words.iter().map(|w| w.load(Ordering::Acquire)), self.params.m)
     }
 
     /// O(1) approximate count of non-zero cells from the running counter
@@ -311,17 +327,7 @@ impl ConcurrentCountingFilter {
     /// under [`OverflowPolicy::Saturate`]).
     pub fn saturated_cells(&self) -> u64 {
         let max = self.counter_max();
-        let mut count = 0u64;
-        for (wi, word) in self.words.iter().enumerate() {
-            let bits = word.load(Ordering::Acquire);
-            let base = wi as u64 * CELLS_PER_WORD;
-            for lane in 0..CELLS_PER_WORD {
-                if base + lane < self.params.m && ((bits >> (lane * 8)) & 0xFF) as u8 == max {
-                    count += 1;
-                }
-            }
-        }
-        count
+        self.live_lanes().filter(|&(_, value)| value == max).count() as u64
     }
 
     /// Exact fraction of non-zero cells.
@@ -338,11 +344,11 @@ impl ConcurrentCountingFilter {
         )
     }
 
-    /// Memory footprint as reported: the *packed* `counter_bits` size
-    /// (Dablooms packs two 4-bit counters per byte), for comparability with
-    /// the paper.
+    /// Memory footprint: four bits per cell, as Dablooms packs two 4-bit
+    /// counters per byte. It matches the word allocation up to the padding
+    /// lanes of the last word.
     pub fn memory_bytes(&self) -> u64 {
-        (self.params.m * u64::from(self.counter_bits)).div_ceil(8)
+        (self.params.m * u64::from(CELL_BITS)).div_ceil(8)
     }
 
     /// Racy word-array copy of the packed cells under `&self`.
@@ -363,40 +369,25 @@ impl ConcurrentCountingFilter {
     /// `m` are masked off and corrupt lanes above the counter maximum clamp
     /// to it (saturated); the occupied counter is recounted from the words.
     ///
-    /// Returns `None` if `words` is not exactly `m.div_ceil(8)` words long.
+    /// Returns `None` if `words` is not exactly `m.div_ceil(16)` words long.
     pub fn from_words(
         params: FilterParams,
         strategy: Arc<dyn IndexStrategy>,
-        mut words: Vec<u64>,
+        words: Vec<u64>,
         inserted: u64,
         options: CountingOptions,
     ) -> Option<Self> {
         if words.len() as u64 != params.m.div_ceil(CELLS_PER_WORD) {
             return None;
         }
-        let max = u64::from(((1u16 << options.counter_bits) - 1) as u8);
-        let mut occupied = 0u64;
-        for (wi, word) in words.iter_mut().enumerate() {
-            let base = wi as u64 * CELLS_PER_WORD;
-            let mut clean = 0u64;
-            for lane in 0..CELLS_PER_WORD {
-                if base + lane >= params.m {
-                    break;
-                }
-                let value = ((*word >> (lane * 8)) & 0xFF).min(max);
-                if value > 0 {
-                    occupied += 1;
-                }
-                clean |= value << (lane * 8);
-            }
-            *word = clean;
+        let mut filter = ConcurrentCountingFilter::with_shared_strategy(params, strategy, options);
+        let max = filter.counter_max();
+        for (cell, value) in lanes(words, params.m).filter(|&(_, value)| value > 0) {
+            let (word, shift) = filter.locate(cell);
+            *filter.words[word].get_mut() |= u64::from(value.min(max)) << shift;
+            *filter.occupied.get_mut() += 1;
         }
-        let filter = ConcurrentCountingFilter::with_shared_strategy(params, strategy, options);
-        for (slot, word) in filter.words.iter().zip(words) {
-            slot.store(word, Ordering::Relaxed);
-        }
-        filter.occupied.store(occupied, Ordering::Relaxed);
-        filter.inserted.store(inserted, Ordering::Relaxed);
+        *filter.inserted.get_mut() = inserted;
         Some(filter)
     }
 }
@@ -525,7 +516,7 @@ impl FilterBackend for ConcurrentCountingFilter {
     }
 
     fn options_from_persist_aux(aux: u8) -> Option<Self::Options> {
-        (1..=8).contains(&aux).then_some(CountingOptions { counter_bits: aux })
+        (1..=CELL_BITS).contains(&u32::from(aux)).then_some(CountingOptions { counter_bits: aux })
     }
 }
 
@@ -607,7 +598,7 @@ mod tests {
         // again; every answer and every cell must match the model under
         // both overflow policies.
         for policy in [OverflowPolicy::Saturate, OverflowPolicy::Wrap] {
-            for counter_bits in [2u8, 4] {
+            for counter_bits in 1..=4u8 {
                 for seed in 0..16u64 {
                     let mut rng = StdRng::seed_from_u64(seed);
                     let params = FilterParams::explicit(64, 3, 8);
@@ -668,7 +659,7 @@ mod tests {
 
     #[test]
     fn concurrent_insert_remove_keeps_occupied_counter_exact() {
-        let filter = small(4096, 4, 8);
+        let filter = small(4096, 4, 4);
         std::thread::scope(|scope| {
             for t in 0..4 {
                 let filter = &filter;
@@ -692,7 +683,7 @@ mod tests {
 
     #[test]
     fn word_snapshot_roundtrips_cell_for_cell() {
-        let filter = small(1000, 4, 4); // m not a multiple of 8
+        let filter = small(1000, 4, 4); // m not a multiple of 16
         for i in 0..150 {
             filter.insert(format!("i{i}").as_bytes());
         }
@@ -716,31 +707,35 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_packs_sixteen_nibbles_per_word() {
+        let filter = small(32, 3, 4);
+        filter.insert_indexes(&[0, 15, 16]);
+        assert_eq!(filter.snapshot_words(), vec![0x1000_0000_0000_0001, 0x1]);
+    }
+
+    #[test]
     fn from_words_masks_padding_and_clamps_corrupt_lanes() {
+        // m = 10 fills one word and leaves 6 padding nibbles; at 3 bits a
+        // corrupt 0xF lane clamps to 7.
         let params = FilterParams::explicit(10, 2, 4);
-        let words = vec![u64::MAX; 2]; // every lane 0xFF, incl. padding
-        let restored = ConcurrentCountingFilter::from_words(
-            params,
-            strategy(),
-            words,
-            0,
-            CountingOptions::default(),
-        )
-        .expect("right word count");
+        let options = CountingOptions { counter_bits: 3 };
+        let restored =
+            ConcurrentCountingFilter::from_words(params, strategy(), vec![u64::MAX], 0, options)
+                .expect("right word count");
         for cell in 0..10 {
-            assert_eq!(restored.counter(cell), 15, "clamped to 4-bit max");
+            assert_eq!(restored.counter(cell), 7, "clamped to the 3-bit max");
         }
-        assert_eq!(restored.occupied_cells(), 10, "padding lanes masked off");
+        assert_eq!(restored.snapshot_words(), vec![0x77_7777_7777], "padding lanes masked off");
+        assert_eq!(restored.occupied_cells(), 10);
         assert_eq!(restored.occupied_cells_approx(), 10);
-        // Wrong geometry is a typed failure.
-        assert!(ConcurrentCountingFilter::from_words(
-            params,
-            strategy(),
-            vec![0u64; 5],
-            0,
-            CountingOptions::default(),
-        )
-        .is_none());
+        assert_eq!(restored.saturated_cells(), 10);
+        // Wrong geometry (the byte-cell word count included) is a typed
+        // failure.
+        for len in [0, 2] {
+            let words = vec![0u64; len];
+            assert!(ConcurrentCountingFilter::from_words(params, strategy(), words, 0, options)
+                .is_none());
+        }
     }
 
     #[test]
@@ -780,14 +775,19 @@ mod tests {
     fn backend_capability_and_aux_byte() {
         assert!(<ConcurrentCountingFilter as FilterBackend>::supports_remove());
         assert_eq!(<ConcurrentCountingFilter as FilterBackend>::KIND, BackendKind::Counting);
-        let options = CountingOptions { counter_bits: 6 };
+        let options = CountingOptions { counter_bits: 3 };
         let aux = <ConcurrentCountingFilter as FilterBackend>::persist_aux(&options);
         assert_eq!(
             <ConcurrentCountingFilter as FilterBackend>::options_from_persist_aux(aux),
             Some(options)
         );
-        assert_eq!(<ConcurrentCountingFilter as FilterBackend>::options_from_persist_aux(0), None);
-        assert_eq!(<ConcurrentCountingFilter as FilterBackend>::options_from_persist_aux(9), None);
+        for aux in [0, 5, 6, 7, 8, 9] {
+            assert_eq!(
+                <ConcurrentCountingFilter as FilterBackend>::options_from_persist_aux(aux),
+                None,
+                "aux {aux}"
+            );
+        }
     }
 
     #[test]

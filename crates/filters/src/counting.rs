@@ -170,7 +170,8 @@ mod tests {
     fn custom_counter_width() {
         let filter = with_width(128, 3, 2);
         assert_eq!(filter.counter_max(), 3);
-        assert_eq!(filter.memory_bytes(), 32);
+        // Every cell takes a nibble: a narrower counter saves no memory.
+        assert_eq!(filter.memory_bytes(), 64);
     }
 
     #[test]

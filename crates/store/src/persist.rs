@@ -263,12 +263,13 @@ pub struct RecoveryReport {
 // ---------------------------------------------------------------------------
 
 /// Format version shared by snapshot and WAL files. Bump on incompatible
-/// layout changes. Version 2 added the backend-family byte pair to the
-/// snapshot header and the `REMOVE` WAL record; version-1 files are
-/// rejected with [`PersistError::BadVersion`]. The snapshot's per-shard
-/// fence record came later within version 2 and is optional on read: a
-/// snapshot without one replays its whole WAL tail.
-pub const PERSIST_FORMAT_VERSION: u8 = 2;
+/// layout changes; files of any other version are rejected with
+/// [`PersistError::BadVersion`], never misread. Version 2 added the
+/// backend-family byte pair to the snapshot header, the `REMOVE` WAL record
+/// and, later, the per-shard fence record (optional on read: a snapshot
+/// without one replays its whole WAL tail). Version 3 packs counting cells
+/// as 4-bit nibbles, sixteen per word, where version 2 spent a byte on each.
+pub const PERSIST_FORMAT_VERSION: u8 = 3;
 
 const SNAPSHOT_MAGIC: &[u8; 4] = b"EVBS";
 const WAL_MAGIC: &[u8; 4] = b"EVBW";

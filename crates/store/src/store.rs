@@ -273,8 +273,9 @@ impl<B: FilterBackend> StoreBuilder<B> {
         }
     }
 
-    /// Counting-filter shards with `counter_bits`-bit saturating cells —
-    /// the deletable family (and the deletion adversary's target).
+    /// Counting-filter shards with `counter_bits`-bit saturating cells
+    /// (1..=4; every cell is stored in four bits) — the deletable family
+    /// (and the deletion adversary's target).
     pub fn counting(self, counter_bits: u8) -> StoreBuilder<ConcurrentCountingFilter> {
         self.backend(CountingOptions { counter_bits })
     }

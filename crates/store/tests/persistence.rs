@@ -601,6 +601,29 @@ fn wal_replays_removes_after_the_last_snapshot() {
 }
 
 #[test]
+fn version_2_byte_cell_snapshot_is_refused_not_misread() {
+    let _faults = fault_session();
+    // Version 2 stored one counting cell per byte; read as nibbles its
+    // words would decode to different counters, so it must be refused.
+    let dir = TempDir::new("counting-v2");
+    let mut store = counting_store();
+    store.insert_batch(&items("member", 100));
+    store.enable_persistence(&PersistConfig::snapshot_only(dir.path())).expect("enable");
+    store.snapshot_to_disk().expect("snapshot");
+    let snapshot = newest_snapshot(dir.path());
+    let mut bytes = fs::read(&snapshot).expect("read snapshot");
+    assert_eq!(&bytes[..4], b"EVBS");
+    bytes[4] = 2;
+    fs::write(&snapshot, &bytes).expect("write version-2 header");
+
+    match BloomStore::<ConcurrentCountingFilter>::recover(&PersistConfig::snapshot_only(dir.path()))
+    {
+        Err(PersistError::BadVersion { version: 2, .. }) => {}
+        other => panic!("expected BadVersion for a version-2 snapshot, got {other:?}"),
+    }
+}
+
+#[test]
 fn scalable_store_refuses_persistence_with_a_typed_error() {
     let _faults = fault_session();
     let dir = TempDir::new("scalable");
