@@ -682,13 +682,10 @@ impl Suite {
         }
     }
 
-    /// The TCP serving layer on a loopback socket: single-op round-trip
-    /// latency, pipelined batch
-    /// throughput (one `MQUERY` frame per batch), and an attack-mix stream
-    /// — pipelined `MINSERT` frames of crafted polluting items interleaved
-    /// with `MQUERY` probe frames, the traffic shape of
-    /// `examples/remote_attack.rs`.
-    fn server_workloads(
+    /// The hardened query server — the recommended serving posture,
+    /// preloaded with the member set — behind single-op and batch query
+    /// latency and the paired telemetry and fault-hook overhead gates.
+    fn query_server_workloads(
         &self,
         out: &mut Vec<TimingRecord>,
         observables: &mut Vec<ObservableRecord>,
@@ -698,8 +695,6 @@ impl Suite {
         let batch = self.batch;
         let config = ServerConfig::default();
 
-        // Hardened store behind the server — the recommended serving
-        // posture — preloaded with the member set.
         let store = Arc::new(
             BloomStore::builder()
                 .shards(8)
@@ -912,6 +907,36 @@ impl Suite {
         }
         drop(client);
         handle.shutdown();
+    }
+
+    /// The TCP serving layer on a loopback socket: single-op round-trip
+    /// latency, pipelined batch
+    /// throughput (one `MQUERY` frame per batch), and an attack-mix stream
+    /// — pipelined `MINSERT` frames of crafted polluting items interleaved
+    /// with `MQUERY` probe frames, the traffic shape of
+    /// `examples/remote_attack.rs`.
+    fn server_workloads(
+        &self,
+        out: &mut Vec<TimingRecord>,
+        observables: &mut Vec<ObservableRecord>,
+        members: &[String],
+        probes: &[String],
+    ) {
+        let batch = self.batch;
+        let config = ServerConfig::default();
+
+        // The hardened query server is built, preloaded and served only
+        // for the rows that use it.
+        let query_rows = [
+            "server/query",
+            "server/query_batch",
+            "server/metrics_overhead",
+            "server/trace_overhead",
+            "server/fault_hooks_overhead",
+        ];
+        if query_rows.iter().any(|id| self.selected(id)) {
+            self.query_server_workloads(out, observables, members, probes);
+        }
 
         // Deletion over the wire: one pipelined MDELETE frame per iteration
         // against a counting-backed server (the only served family with a

@@ -219,6 +219,12 @@ pub trait FilterBackend: Send + Sync + Sized + 'static {
 
     /// Racy word-array copy of the state (torn reads must be *conservative*:
     /// never lose an acknowledged insert). `None` if unsupported.
+    ///
+    /// The store's snapshot writer calls this under one shard's write lock
+    /// and holds one shard's copy at a time: it releases the lock, streams
+    /// the copy to disk and drops it before it copies the next shard. The
+    /// copy is therefore the snapshot's only spare memory, and the time
+    /// this takes is the time the shard's writers wait.
     fn snapshot_words(&self) -> Option<Vec<u64>>;
 
     /// Rebuilds a filter from persisted words (the recovery inverse of

@@ -43,20 +43,36 @@
 //! ## Snapshot ⇄ WAL protocol
 //!
 //! A snapshot first rotates the WAL to a fresh segment, then copies the
-//! shards (recording each one's fence), then atomically publishes
-//! `snapshot-<seq>.evbs` (tmp + rename) recording the first WAL segment to
-//! replay on top. Because log records are appended only *after* their write
+//! shards one at a time (recording each one's fence), streaming each copy
+//! into a tmp file as it is taken, then atomically publishes
+//! `snapshot-<seq>.evbs` (fsync + rename) recording the first WAL segment
+//! to replay on top. Because log records are appended only *after* their write
 //! was applied, every record in the rotated-out segments is already
 //! reflected in the copy; records racing into the new segment are in the
 //! copy exactly when they sit below their shard's fence. Old segments and
 //! snapshots are pruned after the rename.
 //!
+//! ## Streaming I/O
+//!
+//! Neither side materialises a file. The snapshot writer holds a shard's
+//! write lock for the copy of its generation words only; it encodes the
+//! record, computes its CRC and writes it through one fixed-size
+//! `BufWriter` after releasing the lock, so a snapshot costs one shard's
+//! words of spare memory. Recovery reads the snapshot through a
+//! `BufReader`, checks the header before building anything, and hands each
+//! generation record's words straight to [`FilterBackend::from_words`];
+//! it then replays each WAL segment record by record through one reused
+//! buffer. Both sides share one record framing (`RecordWriter` and
+//! `RecordReader`).
+//!
 //! ## Recovery
 //!
-//! [`BloomStore::recover`] loads the newest valid snapshot (every record is
+//! [`BloomStore::recover`] loads the newest snapshot (every record is
 //! length-prefixed and CRC-checked; decode never panics on corrupt or
-//! truncated files), rebuilds each shard's generations from the word
-//! arrays, then replays the WAL segments the snapshot names in order.
+//! truncated files, and a damaged newest snapshot is a typed error with no
+//! fallback to an older one, which the publish has already pruned),
+//! rebuilds each shard's generations from the word arrays, then replays
+//! the WAL segments the snapshot names in order.
 //! Insert records from rotated-out generations are discarded — replaying
 //! them would resurrect exactly the polluted bits a completed rotation
 //! dropped. A torn final record (the crash cut a `write` short) is
@@ -73,7 +89,7 @@
 //! hardened store is replay from the source of truth under a fresh key.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, BufReader, BufWriter, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -85,6 +101,7 @@ use evilbloom_metrics::{log_info, log_warn};
 use evilbloom_trace::TraceEvent;
 
 use crate::metrics::StoreMetrics;
+use crate::shard::Generation;
 use crate::store::BloomStore;
 
 /// Group-commit fsyncs at or above this latency are forensically notable:
@@ -292,6 +309,15 @@ const ROLE_DRAINING: u8 = 1;
 /// server frame cap, 16 MiB).
 const MAX_RECORD_BYTES: u32 = 256 * 1024 * 1024;
 
+/// Buffer between the snapshot encoder and its tmp file.
+const SNAPSHOT_WRITE_BUFFER: usize = 64 * 1024;
+
+/// Buffer between a snapshot or WAL file and the record reader.
+const READ_BUFFER: usize = 64 * 1024;
+
+/// Words the snapshot encoder converts to bytes per write.
+const WORDS_PER_CHUNK: usize = 512;
+
 const CRC_TABLE: [u32; 256] = crc32_table();
 
 const fn crc32_table() -> [u32; 256] {
@@ -310,60 +336,142 @@ const fn crc32_table() -> [u32; 256] {
     table
 }
 
-/// CRC-32 (IEEE 802.3), the checksum guarding every record.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = !0u32;
+/// Folds `bytes` into a running CRC-32 register (start from `!0`, finish
+/// with `!`), so a record can be checksummed piece by piece as it streams.
+fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
 }
 
-/// Appends one framed record: `[body_len u32][type u8][body][crc32]`, the
-/// CRC covering type + body.
-fn put_record(out: &mut Vec<u8>, kind: u8, body: &[u8]) {
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    let crc_start = out.len();
-    out.push(kind);
-    out.extend_from_slice(body);
-    let crc = crc32(&out[crc_start..]);
-    out.extend_from_slice(&crc.to_le_bytes());
+/// CRC-32 (IEEE 802.3), the checksum guarding every record.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(!0, bytes)
 }
 
-/// One decoded record framing outcome.
-enum RecordRead<'a> {
-    /// A structurally valid record.
-    Record { kind: u8, body: &'a [u8], consumed: usize },
-    /// The buffer ends before the record it announces is complete — a torn
-    /// tail (clean cut for WAL replay; fatal for snapshots).
+/// Streams one framed record, `[body_len u32][type u8][body][crc32]` with
+/// the CRC covering type + body, into `out` as its body arrives in pieces:
+/// the snapshot writer never holds an encoded generation in memory.
+struct RecordWriter<'a, W: Write> {
+    out: &'a mut W,
+    crc: u32,
+    left: usize,
+}
+
+impl<'a, W: Write> RecordWriter<'a, W> {
+    fn begin(out: &'a mut W, kind: u8, body_len: usize) -> io::Result<Self> {
+        // The reader refuses a body over the cap, so writing one would lose
+        // it on recovery.
+        let len = u32::try_from(body_len)
+            .ok()
+            .filter(|&len| len <= MAX_RECORD_BYTES)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "record exceeds the cap"))?;
+        out.write_all(&len.to_le_bytes())?;
+        out.write_all(&[kind])?;
+        Ok(RecordWriter { out, crc: crc32_update(!0, &[kind]), left: body_len })
+    }
+
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        debug_assert!(bytes.len() <= self.left, "record body overruns its length prefix");
+        self.left -= bytes.len();
+        self.crc = crc32_update(self.crc, bytes);
+        self.out.write_all(bytes)
+    }
+
+    fn finish(self) -> io::Result<()> {
+        debug_assert_eq!(self.left, 0, "record body falls short of its length prefix");
+        self.out.write_all(&(!self.crc).to_le_bytes())
+    }
+}
+
+/// Writes one framed record whose body is already in one piece.
+fn put_record(out: &mut impl Write, kind: u8, body: &[u8]) -> io::Result<()> {
+    let mut record = RecordWriter::begin(out, kind, body.len())?;
+    record.put(body)?;
+    record.finish()
+}
+
+/// What the next [`RecordReader::next`] call found.
+#[derive(Debug, PartialEq, Eq)]
+enum RecordRead {
+    /// A structurally valid record of this type; its body is
+    /// [`RecordReader::body`].
+    Record(u8),
+    /// The input ends cleanly, on a record boundary.
+    End,
+    /// The input ends inside a record — a torn tail (a clean cut for WAL
+    /// replay; fatal for snapshots).
     Torn,
     /// The record is complete but fails validation (CRC mismatch, hostile
     /// length).
     Corrupt(&'static str),
 }
 
-/// Reads the record framing at `buf[pos..]` without panicking on any input.
-fn read_record(buf: &[u8], pos: usize) -> RecordRead<'_> {
-    let avail = &buf[pos..];
-    if avail.len() < 4 {
-        return if avail.is_empty() { RecordRead::Corrupt("end") } else { RecordRead::Torn };
+/// Reads `buf.len()` bytes unless the input ends first; returns how many it
+/// read.
+fn read_full(input: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match input.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    let body_len = u32::from_le_bytes(avail[..4].try_into().expect("4 bytes"));
-    if body_len > MAX_RECORD_BYTES {
-        return RecordRead::Corrupt("record length exceeds the record cap");
+    Ok(filled)
+}
+
+/// Reads the records [`RecordWriter`] frames, one at a time, into one
+/// reused buffer. Never panics on any input; only a failing read of the
+/// underlying file is an error.
+struct RecordReader<R: Read> {
+    input: R,
+    /// Type byte then body of the last record read: the CRC's span.
+    record: Vec<u8>,
+}
+
+impl<R: Read> RecordReader<R> {
+    fn new(input: R) -> Self {
+        RecordReader { input, record: Vec::new() }
     }
-    let body_len = body_len as usize;
-    let total = 4 + 1 + body_len + 4;
-    if avail.len() < total {
-        return RecordRead::Torn;
+
+    fn next(&mut self) -> io::Result<RecordRead> {
+        let mut len = [0u8; 4];
+        match read_full(&mut self.input, &mut len)? {
+            0 => return Ok(RecordRead::End),
+            4 => {}
+            _ => return Ok(RecordRead::Torn),
+        }
+        let body_len = u32::from_le_bytes(len);
+        if body_len > MAX_RECORD_BYTES {
+            return Ok(RecordRead::Corrupt("record length exceeds the record cap"));
+        }
+        // `take` grows the buffer only as far as the input really reaches,
+        // so a corrupt length under the cap costs no more than the file.
+        let span = 1 + u64::from(body_len);
+        self.record.clear();
+        (&mut self.input).take(span).read_to_end(&mut self.record)?;
+        let mut crc = [0u8; 4];
+        if (self.record.len() as u64) < span || read_full(&mut self.input, &mut crc)? < 4 {
+            return Ok(RecordRead::Torn);
+        }
+        if crc32(&self.record) != u32::from_le_bytes(crc) {
+            return Ok(RecordRead::Corrupt("record CRC mismatch"));
+        }
+        Ok(RecordRead::Record(self.record[0]))
     }
-    let kind = avail[4];
-    let body = &avail[5..5 + body_len];
-    let crc = u32::from_le_bytes(avail[5 + body_len..total].try_into().expect("4 bytes"));
-    if crc32(&avail[4..5 + body_len]) != crc {
-        return RecordRead::Corrupt("record CRC mismatch");
+
+    /// Body of the record the last [`RecordReader::next`] returned.
+    fn body(&self) -> &[u8] {
+        &self.record[1..]
     }
-    RecordRead::Record { kind, body, consumed: total }
+
+    /// Whether the input ends here.
+    fn at_end(&mut self) -> io::Result<bool> {
+        Ok(read_full(&mut self.input, &mut [0u8; 1])? == 0)
+    }
 }
 
 /// Bounds-checked little-endian cursor over a record body; every accessor
@@ -495,7 +603,7 @@ impl WalWriter {
     /// Appends an encoded record to the in-memory buffer and returns its
     /// LSN, or `None` if the log is broken. Called *under the shard lock*
     /// so log order matches apply order; it never touches the filesystem.
-    fn append(&self, record: impl FnOnce(&mut Vec<u8>)) -> Option<u64> {
+    fn append(&self, record: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> Option<u64> {
         let mut s = self.state.lock().expect("wal lock poisoned");
         if s.broken.is_some() {
             return None;
@@ -504,7 +612,10 @@ impl WalWriter {
             self.mark_broken(&mut s, &e);
             return None;
         }
-        record(&mut s.buf);
+        if let Err(e) = record(&mut s.buf) {
+            self.mark_broken(&mut s, &e);
+            return None;
+        }
         let lsn = s.next_lsn;
         s.next_lsn += 1;
         Some(lsn)
@@ -776,7 +887,7 @@ impl StorePersistence {
             body.extend_from_slice(&1u32.to_le_bytes());
             body.extend_from_slice(&(item.len() as u32).to_le_bytes());
             body.extend_from_slice(item);
-            put_record(out, REC_WAL_INSERT, &body);
+            put_record(out, REC_WAL_INSERT, &body)
         })
     }
 
@@ -799,7 +910,7 @@ impl StorePersistence {
                 body.extend_from_slice(&(item.len() as u32).to_le_bytes());
                 body.extend_from_slice(item);
             }
-            put_record(out, REC_WAL_INSERT, &body);
+            put_record(out, REC_WAL_INSERT, &body)
         })
     }
 
@@ -823,7 +934,7 @@ impl StorePersistence {
                 body.extend_from_slice(&(item.len() as u32).to_le_bytes());
                 body.extend_from_slice(item);
             }
-            put_record(out, REC_WAL_REMOVE, &body);
+            put_record(out, REC_WAL_REMOVE, &body)
         })
     }
 
@@ -835,7 +946,7 @@ impl StorePersistence {
             let mut body = Vec::with_capacity(12);
             body.extend_from_slice(&(shard as u32).to_le_bytes());
             body.extend_from_slice(&generation.to_le_bytes());
-            put_record(out, kind, &body);
+            put_record(out, kind, &body)
         })
     }
 
@@ -872,9 +983,58 @@ impl StorePersistence {
         };
         let seq = self.next_snapshot_seq.fetch_add(1, Ordering::SeqCst);
 
-        let mut out = Vec::new();
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        out.push(PERSIST_FORMAT_VERSION);
+        // 2. Copy each shard under its write lock, which covers the copy
+        //    only, and stream it into a tmp file once the lock is released
+        //    (see `write_snapshot`).
+        let final_path = snapshot_path(&self.dir, seq);
+        let tmp_path = self.dir.join(format!("snapshot-{seq}.tmp"));
+        fault::check_io(FaultPoint::SnapshotWrite)?;
+        let bytes = match self.write_snapshot(store, seq, wal_seq, &tmp_path) {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                drop(fs::remove_file(&tmp_path));
+                return Err(e);
+            }
+        };
+
+        // 3. Publish atomically: rename the fsynced tmp file, then prune.
+        fs::rename(&tmp_path, &final_path)?;
+        if let Ok(dir) = File::open(&self.dir) {
+            drop(dir.sync_all()); // directory durability is best-effort
+        }
+        self.prune(seq, wal_seq);
+        self.metrics.snapshot_ns.record(started.elapsed().as_nanos() as u64);
+        self.metrics.snapshot_bytes.add(bytes);
+        self.metrics.record_event(TraceEvent::SnapshotTaken { seq, bytes });
+        if was_broken {
+            if let Some(wal) = &self.wal {
+                wal.heal();
+            }
+            self.metrics.record_event(TraceEvent::DegradedExited { snapshot_seq: seq });
+            log_info!("snapshot {seq} repaired the write-ahead log; degraded mode exited");
+        }
+        Ok(SnapshotInfo { seq, wal_seq, shards: store.shard_count() as u32, bytes })
+    }
+
+    /// Writes snapshot `seq` to `path` shard by shard, fsyncs it and
+    /// returns the bytes written. Each shard's generation words are copied
+    /// under its write lock, which pins the generation pair and holds off
+    /// writers for the copy alone; the lock is released before the copy is
+    /// encoded, checksummed and streamed out, so at most one shard's words
+    /// are held beyond the store itself. The shard's fence is the new
+    /// segment's record count at the copy point: its records there below
+    /// the fence are in the copy, the rest are not, so replay skips
+    /// exactly the former.
+    fn write_snapshot<B: FilterBackend>(
+        &self,
+        store: &BloomStore<B>,
+        seq: u64,
+        wal_seq: u64,
+        path: &Path,
+    ) -> Result<u64, PersistError> {
+        let mut out = BufWriter::with_capacity(SNAPSHOT_WRITE_BUFFER, File::create(path)?);
+        out.write_all(SNAPSHOT_MAGIC)?;
+        out.write_all(&[PERSIST_FORMAT_VERSION])?;
         let config = store.config();
         let params = store.shard_params();
         let mut header = Vec::with_capacity(46);
@@ -887,59 +1047,31 @@ impl StorePersistence {
         header.extend_from_slice(&wal_seq.to_le_bytes());
         header.push(B::KIND.code());
         header.push(B::persist_aux(store.options()));
-        put_record(&mut out, REC_SNAP_HEADER, &header);
+        put_record(&mut out, REC_SNAP_HEADER, &header)?;
 
-        // 2. Exact per-shard copy under the shard write lock, which pins the
-        //    generation pair and holds off writers for the copy alone. The
-        //    shard's fence is the new segment's record count at that point:
-        //    its records there below the fence are in the copy, the rest are
-        //    not, so replay skips exactly the former.
         let mut generations = 0u32;
         let mut fences = Vec::with_capacity(store.shard_count() * 8);
         for index in 0..store.shard_count() {
-            let fence = store.shard(index).with_generations_exclusive(|active, draining| {
-                put_generation(&mut out, index, ROLE_ACTIVE, active)?;
+            let (fence, active, draining) =
+                store.shard(index).with_generations_exclusive(|active, draining| {
+                    let active = GenerationCopy::take(active)?;
+                    let draining = draining.map(GenerationCopy::take).transpose()?;
+                    let fence = self.wal.as_ref().map_or(0, WalWriter::segment_records);
+                    Ok::<_, PersistError>((fence, active, draining))
+                })?;
+            active.write(&mut out, index, ROLE_ACTIVE)?;
+            generations += 1;
+            if let Some(draining) = draining {
+                draining.write(&mut out, index, ROLE_DRAINING)?;
                 generations += 1;
-                if let Some(draining) = draining {
-                    put_generation(&mut out, index, ROLE_DRAINING, draining)?;
-                    generations += 1;
-                }
-                Ok::<u64, PersistError>(self.wal.as_ref().map_or(0, WalWriter::segment_records))
-            })?;
+            }
             fences.extend_from_slice(&fence.to_le_bytes());
         }
-        put_record(&mut out, REC_SNAP_FENCE, &fences);
-        put_record(&mut out, REC_SNAP_END, &generations.to_le_bytes());
-
-        // 3. Publish atomically: tmp + fsync + rename, then prune.
-        let final_path = snapshot_path(&self.dir, seq);
-        let tmp_path = self.dir.join(format!("snapshot-{seq}.tmp"));
-        fault::check_io(FaultPoint::SnapshotWrite)?;
-        let mut file = File::create(&tmp_path)?;
-        file.write_all(&out)?;
+        put_record(&mut out, REC_SNAP_FENCE, &fences)?;
+        put_record(&mut out, REC_SNAP_END, &generations.to_le_bytes())?;
+        let mut file = out.into_inner().map_err(io::IntoInnerError::into_error)?;
         file.sync_all()?;
-        drop(file);
-        fs::rename(&tmp_path, &final_path)?;
-        if let Ok(dir) = File::open(&self.dir) {
-            drop(dir.sync_all()); // directory durability is best-effort
-        }
-        self.prune(seq, wal_seq);
-        self.metrics.snapshot_ns.record(started.elapsed().as_nanos() as u64);
-        self.metrics.snapshot_bytes.add(out.len() as u64);
-        self.metrics.record_event(TraceEvent::SnapshotTaken { seq, bytes: out.len() as u64 });
-        if was_broken {
-            if let Some(wal) = &self.wal {
-                wal.heal();
-            }
-            self.metrics.record_event(TraceEvent::DegradedExited { snapshot_seq: seq });
-            log_info!("snapshot {seq} repaired the write-ahead log; degraded mode exited");
-        }
-        Ok(SnapshotInfo {
-            seq,
-            wal_seq,
-            shards: store.shard_count() as u32,
-            bytes: out.len() as u64,
-        })
+        Ok(file.stream_position()?)
     }
 
     /// Removes snapshots older than `keep_snapshot` and WAL segments below
@@ -961,33 +1093,50 @@ impl StorePersistence {
     }
 }
 
-/// Appends one generation's snapshot record. Called under the shard write
-/// lock, so the words and the insert count are one consistent state.
-fn put_generation<B: FilterBackend>(
-    out: &mut Vec<u8>,
-    shard: usize,
-    role: u8,
-    generation: &crate::shard::Generation<B>,
-) -> Result<(), PersistError> {
-    let filter = &generation.filter;
-    // The ones count is not persisted: recovery recounts it from the words.
-    let Some(words) = filter.snapshot_words() else {
-        // `enable_persistence` gates on `persist_words_len`, so only a
-        // backend lying about its own capability can reach this.
-        return Err(PersistError::UnsupportedBackend(B::KIND));
-    };
-    let mut body = Vec::with_capacity(4 + 1 + 8 + 8 + 8 + 4 + words.len() * 8);
-    body.extend_from_slice(&(shard as u32).to_le_bytes());
-    body.push(role);
-    body.extend_from_slice(&generation.id.to_le_bytes());
-    body.extend_from_slice(&filter.inserted().to_le_bytes());
-    body.extend_from_slice(&filter.m().to_le_bytes());
-    body.extend_from_slice(&(words.len() as u32).to_le_bytes());
-    for word in &words {
-        body.extend_from_slice(&word.to_le_bytes());
+/// One generation's state, taken under the shard write lock so the words
+/// and the insert count are one consistent state, and encoded after it is
+/// released.
+struct GenerationCopy {
+    id: u64,
+    inserted: u64,
+    m: u64,
+    words: Vec<u64>,
+}
+
+impl GenerationCopy {
+    fn take<B: FilterBackend>(generation: &Generation<B>) -> Result<Self, PersistError> {
+        let filter = &generation.filter;
+        // The ones count is not persisted: recovery recounts it from the words.
+        let Some(words) = filter.snapshot_words() else {
+            // `enable_persistence` gates on `persist_words_len`, so only a
+            // backend lying about its own capability can reach this.
+            return Err(PersistError::UnsupportedBackend(B::KIND));
+        };
+        Ok(GenerationCopy { id: generation.id, inserted: filter.inserted(), m: filter.m(), words })
     }
-    put_record(out, REC_SNAP_GENERATION, &body);
-    Ok(())
+
+    /// Streams the generation's snapshot record, a bounded chunk of words
+    /// at a time.
+    fn write(&self, out: &mut impl Write, shard: usize, role: u8) -> io::Result<()> {
+        let mut prefix = Vec::with_capacity(4 + 1 + 8 + 8 + 8 + 4);
+        prefix.extend_from_slice(&(shard as u32).to_le_bytes());
+        prefix.push(role);
+        prefix.extend_from_slice(&self.id.to_le_bytes());
+        prefix.extend_from_slice(&self.inserted.to_le_bytes());
+        prefix.extend_from_slice(&self.m.to_le_bytes());
+        prefix.extend_from_slice(&(self.words.len() as u32).to_le_bytes());
+        let body_len = prefix.len() + self.words.len() * 8;
+        let mut record = RecordWriter::begin(out, REC_SNAP_GENERATION, body_len)?;
+        record.put(&prefix)?;
+        let mut chunk = [0u8; 8 * WORDS_PER_CHUNK];
+        for words in self.words.chunks(WORDS_PER_CHUNK) {
+            for (bytes, word) in chunk.chunks_exact_mut(8).zip(words) {
+                bytes.copy_from_slice(&word.to_le_bytes());
+            }
+            record.put(&chunk[..words.len() * 8])?;
+        }
+        record.finish()
+    }
 }
 
 #[derive(Debug, PartialEq, Eq)]
@@ -1010,8 +1159,10 @@ fn parse_file_seq(name: &str) -> Option<PersistFile> {
 // Snapshot decoding.
 // ---------------------------------------------------------------------------
 
-/// A decoded snapshot, pre-validation against a store configuration.
-pub(crate) struct SnapshotDoc {
+/// A snapshot's header record: the configuration the rest of the file is
+/// checked against, and that recovery rebuilds the store from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SnapshotHeader {
     pub(crate) shards: u32,
     pub(crate) capacity: u64,
     pub(crate) target_fpp: f64,
@@ -1024,147 +1175,197 @@ pub(crate) struct SnapshotDoc {
     pub(crate) backend: u8,
     /// Backend-specific options byte ([`FilterBackend::persist_aux`]).
     pub(crate) backend_aux: u8,
-    /// `(shard, role, generation id, inserted, words)` in file order.
-    pub(crate) generations: Vec<(u32, u8, u64, u64, Vec<u64>)>,
-    /// Per shard, how many leading records of WAL segment `wal_seq` the
-    /// copy already holds (replay skips that shard's records among them).
-    /// Empty for a snapshot written before fences were recorded.
-    pub(crate) fences: Vec<u64>,
 }
 
-/// The [`BackendKind`] a decoded snapshot claims, if its code is known.
-pub(crate) fn doc_backend_kind(doc: &SnapshotDoc) -> Option<BackendKind> {
-    BackendKind::from_code(doc.backend)
+impl SnapshotHeader {
+    /// The [`BackendKind`] the snapshot claims, if its code is known.
+    pub(crate) fn backend_kind(&self) -> Option<BackendKind> {
+        BackendKind::from_code(self.backend)
+    }
+}
+
+/// One decoded generation record.
+pub(crate) struct SnapshotGeneration {
+    pub(crate) shard: u32,
+    /// [`ROLE_ACTIVE`] or [`ROLE_DRAINING`].
+    pub(crate) role: u8,
+    pub(crate) id: u64,
+    pub(crate) inserted: u64,
+    pub(crate) words: Vec<u64>,
+}
+
+/// Streams a snapshot file record by record. [`SnapshotReader::open`]
+/// validates the magic, the version and the header record before anything
+/// is built from them; each [`SnapshotReader::next_generation`] then
+/// decodes one generation's words, so recovery holds one record beyond the
+/// store it rebuilds. Never panics on arbitrary bytes. A snapshot with a
+/// torn tail is *invalid* (unlike a WAL — the tmp + rename publish
+/// protocol means a real snapshot is never torn).
+pub(crate) struct SnapshotReader {
+    path: PathBuf,
+    records: RecordReader<BufReader<File>>,
+    header: SnapshotHeader,
+    /// Generation records decoded so far; the end record must agree.
+    generations: u32,
+    /// Per shard, how many leading records of WAL segment `wal_seq` the
+    /// copy already holds (replay skips that shard's records among them).
+    fences: Option<Vec<u64>>,
 }
 
 fn corrupt(file: &Path, what: &'static str) -> PersistError {
     PersistError::Corrupt { file: file.display().to_string(), what }
 }
 
-/// Decodes and fully validates a snapshot file. Never panics on arbitrary
-/// bytes; a snapshot with a torn tail is *invalid* (unlike a WAL — the
-/// tmp + rename publish protocol means a real snapshot is never torn).
-pub(crate) fn read_snapshot(path: &Path) -> Result<SnapshotDoc, PersistError> {
-    let bytes = fs::read(path)?;
-    if bytes.len() < 5 || &bytes[..4] != SNAPSHOT_MAGIC {
-        return Err(corrupt(path, "missing snapshot magic"));
-    }
-    if bytes[4] != PERSIST_FORMAT_VERSION {
-        return Err(PersistError::BadVersion {
-            file: path.display().to_string(),
-            version: bytes[4],
-        });
-    }
-    let mut pos = 5;
-    let header = match read_record(&bytes, pos) {
-        RecordRead::Record { kind: REC_SNAP_HEADER, body, consumed } => {
-            pos += consumed;
-            body
+impl SnapshotReader {
+    /// Opens a snapshot and validates everything up to its header record.
+    pub(crate) fn open(path: &Path) -> Result<SnapshotReader, PersistError> {
+        let mut input = BufReader::with_capacity(READ_BUFFER, File::open(path)?);
+        let mut magic = [0u8; 5];
+        if read_full(&mut input, &mut magic)? < magic.len() || &magic[..4] != SNAPSHOT_MAGIC {
+            return Err(corrupt(path, "missing snapshot magic"));
         }
-        RecordRead::Record { .. } => return Err(corrupt(path, "first record is not the header")),
-        RecordRead::Torn => return Err(corrupt(path, "truncated header")),
-        RecordRead::Corrupt(what) => return Err(corrupt(path, what)),
-    };
-    let mut c = Cursor::new(header);
-    let (
-        Some(shards),
-        Some(capacity),
-        Some(target_fpp),
-        Some(m),
-        Some(k),
-        Some(seq),
-        Some(wal_seq),
-        Some(backend),
-        Some(backend_aux),
-    ) = (c.u32(), c.u64(), c.f64(), c.u64(), c.u32(), c.u64(), c.u64(), c.u8(), c.u8())
-    else {
-        return Err(corrupt(path, "short header record"));
-    };
-    if !c.done() {
-        return Err(corrupt(path, "trailing bytes in header record"));
-    }
-
-    let mut generations = Vec::new();
-    let mut fences = None;
-    loop {
-        match read_record(&bytes, pos) {
-            RecordRead::Record { kind: REC_SNAP_GENERATION, body, consumed } => {
-                pos += consumed;
-                let mut c = Cursor::new(body);
-                let (Some(shard), Some(role), Some(id), Some(inserted), Some(gen_m), Some(count)) =
-                    (c.u32(), c.u8(), c.u64(), c.u64(), c.u64(), c.u32())
-                else {
-                    return Err(corrupt(path, "short generation record"));
-                };
-                if shard >= shards || role > ROLE_DRAINING {
-                    return Err(corrupt(path, "generation record out of range"));
-                }
-                // The word count is NOT validated against `m` here: the
-                // words-per-bit ratio is backend-specific (a counting
-                // filter stores one multi-bit cell per index), so the
-                // backend's `from_words` is the authority on it.
-                if gen_m != m {
-                    return Err(corrupt(path, "generation geometry mismatch"));
-                }
-                let mut words = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    let Some(word) = c.u64() else {
-                        return Err(corrupt(path, "short word array"));
-                    };
-                    words.push(word);
-                }
-                if !c.done() {
-                    return Err(corrupt(path, "trailing bytes in generation record"));
-                }
-                generations.push((shard, role, id, inserted, words));
-            }
-            RecordRead::Record { kind: REC_SNAP_FENCE, body, consumed } => {
-                pos += consumed;
-                if fences.is_some() {
-                    return Err(corrupt(path, "duplicate fence record"));
-                }
-                if body.len() != shards as usize * 8 {
-                    return Err(corrupt(path, "fence record does not match the shard count"));
-                }
-                let mut c = Cursor::new(body);
-                fences = Some((0..shards).map_while(|_| c.u64()).collect());
-            }
-            RecordRead::Record { kind: REC_SNAP_END, body, consumed } => {
-                let mut c = Cursor::new(body);
-                let count = c.u32();
-                if count != Some(generations.len() as u32) || !c.done() {
-                    return Err(corrupt(path, "end-record generation count mismatch"));
-                }
-                if pos + consumed != bytes.len() {
-                    return Err(corrupt(path, "trailing bytes after end record"));
-                }
-                break;
-            }
-            RecordRead::Record { .. } => return Err(corrupt(path, "unknown record type")),
-            RecordRead::Torn => return Err(corrupt(path, "truncated snapshot")),
+        if magic[4] != PERSIST_FORMAT_VERSION {
+            return Err(PersistError::BadVersion {
+                file: path.display().to_string(),
+                version: magic[4],
+            });
+        }
+        let mut records = RecordReader::new(input);
+        match records.next()? {
+            RecordRead::Record(REC_SNAP_HEADER) => {}
+            RecordRead::Record(_) => return Err(corrupt(path, "first record is not the header")),
+            RecordRead::End | RecordRead::Torn => return Err(corrupt(path, "truncated header")),
             RecordRead::Corrupt(what) => return Err(corrupt(path, what)),
         }
+        let mut c = Cursor::new(records.body());
+        let (
+            Some(shards),
+            Some(capacity),
+            Some(target_fpp),
+            Some(m),
+            Some(k),
+            Some(seq),
+            Some(wal_seq),
+            Some(backend),
+            Some(backend_aux),
+        ) = (c.u32(), c.u64(), c.f64(), c.u64(), c.u32(), c.u64(), c.u64(), c.u8(), c.u8())
+        else {
+            return Err(corrupt(path, "short header record"));
+        };
+        if !c.done() {
+            return Err(corrupt(path, "trailing bytes in header record"));
+        }
+        let header = SnapshotHeader {
+            shards,
+            capacity,
+            target_fpp,
+            m,
+            k,
+            seq,
+            wal_seq,
+            backend,
+            backend_aux,
+        };
+        Ok(SnapshotReader {
+            path: path.to_path_buf(),
+            records,
+            header,
+            generations: 0,
+            fences: None,
+        })
     }
-    Ok(SnapshotDoc {
-        shards,
-        capacity,
-        target_fpp,
-        m,
-        k,
-        seq,
-        wal_seq,
-        backend,
-        backend_aux,
-        generations,
-        fences: fences.unwrap_or_default(),
-    })
+
+    pub(crate) fn header(&self) -> SnapshotHeader {
+        self.header
+    }
+
+    /// The next generation record, or `None` once the end record has
+    /// matched the generation count and nothing trails it.
+    pub(crate) fn next_generation(&mut self) -> Result<Option<SnapshotGeneration>, PersistError> {
+        let path = &self.path;
+        loop {
+            let kind = match self.records.next()? {
+                RecordRead::Record(kind) => kind,
+                RecordRead::End | RecordRead::Torn => {
+                    return Err(corrupt(path, "truncated snapshot"))
+                }
+                RecordRead::Corrupt(what) => return Err(corrupt(path, what)),
+            };
+            let body = self.records.body();
+            let mut c = Cursor::new(body);
+            match kind {
+                REC_SNAP_GENERATION => {
+                    let (
+                        Some(shard),
+                        Some(role),
+                        Some(id),
+                        Some(inserted),
+                        Some(gen_m),
+                        Some(count),
+                    ) = (c.u32(), c.u8(), c.u64(), c.u64(), c.u64(), c.u32())
+                    else {
+                        return Err(corrupt(path, "short generation record"));
+                    };
+                    if shard >= self.header.shards || role > ROLE_DRAINING {
+                        return Err(corrupt(path, "generation record out of range"));
+                    }
+                    // The word count is NOT validated against `m` here: the
+                    // words-per-bit ratio is backend-specific (a counting
+                    // filter packs sixteen cells per word), so the
+                    // backend's `from_words` is the authority on it.
+                    if gen_m != self.header.m {
+                        return Err(corrupt(path, "generation geometry mismatch"));
+                    }
+                    let Some(bytes) = (count as usize).checked_mul(8).and_then(|len| c.bytes(len))
+                    else {
+                        return Err(corrupt(path, "short word array"));
+                    };
+                    if !c.done() {
+                        return Err(corrupt(path, "trailing bytes in generation record"));
+                    }
+                    let words = bytes
+                        .chunks_exact(8)
+                        .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
+                        .collect();
+                    self.generations += 1;
+                    return Ok(Some(SnapshotGeneration { shard, role, id, inserted, words }));
+                }
+                REC_SNAP_FENCE => {
+                    if self.fences.is_some() {
+                        return Err(corrupt(path, "duplicate fence record"));
+                    }
+                    if body.len() != self.header.shards as usize * 8 {
+                        return Err(corrupt(path, "fence record does not match the shard count"));
+                    }
+                    self.fences = Some((0..self.header.shards).map_while(|_| c.u64()).collect());
+                }
+                REC_SNAP_END => {
+                    if c.u32() != Some(self.generations) || !c.done() {
+                        return Err(corrupt(path, "end-record generation count mismatch"));
+                    }
+                    if !self.records.at_end()? {
+                        return Err(corrupt(path, "trailing bytes after end record"));
+                    }
+                    return Ok(None);
+                }
+                _ => return Err(corrupt(path, "unknown record type")),
+            }
+        }
+    }
+
+    /// The per-shard fences, once [`SnapshotReader::next_generation`] has
+    /// returned `None`. Empty for a snapshot written before fences were
+    /// recorded: replay then applies its whole WAL tail.
+    pub(crate) fn into_fences(self) -> Vec<u64> {
+        self.fences.unwrap_or_default()
+    }
 }
 
 // ---------------------------------------------------------------------------
-// WAL decoding and replay.
+// WAL decoding.
 // ---------------------------------------------------------------------------
 
-/// One decoded WAL record.
+/// One decoded WAL record, borrowing its items from the reader's buffer.
 pub(crate) enum WalRecord<'a> {
     Insert { shard: u32, generation: u64, items: Vec<&'a [u8]> },
     Remove { shard: u32, generation: u64, items: Vec<&'a [u8]> },
@@ -1172,7 +1373,7 @@ pub(crate) enum WalRecord<'a> {
     RotateComplete { shard: u32, generation: u64 },
 }
 
-impl WalRecord<'_> {
+impl<'a> WalRecord<'a> {
     /// The shard the record applies to.
     pub(crate) fn shard(&self) -> u32 {
         match *self {
@@ -1182,69 +1383,91 @@ impl WalRecord<'_> {
             | WalRecord::RotateComplete { shard, .. } => shard,
         }
     }
-}
 
-/// Decodes a WAL segment body (header already validated) into records,
-/// tolerating a torn tail. Returns the records and whether the tail was
-/// torn. Never panics on arbitrary input; a CRC mismatch on a *complete*
-/// record also ends replay there (the segment cannot be trusted past it).
-pub(crate) fn decode_wal_records(bytes: &[u8]) -> (Vec<WalRecord<'_>>, bool) {
-    let mut records = Vec::new();
-    let mut pos = 0;
-    loop {
-        match read_record(bytes, pos) {
-            RecordRead::Record { kind, body, consumed } => {
-                pos += consumed;
-                let mut c = Cursor::new(body);
-                let decoded = match kind {
-                    REC_WAL_INSERT | REC_WAL_REMOVE => {
-                        let (Some(shard), Some(generation), Some(count)) =
-                            (c.u32(), c.u64(), c.u32())
-                        else {
-                            return (records, true);
-                        };
-                        // Each item costs at least its 4-byte length field.
-                        if count as usize > body.len() / 4 {
-                            return (records, true);
-                        }
-                        let mut items = Vec::with_capacity(count as usize);
-                        for _ in 0..count {
-                            let Some(item) = c.u32().and_then(|len| c.bytes(len as usize)) else {
-                                return (records, true);
-                            };
-                            items.push(item);
-                        }
-                        if kind == REC_WAL_INSERT {
-                            WalRecord::Insert { shard, generation, items }
-                        } else {
-                            WalRecord::Remove { shard, generation, items }
-                        }
-                    }
-                    REC_WAL_ROTATE_BEGIN | REC_WAL_ROTATE_COMPLETE => {
-                        let (Some(shard), Some(generation)) = (c.u32(), c.u64()) else {
-                            return (records, true);
-                        };
-                        if kind == REC_WAL_ROTATE_BEGIN {
-                            WalRecord::RotateBegin { shard, generation }
-                        } else {
-                            WalRecord::RotateComplete { shard, generation }
-                        }
-                    }
-                    _ => return (records, true),
-                };
-                if !c.done() {
-                    return (records, true);
+    /// Decodes a CRC-checked record body; `None` if it does not parse.
+    fn decode(kind: u8, body: &'a [u8]) -> Option<Self> {
+        let mut c = Cursor::new(body);
+        let record = match kind {
+            REC_WAL_INSERT | REC_WAL_REMOVE => {
+                let (shard, generation, count) = (c.u32()?, c.u64()?, c.u32()?);
+                // Each item costs at least its 4-byte length field.
+                if count as usize > body.len() / 4 {
+                    return None;
                 }
-                records.push(decoded);
+                let items = (0..count)
+                    .map(|_| c.u32().and_then(|len| c.bytes(len as usize)))
+                    .collect::<Option<Vec<_>>>()?;
+                if kind == REC_WAL_INSERT {
+                    WalRecord::Insert { shard, generation, items }
+                } else {
+                    WalRecord::Remove { shard, generation, items }
+                }
             }
-            RecordRead::Corrupt("end") => return (records, false),
-            RecordRead::Torn | RecordRead::Corrupt(_) => return (records, true),
-        }
+            REC_WAL_ROTATE_BEGIN => {
+                WalRecord::RotateBegin { shard: c.u32()?, generation: c.u64()? }
+            }
+            REC_WAL_ROTATE_COMPLETE => {
+                WalRecord::RotateComplete { shard: c.u32()?, generation: c.u64()? }
+            }
+            _ => return None,
+        };
+        c.done().then_some(record)
     }
 }
 
-/// Validates a WAL segment header; returns the body offset.
-pub(crate) fn check_wal_header(path: &Path, bytes: &[u8], seq: u64) -> Result<usize, PersistError> {
+/// Streams one WAL segment record by record through one reused buffer,
+/// tolerating a torn tail. The first record that is torn, fails its CRC or
+/// does not parse ends the log there (the segment cannot be trusted past
+/// it) and sets [`WalReader::torn`]. Never panics on arbitrary input.
+pub(crate) struct WalReader<R: Read> {
+    records: RecordReader<R>,
+    torn: bool,
+    ended: bool,
+}
+
+impl WalReader<BufReader<File>> {
+    /// Opens segment `seq` at `path` and validates its header.
+    pub(crate) fn open(path: &Path, seq: u64) -> Result<Self, PersistError> {
+        let mut input = BufReader::with_capacity(READ_BUFFER, File::open(path)?);
+        let mut header = [0u8; WAL_HEADER_BYTES];
+        let read = read_full(&mut input, &mut header)?;
+        check_wal_header(path, &header[..read], seq)?;
+        Ok(WalReader::new(input))
+    }
+}
+
+impl<R: Read> WalReader<R> {
+    /// A reader over a segment body, its header already consumed.
+    fn new(input: R) -> Self {
+        WalReader { records: RecordReader::new(input), torn: false, ended: false }
+    }
+
+    /// The next record, or `None` at the end of the log.
+    pub(crate) fn next(&mut self) -> Result<Option<WalRecord<'_>>, PersistError> {
+        if self.ended {
+            return Ok(None);
+        }
+        let read = self.records.next()?;
+        let record = match read {
+            RecordRead::Record(kind) => WalRecord::decode(kind, self.records.body()),
+            RecordRead::End | RecordRead::Torn | RecordRead::Corrupt(_) => None,
+        };
+        if record.is_none() {
+            self.ended = true;
+            self.torn = read != RecordRead::End;
+        }
+        Ok(record)
+    }
+
+    /// Whether the log ended mid-record or at a record that failed to
+    /// validate rather than cleanly.
+    pub(crate) fn torn(&self) -> bool {
+        self.torn
+    }
+}
+
+/// Validates the header bytes of WAL segment `seq`.
+fn check_wal_header(path: &Path, bytes: &[u8], seq: u64) -> Result<(), PersistError> {
     if bytes.len() < WAL_HEADER_BYTES || &bytes[..4] != WAL_MAGIC {
         return Err(corrupt(path, "missing WAL magic"));
     }
@@ -1262,7 +1485,7 @@ pub(crate) fn check_wal_header(path: &Path, bytes: &[u8], seq: u64) -> Result<us
     if header_seq != seq {
         return Err(corrupt(path, "WAL header seq does not match its file name"));
     }
-    Ok(WAL_HEADER_BYTES)
+    Ok(())
 }
 
 /// Scans a persistence directory for the newest snapshot and the sorted WAL
@@ -1296,43 +1519,90 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// Hands out at most `step` bytes per `read`, as a file or a buffer
+    /// refill may.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.step).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
     #[test]
     fn record_framing_roundtrip() {
         let mut out = Vec::new();
-        put_record(&mut out, 0x42, b"hello");
-        match read_record(&out, 0) {
-            RecordRead::Record { kind, body, consumed } => {
-                assert_eq!(kind, 0x42);
-                assert_eq!(body, b"hello");
-                assert_eq!(consumed, out.len());
-            }
-            _ => panic!("framed record must read back"),
+        put_record(&mut out, 0x42, b"hello").expect("a Vec sink never fails");
+        put_record(&mut out, 0x43, b"").expect("a Vec sink never fails");
+        // Short reads split every length prefix, body and CRC somewhere.
+        for step in [1, 2, 3, usize::MAX] {
+            let mut reader = RecordReader::new(Trickle { bytes: &out, step });
+            assert_eq!(reader.next().expect("read"), RecordRead::Record(0x42), "step {step}");
+            assert_eq!(reader.body(), b"hello");
+            assert_eq!(reader.next().expect("read"), RecordRead::Record(0x43), "step {step}");
+            assert_eq!(reader.body(), b"");
+            assert_eq!(reader.next().expect("read"), RecordRead::End, "step {step}");
         }
     }
 
     #[test]
     fn record_framing_detects_torn_and_corrupt() {
         let mut out = Vec::new();
-        put_record(&mut out, 1, b"payload");
+        put_record(&mut out, 1, b"payload").expect("a Vec sink never fails");
         for cut in 1..out.len() {
-            assert!(
-                matches!(read_record(&out[..cut], 0), RecordRead::Torn),
+            assert_eq!(
+                RecordReader::new(&out[..cut]).next().expect("read"),
+                RecordRead::Torn,
                 "cut at {cut} must read as torn"
             );
         }
         let mut flipped = out.clone();
         flipped[6] ^= 0xFF; // corrupt the body
-        assert!(matches!(read_record(&flipped, 0), RecordRead::Corrupt(_)));
+        assert!(matches!(RecordReader::new(&flipped[..]).next(), Ok(RecordRead::Corrupt(_))));
         // A hostile length prefix is rejected before allocation.
         let mut hostile = Vec::new();
         hostile.extend_from_slice(&u32::MAX.to_le_bytes());
         hostile.extend_from_slice(&[0; 16]);
-        assert!(matches!(read_record(&hostile, 0), RecordRead::Corrupt(_)));
+        assert!(matches!(RecordReader::new(&hostile[..]).next(), Ok(RecordRead::Corrupt(_))));
+    }
+
+    #[test]
+    fn streamed_generation_record_matches_one_piece_framing() {
+        // The snapshot encoder streams a generation record in word chunks;
+        // it must frame exactly what the one-piece writer frames.
+        let copy = GenerationCopy {
+            id: 3,
+            inserted: 99,
+            m: 64 * 1500,
+            words: (0..1500u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect(),
+        };
+        let mut streamed = Vec::new();
+        copy.write(&mut streamed, 5, ROLE_DRAINING).expect("a Vec sink never fails");
+        let mut body = Vec::new();
+        body.extend_from_slice(&5u32.to_le_bytes());
+        body.push(ROLE_DRAINING);
+        body.extend_from_slice(&3u64.to_le_bytes());
+        body.extend_from_slice(&99u64.to_le_bytes());
+        body.extend_from_slice(&(64u64 * 1500).to_le_bytes());
+        body.extend_from_slice(&1500u32.to_le_bytes());
+        for word in &copy.words {
+            body.extend_from_slice(&word.to_le_bytes());
+        }
+        let mut whole = Vec::new();
+        put_record(&mut whole, REC_SNAP_GENERATION, &body).expect("a Vec sink never fails");
+        assert_eq!(streamed, whole);
     }
 
     #[test]
     fn wal_decode_never_panics_on_byte_soup() {
-        // Seeded LCG byte soup: decode must return, never panic.
+        // Seeded LCG byte soup, read through buffers both smaller and larger
+        // than a record: decode must end the log, never panic.
         let mut state = 0x5EED_1234_u64;
         for len in [0usize, 1, 7, 64, 513, 4096] {
             let bytes: Vec<u8> = (0..len)
@@ -1342,7 +1612,11 @@ mod tests {
                     (state >> 56) as u8
                 })
                 .collect();
-            let (_, _) = decode_wal_records(&bytes);
+            for capacity in [1, 16, READ_BUFFER] {
+                let mut wal = WalReader::new(BufReader::with_capacity(capacity, &bytes[..]));
+                while wal.next().expect("in-memory reads never fail").is_some() {}
+                assert_eq!(wal.torn(), !bytes.is_empty(), "soup of {len} bytes");
+            }
         }
     }
 

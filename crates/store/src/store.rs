@@ -768,97 +768,83 @@ impl<B: FilterBackend> BloomStore<B> {
         let (newest_snapshot, wal_seqs) = persist::scan_dir(&config.dir)?;
         let snapshot_seq = newest_snapshot.ok_or(PersistError::NoSnapshot)?;
         let path = persist::snapshot_path(&config.dir, snapshot_seq);
-        let doc = persist::read_snapshot(&path)?;
-        if doc.seq != snapshot_seq {
-            return Err(PersistError::Corrupt {
-                file: path.display().to_string(),
-                what: "snapshot seq does not match its file name",
-            });
+        let mut snapshot = persist::SnapshotReader::open(&path)?;
+        let corrupt = |what| PersistError::Corrupt { file: path.display().to_string(), what };
+        let header = snapshot.header();
+        if header.seq != snapshot_seq {
+            return Err(corrupt("snapshot seq does not match its file name"));
         }
-        if persist::doc_backend_kind(&doc) != Some(B::KIND) {
+        if header.backend_kind() != Some(B::KIND) {
             return Err(PersistError::ConfigMismatch(
                 "snapshot was written by a different filter backend",
             ));
         }
-        let Some(options) = B::options_from_persist_aux(doc.backend_aux) else {
-            return Err(PersistError::Corrupt {
-                file: path.display().to_string(),
-                what: "backend options byte is invalid for this filter family",
-            });
+        let Some(options) = B::options_from_persist_aux(header.backend_aux) else {
+            return Err(corrupt("backend options byte is invalid for this filter family"));
         };
 
         // Validate geometry before handing it to constructors that assert.
-        if doc.shards == 0 || !(doc.shards as usize).is_power_of_two() {
-            return Err(PersistError::Corrupt {
-                file: path.display().to_string(),
-                what: "shard count is not a positive power of two",
-            });
+        if header.shards == 0 || !(header.shards as usize).is_power_of_two() {
+            return Err(corrupt("shard count is not a positive power of two"));
         }
-        if doc.capacity == 0 || !doc.target_fpp.is_finite() || !(0.0..1.0).contains(&doc.target_fpp)
+        if header.capacity == 0
+            || !header.target_fpp.is_finite()
+            || !(0.0..1.0).contains(&header.target_fpp)
         {
-            return Err(PersistError::Corrupt {
-                file: path.display().to_string(),
-                what: "capacity or target fpp out of range",
-            });
+            return Err(corrupt("capacity or target fpp out of range"));
         }
         let store_config =
-            StoreConfig::unhardened(doc.shards as usize, doc.capacity, doc.target_fpp);
+            StoreConfig::unhardened(header.shards as usize, header.capacity, header.target_fpp);
         // Unhardened stores draw no secret material; the seed is irrelevant.
         let mut store =
             BloomStore::<B>::build_with(store_config, options, &mut StdRng::seed_from_u64(0));
-        if store.shard_params.m != doc.m || store.shard_params.k != doc.k {
+        if store.shard_params.m != header.m || store.shard_params.k != header.k {
             return Err(PersistError::ConfigMismatch(
                 "persisted m/k disagree with what the snapshot's capacity and fpp derive",
             ));
         }
 
-        // Install the persisted generations (occupancy counters recounted
-        // from the words inside `from_words`; see the persist module docs).
+        // Install the persisted generations as they stream in (occupancy
+        // counters recounted from the words inside `from_words`; see the
+        // persist module docs).
         let strategy = Arc::clone(store.public_strategy.as_ref().expect("unhardened strategy"));
-        let mut actives: Vec<Option<Generation<B>>> = (0..doc.shards).map(|_| None).collect();
-        let mut drainings: Vec<Option<Generation<B>>> = (0..doc.shards).map(|_| None).collect();
-        for (shard, role, id, inserted, words) in doc.generations {
+        let shards = header.shards as usize;
+        let mut actives: Vec<Option<Generation<B>>> = (0..shards).map(|_| None).collect();
+        let mut drainings: Vec<Option<Generation<B>>> = (0..shards).map(|_| None).collect();
+        while let Some(generation) = snapshot.next_generation()? {
             let Some(filter) = B::from_words(
                 store.shard_params,
                 Arc::clone(&strategy),
-                words,
-                inserted,
+                generation.words,
+                generation.inserted,
                 &store.options,
             ) else {
-                return Err(PersistError::Corrupt {
-                    file: path.display().to_string(),
-                    what: "generation geometry mismatch",
-                });
+                return Err(corrupt("generation geometry mismatch"));
             };
-            let slot = if role == 0 {
-                &mut actives[shard as usize]
+            let slot = if generation.role == 0 {
+                &mut actives[generation.shard as usize]
             } else {
-                &mut drainings[shard as usize]
+                &mut drainings[generation.shard as usize]
             };
-            if slot.replace(Generation { filter, id }).is_some() {
-                return Err(PersistError::Corrupt {
-                    file: path.display().to_string(),
-                    what: "duplicate generation record for a shard",
-                });
+            if slot.replace(Generation { filter, id: generation.id }).is_some() {
+                return Err(corrupt("duplicate generation record for a shard"));
             }
         }
         for (index, (active, draining)) in actives.into_iter().zip(drainings).enumerate() {
             let Some(active) = active else {
-                return Err(PersistError::Corrupt {
-                    file: path.display().to_string(),
-                    what: "shard missing its active generation record",
-                });
+                return Err(corrupt("shard missing its active generation record"));
             };
             store.shards[index] = Shard::restore(active, draining);
         }
+        let fences = snapshot.into_fences();
 
         let mut report = RecoveryReport { snapshot_seq, ..RecoveryReport::default() };
 
         // Replay the WAL tail. `wal_seq == 0` marks a snapshot written
         // without a log (nothing to replay).
-        if doc.wal_seq > 0 {
-            for &seq in wal_seqs.iter().filter(|&&s| s >= doc.wal_seq) {
-                let fences = if seq == doc.wal_seq { &doc.fences[..] } else { &[] };
+        if header.wal_seq > 0 {
+            for &seq in wal_seqs.iter().filter(|&&s| s >= header.wal_seq) {
+                let fences = if seq == header.wal_seq { &fences[..] } else { &[] };
                 store.replay_segment(&config.dir, seq, fences, &mut report)?;
                 report.wal_segments += 1;
             }
@@ -867,7 +853,7 @@ impl<B: FilterBackend> BloomStore<B> {
         // Re-attach with fresh sequence numbers (never append to a segment
         // that may have a torn tail), then fold the replayed tail into a
         // new snapshot — which also prunes everything it supersedes.
-        let wal_seq = wal_seqs.last().copied().unwrap_or(doc.wal_seq).max(snapshot_seq) + 1;
+        let wal_seq = wal_seqs.last().copied().unwrap_or(header.wal_seq).max(snapshot_seq) + 1;
         store.persistence = Some(StorePersistence::create(
             config,
             wal_seq,
@@ -888,14 +874,14 @@ impl<B: FilterBackend> BloomStore<B> {
         fences: &[u64],
         report: &mut RecoveryReport,
     ) -> Result<(), PersistError> {
-        let path = persist::wal_path(dir, seq);
-        let bytes = std::fs::read(&path)?;
-        let body = persist::check_wal_header(&path, &bytes, seq)?;
-        let (records, torn) = persist::decode_wal_records(&bytes[body..]);
-        report.torn_tail |= torn;
+        let mut wal = persist::WalReader::open(&persist::wal_path(dir, seq), seq)?;
         let mut rng = StdRng::seed_from_u64(0);
-        for (position, record) in records.into_iter().enumerate() {
-            if fences.get(record.shard() as usize).is_some_and(|&fence| (position as u64) < fence) {
+        let mut position = 0u64;
+        while let Some(record) = wal.next()? {
+            let in_snapshot =
+                fences.get(record.shard() as usize).is_some_and(|&fence| position < fence);
+            position += 1;
+            if in_snapshot {
                 report.skipped_in_snapshot += 1;
                 continue;
             }
@@ -1002,6 +988,7 @@ impl<B: FilterBackend> BloomStore<B> {
                 }
             }
         }
+        report.torn_tail |= wal.torn();
         Ok(())
     }
 

@@ -10,6 +10,7 @@ use rand::SeedableRng;
 
 use evilbloom_fault::{self as fault, ArmedPlan, FaultPlan, FaultPoint};
 use evilbloom_filters::ConcurrentCountingFilter;
+use evilbloom_hashes::{hex, sha1::sha1};
 use evilbloom_store::{
     BackendKind, BloomStore, FilterBackend, PersistConfig, PersistError, RecoveryReport,
 };
@@ -749,4 +750,161 @@ fn failed_repair_snapshot_keeps_the_store_degraded() {
     // The next attempt (fault exhausted) succeeds and exits degraded mode.
     store.snapshot_to_disk().expect("second repair attempt");
     assert!(store.degraded().is_none());
+}
+
+/// Snapshot bytes of a deterministic store with shard 0 mid-rotation, so
+/// the file carries a draining generation record beside the active ones.
+fn mid_rotation_snapshot<B: FilterBackend>(mut store: BloomStore<B>, tag: &str) -> Vec<u8> {
+    let _faults = fault_session();
+    let dir = TempDir::new(tag);
+    store.insert_batch(&items("fixture-old", 500));
+    store.begin_rotation(0, &mut StdRng::seed_from_u64(11)).expect("begin");
+    store.insert_batch(&items("fixture-new", 300));
+    store.enable_persistence(&PersistConfig::snapshot_only(dir.path())).expect("enable");
+    fs::read(newest_snapshot(dir.path())).expect("read snapshot")
+}
+
+#[test]
+fn snapshot_bytes_match_the_version_3_fixtures() {
+    // Length and SHA-1 of these two snapshots as format version 3 laid them
+    // out when it was introduced: any encoder must reproduce them byte for
+    // byte, or the version number no longer names one layout. Not CRC-32:
+    // each record ends in its own CRC, which makes a record's effect on a
+    // CRC of the whole file independent of its content, so a whole-file
+    // CRC-32 would pin only the lengths.
+    let digest = |bytes: &[u8]| (bytes.len(), hex::encode(&sha1(bytes)));
+    let plain = mid_rotation_snapshot(unhardened_store(), "fixture-plain");
+    assert_eq!(
+        digest(&plain),
+        (6328, "906522cc907380e6dfb577b86be4c45a8b8e9f0c".into()),
+        "plain snapshot bytes moved"
+    );
+
+    let counting = counting_store();
+    counting.insert_batch(&items("fixture-pre", 200));
+    counting.remove_batch(&items("fixture-pre", 120)).expect("counting supports remove");
+    let counting = mid_rotation_snapshot(counting, "fixture-counting");
+    assert_eq!(
+        digest(&counting),
+        (24328, "912e76005d326e2b2da6156a7b08325b3bcc93fa".into()),
+        "counting snapshot bytes moved"
+    );
+}
+
+#[test]
+fn snapshot_info_bytes_match_the_file_and_the_metrics_counter() {
+    let _faults = fault_session();
+    let dir = TempDir::new("snapshot-bytes");
+    let mut store = unhardened_store();
+    store.insert_batch(&items("member", 300));
+    let counter = |store: &BloomStore| -> u64 {
+        let exposition = store.metrics().registry().render();
+        let line = exposition
+            .lines()
+            .find(|l| l.starts_with("evilbloom_persist_snapshot_bytes_total "))
+            .expect("snapshot bytes counter exported");
+        line.rsplit(' ').next().and_then(|v| v.parse().ok()).expect("counter value")
+    };
+    let before = counter(&store);
+    let first = store.enable_persistence(&PersistConfig::new(dir.path())).expect("enable");
+    let on_disk = |dir: &std::path::Path| fs::metadata(newest_snapshot(dir)).expect("stat").len();
+    assert_eq!(first.bytes, on_disk(dir.path()), "SnapshotInfo.bytes must be the file's length");
+    store.begin_rotation(1, &mut StdRng::seed_from_u64(5)).expect("begin");
+    store.insert_batch(&items("late", 100));
+    let second = store.snapshot_to_disk().expect("snapshot");
+    assert_eq!(second.bytes, on_disk(dir.path()), "the draining record is counted too");
+    assert_eq!(counter(&store) - before, first.bytes + second.bytes);
+}
+
+/// A one-shard store, so every insert batch becomes a single WAL record.
+fn one_shard_store() -> BloomStore {
+    BloomStore::builder().shards(1).capacity(40_000).target_fpp(0.01).unhardened().seed(7).build()
+}
+
+/// Long items, so a few thousand of them make one record far larger than
+/// any read buffer.
+fn long_items(prefix: &str, n: usize) -> Vec<Vec<u8>> {
+    (0..n).map(|i| format!("{prefix}-{i:06}-{}", "x".repeat(96)).into_bytes()).collect()
+}
+
+/// Byte offsets at which each record of a WAL segment ends, read from the
+/// `[len u32][type u8][body][crc u32]` framing after the 17-byte header.
+fn wal_record_ends(bytes: &[u8]) -> Vec<usize> {
+    let mut ends = Vec::new();
+    let mut pos = 17;
+    while pos + 4 <= bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
+        pos += 4 + 1 + len + 4;
+        ends.push(pos);
+    }
+    assert_eq!(pos, bytes.len(), "an untouched segment ends on a record boundary");
+    ends
+}
+
+#[test]
+fn wal_records_larger_than_or_straddling_the_read_buffer_replay_whole() {
+    let _faults = fault_session();
+    let dir = TempDir::new("big-record");
+    let mut store = one_shard_store();
+    store.enable_persistence(&PersistConfig::new(dir.path())).expect("enable");
+    let batch = long_items("big", 4_000);
+    store.insert_batch(&batch);
+    // Then thousands of small records, one per scalar insert: every refill
+    // of the reader's buffer ends somewhere inside one of them, length
+    // prefix and CRC included.
+    let scalars = items("small", 20_000);
+    for item in &scalars {
+        store.insert(item);
+    }
+    let segment = fs::read(wal_segments(dir.path()).pop().expect("a wal segment")).expect("read");
+    let ends = wal_record_ends(&segment);
+    assert_eq!(ends.len(), 1 + scalars.len(), "one record per batch and per scalar insert");
+    assert!(ends[0] > 256 * 1024, "the batch record must outgrow the read buffer");
+
+    let (recovered, report) = recover(&PersistConfig::new(dir.path())).expect("recover");
+    assert_eq!(report.replayed_inserts, 24_000);
+    assert!(!report.torn_tail);
+    assert!(recovered.query_batch(&batch).iter().all(|&a| a));
+    assert!(recovered.query_batch(&scalars).iter().all(|&a| a));
+    assert_equivalent(&store, &recovered, &batch);
+}
+
+#[test]
+fn wal_tail_torn_inside_a_body_or_at_a_buffer_boundary_is_a_clean_cut() {
+    let _faults = fault_session();
+    let dir = TempDir::new("torn-boundary");
+    let mut store = one_shard_store();
+    store.enable_persistence(&PersistConfig::new(dir.path())).expect("enable");
+    let batches: Vec<Vec<Vec<u8>>> =
+        (0..3).map(|b| long_items(&format!("batch{b}"), 1_500)).collect();
+    for batch in &batches {
+        store.insert_batch(batch);
+    }
+    let tail = wal_segments(dir.path()).pop().expect("a wal segment");
+    let original = fs::read(&tail).expect("read wal");
+    let ends = wal_record_ends(&original);
+    assert_eq!(ends.len(), 3);
+    let saved = save_dir(dir.path());
+
+    // A cut in the middle of the last record's body, then one at every
+    // 4 KiB multiple: whatever power-of-two size the reader buffers, some
+    // cut lands exactly where one of its refills ends.
+    let last_start = ends[1];
+    let mut cuts = vec![last_start + (ends[2] - last_start) / 2];
+    cuts.extend((1..).map(|n| n * 4096).take_while(|&cut| cut < original.len()));
+    for cut in cuts {
+        if ends.contains(&cut) || cut <= 17 {
+            continue;
+        }
+        restore_dir(dir.path(), &saved);
+        fs::write(&tail, &original[..cut]).expect("write torn");
+        let (recovered, report) =
+            recover(&PersistConfig::new(dir.path())).expect("torn tail is a clean cut");
+        assert!(report.torn_tail, "cut {cut} must be reported torn");
+        let whole = ends.iter().filter(|&&end| end <= cut).count();
+        assert_eq!(report.replayed_inserts, whole as u64 * 1_500, "cut {cut}");
+        for batch in &batches[..whole] {
+            assert!(recovered.query_batch(batch).iter().all(|&a| a), "cut {cut}");
+        }
+    }
 }
