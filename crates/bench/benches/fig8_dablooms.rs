@@ -22,7 +22,7 @@ fn bench_fig8(c: &mut Criterion) {
 
     group.bench_function("honest_slice_load", |b| {
         b.iter(|| {
-            let mut filter = small_dablooms();
+            let filter = small_dablooms();
             for i in 0..500u32 {
                 filter.insert(format!("honest-{i}").as_bytes());
             }
@@ -32,11 +32,10 @@ fn bench_fig8(c: &mut Criterion) {
 
     group.bench_function("polluted_slice_load", |b| {
         b.iter(|| {
-            let mut filter = small_dablooms();
-            let plan = {
-                let slice = &filter.slices()[0];
-                craft_polluting_items(slice, &UrlGenerator::new("fig8-bench"), 500, u64::MAX)
-            };
+            let filter = small_dablooms();
+            let slice = filter.active_slice();
+            let plan =
+                craft_polluting_items(&*slice, &UrlGenerator::new("fig8-bench"), 500, u64::MAX);
             for url in &plan.items {
                 filter.insert(url.as_bytes());
             }

@@ -1,6 +1,7 @@
 //! Lock-free bit vector backed by atomic words — the storage of every Bloom
-//! filter in this crate. [`crate::bitvec::BitVec`] is its plain value type:
-//! snapshots are taken into one.
+//! filter in this crate. Its copies are raw word arrays
+//! ([`AtomicBitVec::snapshot_words`]): bit `i` is bit `i % 64` of word
+//! `i / 64`.
 //!
 //! Every operation takes `&self`: readers and writers proceed without locks.
 //! A bit write first loads the word and returns at once when the bit is
@@ -13,8 +14,6 @@
 //! the accessor names).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::bitvec::BitVec;
 
 /// A fixed-size bit vector of `AtomicU64` words supporting lock-free `&self`
 /// reads and writes.
@@ -31,7 +30,7 @@ use crate::bitvec::BitVec;
 /// use evilbloom_filters::atomic_bitvec::AtomicBitVec;
 ///
 /// let bits = AtomicBitVec::new(128);
-/// assert!(!bits.set(42)); // returns the previous value, like `BitVec::set`
+/// assert!(!bits.set(42)); // returns the previous value
 /// assert!(bits.get(42));
 /// assert_eq!(bits.count_ones_approx(), 1);
 /// ```
@@ -141,7 +140,7 @@ impl AtomicBitVec {
     /// are only ever set, so the worst a torn copy does is re-observe a bit
     /// an in-flight insert set — replaying that insert from a log is
     /// idempotent. Consumers needing a ones count for the copy must recount
-    /// it from these words ([`BitVec::count_ones`] on the rebuilt vector, or
+    /// it from these words ([`AtomicBitVec::from_words`] does, or
     /// `count_ones` per word) — the live running counter is updated *after*
     /// each `fetch_or` and can disagree with any given word-array copy.
     pub fn snapshot_words(&self) -> Vec<u64> {
@@ -175,23 +174,6 @@ impl AtomicBitVec {
             len,
             ones: AtomicU64::new(ones),
         }
-    }
-
-    /// Copies the current contents into a plain [`BitVec`] snapshot. The
-    /// snapshot is word-wise consistent; concurrent writers may land between
-    /// words.
-    pub fn snapshot(&self) -> BitVec {
-        let mut out = BitVec::new(self.len);
-        for (wi, word) in self.words.iter().enumerate() {
-            let mut bits = word.load(Ordering::Acquire);
-            let base = wi as u64 * 64;
-            while bits != 0 {
-                let tz = u64::from(bits.trailing_zeros());
-                bits &= bits - 1;
-                out.set(base + tz);
-            }
-        }
-        out
     }
 }
 
@@ -232,15 +214,14 @@ mod tests {
         AtomicBitVec::new(10).get(10);
     }
 
+    /// Word-layout known answer: bit `i` is bit `i % 64` of word `i / 64`.
     #[test]
     fn snapshot_matches_sequential_bitvec() {
         let atomic = AtomicBitVec::new(300);
-        let mut plain = BitVec::new(300);
         for i in [0u64, 1, 63, 64, 65, 128, 255, 299] {
             atomic.set(i);
-            plain.set(i);
         }
-        assert_eq!(atomic.snapshot(), plain);
+        assert_eq!(atomic.snapshot_words(), [(1 << 63) | 0b11, 0b11, 1, 1 << 63, 1 << (299 - 256)]);
     }
 
     #[test]
@@ -257,7 +238,7 @@ mod tests {
         // The counter comes from recounting the words, not from the source
         // vector's live counter.
         assert_eq!(rebuilt.count_ones_approx(), 5);
-        assert_eq!(rebuilt.snapshot(), bits.snapshot());
+        assert_eq!(rebuilt.snapshot_words(), bits.snapshot_words());
     }
 
     #[test]

@@ -384,7 +384,7 @@ mod tests {
             fresh_direct += u64::from(direct.insert(item));
         }
         assert_eq!(fresh_trait, fresh_direct);
-        assert_eq!(via_trait.snapshot(), direct.snapshot());
+        assert_eq!(via_trait.snapshot_words(), direct.snapshot_words());
         assert_eq!(FilterBackend::weight(&via_trait), direct.hamming_weight());
         assert_eq!(FilterBackend::attack_params(&via_trait), params);
     }
@@ -409,7 +409,7 @@ mod tests {
             &(),
         )
         .expect("geometry matches");
-        assert_eq!(restored.snapshot(), filter.snapshot());
+        assert_eq!(restored.snapshot_words(), filter.snapshot_words());
         // Wrong geometry is an error, not a panic.
         assert!(<ConcurrentBloomFilter as FilterBackend>::from_words(
             params,

@@ -16,7 +16,6 @@ use std::sync::Arc;
 use evilbloom_hashes::IndexStrategy;
 
 use crate::atomic_bitvec::AtomicBitVec;
-use crate::bitvec::BitVec;
 use crate::params::FilterParams;
 
 /// A lock-free Bloom filter: an `m`-bit [`AtomicBitVec`], `k` indexes per
@@ -24,7 +23,7 @@ use crate::params::FilterParams;
 /// O(1) approximate fill statistics.
 ///
 /// The filter intentionally exposes its internal state (`is_set`,
-/// `snapshot`, `fill_ratio`): the paper's adversary models assume the
+/// `snapshot_words`, `fill_ratio`): the paper's adversary models assume the
 /// implementation is public and the filter contents are known or partially
 /// known, and the attack engines in `evilbloom-attacks` rely on that
 /// visibility. Hiding the state is *not* a defence — a chosen-insertion
@@ -223,13 +222,6 @@ impl ConcurrentBloomFilter {
         )
     }
 
-    /// Word-wise consistent snapshot of the bit vector as a plain
-    /// [`BitVec`] (its support, its zero positions, or a digest to ship to a
-    /// peer).
-    pub fn snapshot(&self) -> BitVec {
-        self.bits.snapshot()
-    }
-
     /// Racy raw-word copy of the bit vector under `&self` — the persistence
     /// fast path (no per-bit rebuild). See
     /// [`AtomicBitVec::snapshot_words`] for the torn-read safety argument;
@@ -359,7 +351,7 @@ mod tests {
         }
         let fresh_batch = batch_filter.insert_batch(&items);
         assert_eq!(fresh_batch, fresh_loop);
-        assert_eq!(batch_filter.snapshot(), loop_filter.snapshot());
+        assert_eq!(batch_filter.snapshot_words(), loop_filter.snapshot_words());
         assert_eq!(batch_filter.inserted(), loop_filter.inserted());
         assert_eq!(batch_filter.hamming_weight(), batch_filter.hamming_weight_approx());
 
@@ -383,7 +375,7 @@ mod tests {
         let words = filter.snapshot_words();
         let restored =
             ConcurrentBloomFilter::from_words(params, strategy, words, filter.inserted());
-        assert_eq!(restored.snapshot(), filter.snapshot());
+        assert_eq!(restored.snapshot_words(), filter.snapshot_words());
         assert_eq!(restored.inserted(), filter.inserted());
         assert_eq!(restored.hamming_weight(), filter.hamming_weight());
         // Recounted, not copied: the approx counter matches the exact scan.

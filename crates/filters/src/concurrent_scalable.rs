@@ -3,23 +3,27 @@
 //! slice by slice, and a chosen-insertion adversary can both pollute the
 //! active slice and force premature growth.
 //!
-//! The filter is a stack of [`ConcurrentBloomFilter`] slices behind an
-//! `RwLock`. The lock only guards the *stack* (growth pushes a slice); the
-//! slices themselves stay lock-free, so the hot path costs one uncontended
-//! read-lock acquisition on top of the plain filter. Slice `i` targets
-//! `f_i = f_0 · r^i` (the rule [`ScalableConfig`](crate::ScalableConfig)
-//! states for Dablooms), with slice 0 using exactly the base
+//! The filter is a stack of slices behind an `RwLock`, generic over the
+//! slice type: [`ConcurrentBloomFilter`] slices make the served scalable
+//! family, and [`ConcurrentCountingFilter`](crate::ConcurrentCountingFilter)
+//! slices make Bitly's Dablooms ([`Dablooms`](crate::Dablooms), Section 6).
+//! The lock only guards the *stack* (growth pushes a slice); the slices
+//! themselves stay lock-free, so the hot path costs one uncontended
+//! read-lock acquisition on top of the slice. Slice 0 uses exactly the base
 //! [`FilterParams`] handed to the constructor — so the store's shard
-//! geometry statistics stay meaningful. Queries consult every slice, so the
-//! compound probability `F = 1 - Π(1 - f_i)` is what a client sees.
+//! geometry statistics stay meaningful — and slice `i` is sized for
+//! `f_i = f_0 · r^i`. Queries consult every slice, so the compound
+//! probability `F = 1 - Π(1 - f_i)` is what a client sees.
 //!
-//! Growth is checked before each insert with a double-checked write lock;
-//! racing inserts that slip past the check may overfill a slice by the
-//! number of in-flight writers, which only *tightens* the compound
+//! A slice is full once it has taken `capacity` insert calls. Removals
+//! never lower a slice's insert count, which is the counter the Section 6.2
+//! overflow attack fools: insert-then-delete churn fills a slice that holds
+//! nothing. Growth is checked before each insert with a double-checked
+//! write lock; racing inserts that slip past the check may overfill a slice
+//! by the number of in-flight writers, which only *tightens* the compound
 //! false-positive bound (the slice they spill into was sized for them).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 use evilbloom_hashes::IndexStrategy;
 
@@ -42,8 +46,8 @@ impl Default for ScalableOptions {
 }
 
 /// A concurrently-servable scalable Bloom filter: a growing stack of
-/// lock-free slices, grown when the active slice reaches the per-slice
-/// capacity `params.capacity`.
+/// lock-free `S` slices, grown when the active slice has taken the
+/// per-slice capacity `params.capacity` of insert calls.
 ///
 /// # Examples
 ///
@@ -52,7 +56,7 @@ impl Default for ScalableOptions {
 /// use evilbloom_hashes::{KirschMitzenmacher, Murmur3_128};
 /// use std::sync::Arc;
 ///
-/// let filter = ConcurrentScalableFilter::with_shared_strategy(
+/// let filter: ConcurrentScalableFilter = ConcurrentScalableFilter::with_shared_strategy(
 ///     FilterParams::optimal(100, 0.01),
 ///     Arc::new(KirschMitzenmacher::new(Murmur3_128)),
 ///     ScalableOptions::default(),
@@ -63,19 +67,19 @@ impl Default for ScalableOptions {
 /// assert!(filter.slice_count() >= 3);
 /// assert!(filter.contains(b"item-0"));
 /// ```
-pub struct ConcurrentScalableFilter {
+pub struct ConcurrentScalableFilter<S: FilterBackend = ConcurrentBloomFilter> {
     /// Slice stack, most recent (active) last. Never shrinks.
-    slices: RwLock<Vec<Arc<ConcurrentBloomFilter>>>,
+    slices: RwLock<Vec<Arc<S>>>,
     base: FilterParams,
     base_fpp: f64,
     strategy: Arc<dyn IndexStrategy>,
     tightening_ratio: f64,
-    inserted: AtomicU64,
 }
 
-impl ConcurrentScalableFilter {
-    /// Creates an empty filter whose first slice uses exactly `params`;
-    /// every slice holds `params.capacity` insertions before growth.
+impl<S: FilterBackend> ConcurrentScalableFilter<S> {
+    /// Creates an empty filter whose first slice uses exactly `params` and
+    /// whose later slices tighten its expected false-positive probability;
+    /// every slice holds `params.capacity` insert calls before growth.
     ///
     /// # Panics
     ///
@@ -85,20 +89,35 @@ impl ConcurrentScalableFilter {
         strategy: Arc<dyn IndexStrategy>,
         options: ScalableOptions,
     ) -> Self {
+        Self::with_base_fpp(params, params.expected_fpp(), strategy, options.tightening_ratio)
+    }
+
+    /// Creates an empty filter whose slice 0 is `base` and whose slice `i`
+    /// targets `base_fpp · tightening_ratio^i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tightening_ratio` is outside `(0, 1]`.
+    pub(crate) fn with_base_fpp(
+        base: FilterParams,
+        base_fpp: f64,
+        strategy: Arc<dyn IndexStrategy>,
+        tightening_ratio: f64,
+    ) -> Self {
         assert!(
-            options.tightening_ratio > 0.0 && options.tightening_ratio <= 1.0,
+            tightening_ratio > 0.0 && tightening_ratio <= 1.0,
             "tightening ratio must be in (0, 1]"
         );
-        let first =
-            Arc::new(ConcurrentBloomFilter::with_shared_strategy(params, Arc::clone(&strategy)));
-        ConcurrentScalableFilter {
-            slices: RwLock::new(vec![first]),
-            base: params,
-            base_fpp: params.expected_fpp(),
+        let mut filter = ConcurrentScalableFilter {
+            slices: RwLock::new(Vec::new()),
+            base,
+            base_fpp,
             strategy,
-            tightening_ratio: options.tightening_ratio,
-            inserted: AtomicU64::new(0),
-        }
+            tightening_ratio,
+        };
+        let first = filter.new_slice(0);
+        filter.slices.get_mut().expect("scalable slice lock poisoned").push(first);
+        filter
     }
 
     /// The base (slice-0) sizing parameters.
@@ -107,13 +126,23 @@ impl ConcurrentScalableFilter {
     }
 
     /// Parameters slice `index` uses: the base parameters for slice 0,
-    /// average-case optimal sizing at the tightened target `f_0 · r^i` after.
+    /// average-case optimal sizing at the tightened target `f_0 · r^i` after
+    /// (kept inside `(0, 1)`, the range [`FilterParams::optimal`] accepts).
     pub fn slice_params(&self, index: usize) -> FilterParams {
         if index == 0 {
             return self.base;
         }
         let fpp = self.base_fpp * self.tightening_ratio.powi(index as i32);
-        FilterParams::optimal(self.base.capacity.max(1), fpp.clamp(f64::MIN_POSITIVE, 0.5))
+        FilterParams::optimal(
+            self.base.capacity.max(1),
+            fpp.clamp(f64::MIN_POSITIVE, 1.0 - f64::EPSILON),
+        )
+    }
+
+    /// A fresh, empty slice `index`.
+    fn new_slice(&self, index: usize) -> Arc<S> {
+        let params = self.slice_params(index);
+        Arc::new(S::fresh(params, Arc::clone(&self.strategy), &S::Options::default()))
     }
 
     /// Number of slices currently allocated.
@@ -121,9 +150,15 @@ impl ConcurrentScalableFilter {
         self.read_slices().len()
     }
 
+    /// Handles to the slices, oldest first. Slices take `&self` inserts, so
+    /// the pollution experiments write into a slice directly.
+    pub fn slices(&self) -> Vec<Arc<S>> {
+        self.read_slices().clone()
+    }
+
     /// Total insert calls across all slices.
     pub fn inserted(&self) -> u64 {
-        self.inserted.load(Ordering::Relaxed)
+        self.read_slices().iter().map(|s| s.inserted()).sum()
     }
 
     /// The shared index strategy.
@@ -131,13 +166,13 @@ impl ConcurrentScalableFilter {
         &self.strategy
     }
 
-    fn read_slices(&self) -> std::sync::RwLockReadGuard<'_, Vec<Arc<ConcurrentBloomFilter>>> {
+    fn read_slices(&self) -> RwLockReadGuard<'_, Vec<Arc<S>>> {
         self.slices.read().expect("scalable slice lock poisoned")
     }
 
     /// The active (most recent) slice, growing the stack first if it has
     /// reached the per-slice capacity.
-    fn active_slice_for_insert(&self) -> Arc<ConcurrentBloomFilter> {
+    fn active_slice_for_insert(&self) -> Arc<S> {
         {
             let slices = self.read_slices();
             let last = slices.last().expect("at least one slice always exists");
@@ -150,11 +185,8 @@ impl ConcurrentScalableFilter {
         // Double-check under the write lock: a racing grower may have
         // already pushed the next slice.
         if last.inserted() >= last.params().capacity {
-            let params = self.slice_params(slices.len());
-            slices.push(Arc::new(ConcurrentBloomFilter::with_shared_strategy(
-                params,
-                Arc::clone(&self.strategy),
-            )));
+            let next = self.new_slice(slices.len());
+            slices.push(next);
         }
         Arc::clone(slices.last().expect("slice just ensured"))
     }
@@ -162,17 +194,14 @@ impl ConcurrentScalableFilter {
     /// A clone of the active slice handle (what the adversarial view and the
     /// stats pass inspect — growth does not invalidate the returned slice,
     /// it just stops being the active one).
-    pub fn active_slice(&self) -> Arc<ConcurrentBloomFilter> {
+    pub fn active_slice(&self) -> Arc<S> {
         Arc::clone(self.read_slices().last().expect("at least one slice always exists"))
     }
 
     /// Inserts `item` into the active slice (growing first if full);
-    /// returns the number of bits this call set 0 → 1.
+    /// returns the number of cells this call took 0 → occupied.
     pub fn insert(&self, item: &[u8]) -> u32 {
-        let slice = self.active_slice_for_insert();
-        let fresh = slice.insert(item);
-        self.inserted.fetch_add(1, Ordering::Relaxed);
-        fresh
+        self.active_slice_for_insert().insert(item)
     }
 
     /// Membership query: present if *any* slice reports the item.
@@ -180,19 +209,19 @@ impl ConcurrentScalableFilter {
         self.read_slices().iter().rev().any(|slice| slice.contains(item))
     }
 
-    /// Total bits across all slices.
+    /// Total cells across all slices.
     pub fn total_bits(&self) -> u64 {
         self.read_slices().iter().map(|s| s.m()).sum()
     }
 
-    /// Exact set-bit count across all slices.
+    /// Exact occupied-cell count across all slices.
     pub fn weight(&self) -> u64 {
-        self.read_slices().iter().map(|s| s.hamming_weight()).sum()
+        self.read_slices().iter().map(|s| s.weight()).sum()
     }
 
-    /// O(1) approximate set-bit count across all slices.
+    /// O(1)-per-slice approximate occupied-cell count across all slices.
     pub fn weight_approx(&self) -> u64 {
-        self.read_slices().iter().map(|s| s.hamming_weight_approx()).sum()
+        self.read_slices().iter().map(|s| s.weight_approx()).sum()
     }
 
     /// Compound false-positive probability `1 - Π (1 - fill_i^k_i)` from
@@ -203,13 +232,14 @@ impl ConcurrentScalableFilter {
         evilbloom_analysis::scalable::compound_false_positive(&per)
     }
 
-    /// Total memory footprint of all slices in bytes.
+    /// Total memory footprint of all slices in bytes, as each slice type
+    /// reports it.
     pub fn memory_bytes(&self) -> u64 {
-        self.read_slices().iter().map(|s| s.params().memory_bytes()).sum()
+        self.read_slices().iter().map(|s| s.memory_bytes()).sum()
     }
 }
 
-impl core::fmt::Debug for ConcurrentScalableFilter {
+impl<S: FilterBackend> core::fmt::Debug for ConcurrentScalableFilter<S> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("ConcurrentScalableFilter")
             .field("slices", &self.slice_count())
@@ -460,7 +490,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "tightening ratio")]
     fn invalid_ratio_rejected() {
-        ConcurrentScalableFilter::with_shared_strategy(
+        ConcurrentScalableFilter::<ConcurrentBloomFilter>::with_shared_strategy(
             FilterParams::optimal(10, 0.01),
             strategy(),
             ScalableOptions { tightening_ratio: 0.0 },

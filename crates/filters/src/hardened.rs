@@ -259,7 +259,7 @@ mod tests {
         let b = hardened_filter(100, 0.01, HardeningLevel::KeyedSipHash, &key_b);
         a.insert(b"same item");
         b.insert(b"same item");
-        assert_ne!(a.snapshot().support(), b.snapshot().support());
+        assert_ne!(a.snapshot_words(), b.snapshot_words());
     }
 
     #[test]
@@ -331,7 +331,7 @@ mod tests {
                     });
                 }
             });
-            assert_eq!(concurrent.snapshot(), sequential.snapshot(), "{level:?}");
+            assert_eq!(concurrent.snapshot_words(), sequential.snapshot_words(), "{level:?}");
             assert_eq!(concurrent.inserted(), sequential.inserted(), "{level:?}");
         }
     }

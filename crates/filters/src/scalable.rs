@@ -1,8 +1,8 @@
 //! Behaviour of the scalable Bloom filter (Almeida, Baquero, Preguiça &
 //! Hutchison), checked on
 //! [`ConcurrentScalableFilter`](crate::ConcurrentScalableFilter) — the
-//! crate's one implementation — and on the [`ScalableConfig`] Dablooms
-//! stacks its counting slices with.
+//! crate's one implementation — and on the [`ScalableConfig`] that builds
+//! its counting-slice instantiation, Dablooms.
 //!
 //! A scalable filter is a growing stack of plain Bloom filters. Sub-filter
 //! `i` is created when sub-filter `i-1` reaches its insertion threshold
@@ -14,7 +14,9 @@
 mod tests {
     use std::sync::Arc;
 
-    use crate::{ConcurrentScalableFilter, FilterParams, ScalableConfig, ScalableOptions};
+    use crate::{
+        ConcurrentScalableFilter, Dablooms, FilterParams, ScalableConfig, ScalableOptions,
+    };
     use evilbloom_hashes::{KirschMitzenmacher, Murmur3_32};
 
     /// Slices of 100 insertions, `f_0 = 0.01`, `r = 0.9`.
@@ -32,7 +34,9 @@ mod tests {
         assert_eq!(c.slice_capacity, 10_000);
         assert_eq!(c.base_fpp, 0.01);
         assert_eq!(c.tightening_ratio, 0.9);
-        assert!((c.slice_fpp(9) - 0.01 * 0.9f64.powi(9)).abs() < 1e-15);
+        let filter = Dablooms::new(c, KirschMitzenmacher::new(Murmur3_32));
+        assert_eq!(filter.slice_params(0), FilterParams::optimal(10_000, 0.01));
+        assert_eq!(filter.slice_params(9), FilterParams::optimal(10_000, 0.01 * 0.9f64.powi(9)));
     }
 
     #[test]
@@ -119,8 +123,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "slice capacity must be positive")]
+    #[should_panic(expected = "capacity must be positive")]
     fn invalid_config_rejected() {
-        ScalableConfig { slice_capacity: 0, base_fpp: 0.01, tightening_ratio: 0.9 }.validate();
+        Dablooms::new(
+            ScalableConfig { slice_capacity: 0, base_fpp: 0.01, tightening_ratio: 0.9 },
+            KirschMitzenmacher::new(Murmur3_32),
+        );
     }
 }

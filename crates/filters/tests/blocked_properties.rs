@@ -82,7 +82,11 @@ fn batch_calls_are_bit_identical_to_loops() {
             fresh_loop += u64::from(concurrent_loop.insert(item));
         }
         assert_eq!(concurrent_batch.insert_batch(&items), fresh_loop, "seed {seed}");
-        assert_eq!(concurrent_batch.snapshot(), concurrent_loop.snapshot(), "seed {seed}");
+        assert_eq!(
+            concurrent_batch.snapshot_words(),
+            concurrent_loop.snapshot_words(),
+            "seed {seed}"
+        );
         assert_eq!(concurrent_batch.inserted(), concurrent_loop.inserted(), "seed {seed}");
         let answers = concurrent_batch.query_batch(&probes);
         for (probe, answer) in probes.iter().zip(&answers) {

@@ -4,8 +4,9 @@
 //! (Section 6 of the paper).
 //!
 //! The service keeps a scaling, counting Bloom filter of known-malicious
-//! URLs. Shortening requests are checked against it: a hit means the URL is
-//! refused (or sent to a slow, expensive secondary verification). Three
+//! URLs: [`Dablooms`], the filters crate's scalable stack with counting
+//! slices. Shortening requests are checked against it: a hit means the URL
+//! is refused (or sent to a slow, expensive secondary verification). Three
 //! adversarial behaviours are modelled:
 //!
 //! * **pollution**: the adversary registers crafted "phishing" URLs with the
@@ -157,10 +158,9 @@ pub struct PollutionCampaign {
 /// slices fill up she re-plans, which [`run_pollution_campaign`] does
 /// automatically slice by slice.
 pub fn plan_pollution_campaign(service: &ShorteningService, count: usize) -> PollutionCampaign {
-    let slices = service.blocklist().slices();
-    let active = slices.last().expect("Dablooms always has a slice");
+    let active = service.blocklist().active_slice();
     let generator = UrlGenerator::new("phish-campaign");
-    let plan = craft_polluting_items(active, &generator, count, u64::MAX);
+    let plan = craft_polluting_items(&*active, &generator, count, u64::MAX);
     PollutionCampaign { urls: plan.items, stats: plan.stats }
 }
 
@@ -168,13 +168,12 @@ pub fn plan_pollution_campaign(service: &ShorteningService, count: usize) -> Pol
 /// slice and reporting them until `total` URLs have been reported. Returns
 /// the overall number of crafted URLs reported.
 pub fn run_pollution_campaign(service: &mut ShorteningService, total: usize) -> usize {
-    let slice_capacity = service.blocklist().config().slice_capacity as usize;
+    let slice_capacity = service.blocklist().params().capacity as usize;
     let mut reported = 0usize;
     let mut wave = 0u32;
     while reported < total {
-        let active_index = service.blocklist().slice_count() - 1;
-        let used = service.blocklist().slice_insertions(active_index) as usize;
-        let remaining = slice_capacity.saturating_sub(used);
+        let active = service.blocklist().active_slice();
+        let remaining = slice_capacity.saturating_sub(active.inserted() as usize);
         if remaining == 0 {
             // The active slice is full: one ordinary report rolls Dablooms
             // over to a fresh slice, which the next wave then targets.
@@ -184,10 +183,8 @@ pub fn run_pollution_campaign(service: &mut ShorteningService, total: usize) -> 
             continue;
         }
         let batch = (total - reported).min(remaining);
-        let slices = service.blocklist().slices();
-        let active = slices.last().expect("Dablooms always has a slice");
         let generator = UrlGenerator::new(&format!("phish-wave-{wave}"));
-        let plan = craft_polluting_items(active, &generator, batch, u64::MAX);
+        let plan = craft_polluting_items(&*active, &generator, batch, u64::MAX);
         let crafted = plan.items.len();
         for url in &plan.items {
             service.report_malicious(url);
@@ -212,7 +209,7 @@ pub fn plan_delisting_attack(service: &ShorteningService, victim: &str) -> Vec<S
         }
         let generator = UrlGenerator::new("delist");
         let plan = evilbloom_attacks::deletion::plan_targeted_deletion(
-            slice,
+            &*slice,
             victim.as_bytes(),
             &generator,
             50_000_000,
@@ -324,6 +321,6 @@ mod tests {
     #[test]
     fn default_service_uses_paper_configuration() {
         let service = ShorteningService::default();
-        assert_eq!(service.blocklist().config().slice_capacity, 10_000);
+        assert_eq!(service.blocklist().params().capacity, 10_000);
     }
 }
