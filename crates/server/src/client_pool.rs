@@ -19,6 +19,11 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use crate::client::{Client, ClientConfig, ClientError};
 use crate::wire::{Command, Response, WireError};
 
+/// A `frame_items` for the pooled batch helpers: large enough to amortise
+/// framing, small enough that several frames exist to stripe over the
+/// lanes.
+pub const POOL_FRAME_ITEMS: usize = 512;
+
 /// Health counters for one [`ClientPool`] (monotonic since `connect`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolHealth {
@@ -167,33 +172,17 @@ impl ClientPool {
         items: &[I],
         frame_items: usize,
     ) -> Result<u64, ClientError> {
-        let chunks: Vec<&[I]> = items.chunks(frame_items.max(1)).collect();
-        let mut lanes = self.lanes(chunks.len())?;
-        let lane_count = lanes.len();
-        for (i, chunk) in chunks.iter().enumerate() {
-            let borrowed: Vec<&[u8]> = chunk.iter().map(AsRef::as_ref).collect();
-            lanes[i % lane_count].send(&Command::InsertBatch(borrowed))?;
-        }
         let mut fresh_bits = 0u64;
-        for (i, chunk) in chunks.iter().enumerate() {
-            match lanes[i % lane_count].recv()? {
-                Response::BatchInserted { items: n, fresh_bits: fresh }
-                    if n as usize == chunk.len() =>
-                {
-                    fresh_bits += fresh;
-                }
-                Response::BatchInserted { .. } => {
-                    return Err(ClientError::Wire(WireError::Malformed("item count mismatch")))
-                }
-                other => {
-                    return Err(ClientError::Unexpected {
-                        expected: "MINSERTED",
-                        got: other.name(),
-                    })
-                }
+        self.striped(items, frame_items, Command::InsertBatch, |response, sent| match response {
+            Response::BatchInserted { items, fresh_bits: fresh } if items as usize == sent => {
+                fresh_bits += fresh;
+                Ok(())
             }
-        }
-        self.checkin_all(lanes);
+            Response::BatchInserted { .. } => {
+                Err(ClientError::Wire(WireError::Malformed("item count mismatch")))
+            }
+            other => Err(ClientError::Unexpected { expected: "MINSERTED", got: other.name() }),
+        })?;
         Ok(fresh_bits)
     }
 
@@ -204,28 +193,17 @@ impl ClientPool {
         items: &[I],
         frame_items: usize,
     ) -> Result<Vec<bool>, ClientError> {
-        let chunks: Vec<&[I]> = items.chunks(frame_items.max(1)).collect();
-        let mut lanes = self.lanes(chunks.len())?;
-        let lane_count = lanes.len();
-        for (i, chunk) in chunks.iter().enumerate() {
-            let borrowed: Vec<&[u8]> = chunk.iter().map(AsRef::as_ref).collect();
-            lanes[i % lane_count].send(&Command::QueryBatch(borrowed))?;
-        }
         let mut answers = Vec::with_capacity(items.len());
-        for (i, chunk) in chunks.iter().enumerate() {
-            match lanes[i % lane_count].recv()? {
-                Response::BatchFound(found) if found.len() == chunk.len() => {
-                    answers.extend(found);
-                }
-                Response::BatchFound(_) => {
-                    return Err(ClientError::Wire(WireError::Malformed("answer count mismatch")))
-                }
-                other => {
-                    return Err(ClientError::Unexpected { expected: "MFOUND", got: other.name() })
-                }
+        self.striped(items, frame_items, Command::QueryBatch, |response, sent| match response {
+            Response::BatchFound(found) if found.len() == sent => {
+                answers.extend(found);
+                Ok(())
             }
-        }
-        self.checkin_all(lanes);
+            Response::BatchFound(_) => {
+                Err(ClientError::Wire(WireError::Malformed("answer count mismatch")))
+            }
+            other => Err(ClientError::Unexpected { expected: "MFOUND", got: other.name() }),
+        })?;
         Ok(answers)
     }
 
@@ -239,29 +217,44 @@ impl ClientPool {
         items: &[I],
         frame_items: usize,
     ) -> Result<Vec<bool>, ClientError> {
-        let chunks: Vec<&[I]> = items.chunks(frame_items.max(1)).collect();
+        let mut answers = Vec::with_capacity(items.len());
+        self.striped(items, frame_items, Command::DeleteBatch, |response, sent| match response {
+            Response::BatchDeleted(deleted) if deleted.len() == sent => {
+                answers.extend(deleted);
+                Ok(())
+            }
+            Response::BatchDeleted(_) => {
+                Err(ClientError::Wire(WireError::Malformed("answer count mismatch")))
+            }
+            other => Err(ClientError::Unexpected { expected: "MDELETED", got: other.name() }),
+        })?;
+        Ok(answers)
+    }
+
+    /// The striping loop behind the pooled batch helpers: splits `items`
+    /// into `frame`s of `frame_items`, sends every frame round-robin over
+    /// the lanes, then hands each response to `accept` in send order with
+    /// the number of items its frame carried. The lanes are checked back in
+    /// only if every response was accepted.
+    fn striped<'i, I: AsRef<[u8]>>(
+        &mut self,
+        items: &'i [I],
+        frame_items: usize,
+        frame: impl Fn(Vec<&'i [u8]>) -> Command<'i>,
+        mut accept: impl FnMut(Response, usize) -> Result<(), ClientError>,
+    ) -> Result<(), ClientError> {
+        let chunks: Vec<&'i [I]> = items.chunks(frame_items.max(1)).collect();
         let mut lanes = self.lanes(chunks.len())?;
         let lane_count = lanes.len();
         for (i, chunk) in chunks.iter().enumerate() {
-            let borrowed: Vec<&[u8]> = chunk.iter().map(AsRef::as_ref).collect();
-            lanes[i % lane_count].send(&Command::DeleteBatch(borrowed))?;
+            let borrowed: Vec<&'i [u8]> = chunk.iter().map(AsRef::as_ref).collect();
+            lanes[i % lane_count].send(&frame(borrowed))?;
         }
-        let mut answers = Vec::with_capacity(items.len());
         for (i, chunk) in chunks.iter().enumerate() {
-            match lanes[i % lane_count].recv()? {
-                Response::BatchDeleted(deleted) if deleted.len() == chunk.len() => {
-                    answers.extend(deleted);
-                }
-                Response::BatchDeleted(_) => {
-                    return Err(ClientError::Wire(WireError::Malformed("answer count mismatch")))
-                }
-                other => {
-                    return Err(ClientError::Unexpected { expected: "MDELETED", got: other.name() })
-                }
-            }
+            accept(lanes[i % lane_count].recv()?, chunk.len())?;
         }
         self.checkin_all(lanes);
-        Ok(answers)
+        Ok(())
     }
 
     /// Health snapshot over one pooled connection (see [`Client::stats`]);

@@ -123,48 +123,30 @@ fn record_frame(
 ) {
     let latency_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
     let opcode = command.opcode();
-    match (command, response) {
+    // Item count, plus the fresh-bit yield of an acknowledged insert.
+    let executed = match (command, response) {
         (Command::Insert(_), Response::Inserted { fresh_bits }) => {
-            let fresh_bits = u64::from(*fresh_bits);
-            inner.suspects.record_batch(conn_id, 1, fresh_bits);
-            inner.recorder.record(TraceEvent::BatchExecuted {
-                conn_id,
-                opcode,
-                items: 1,
-                fresh_bits,
-                latency_ns,
-            });
+            Some((1, Some(u64::from(*fresh_bits))))
         }
-        (Command::InsertBatch(_), Response::BatchInserted { items, fresh_bits }) => {
-            let items = u64::from(*items);
-            inner.suspects.record_batch(conn_id, items, *fresh_bits);
-            inner.recorder.record(TraceEvent::BatchExecuted {
-                conn_id,
-                opcode,
-                items,
-                fresh_bits: *fresh_bits,
-                latency_ns,
-            });
+        (Command::InsertBatch(items), Response::BatchInserted { fresh_bits, .. }) => {
+            Some((items.len(), Some(*fresh_bits)))
         }
-        (Command::Query(_) | Command::Delete(_), _) => {
-            inner.recorder.record(TraceEvent::BatchExecuted {
-                conn_id,
-                opcode,
-                items: 1,
-                fresh_bits: 0,
-                latency_ns,
-            });
+        (Command::Query(_) | Command::Delete(_), _) => Some((1, None)),
+        (Command::QueryBatch(items) | Command::DeleteBatch(items), _) => Some((items.len(), None)),
+        _ => None,
+    };
+    if let Some((items, inserted)) = executed {
+        let items = items as u64;
+        if let Some(fresh_bits) = inserted {
+            inner.suspects.record_batch(conn_id, items, fresh_bits);
         }
-        (Command::QueryBatch(items) | Command::DeleteBatch(items), _) => {
-            inner.recorder.record(TraceEvent::BatchExecuted {
-                conn_id,
-                opcode,
-                items: items.len() as u64,
-                fresh_bits: 0,
-                latency_ns,
-            });
-        }
-        _ => {}
+        inner.recorder.record(TraceEvent::BatchExecuted {
+            conn_id,
+            opcode,
+            items,
+            fresh_bits: inserted.unwrap_or(0),
+            latency_ns,
+        });
     }
     if elapsed >= inner.slow_request_threshold {
         inner.recorder.record(TraceEvent::SlowRequest { conn_id, opcode, latency_ns });
@@ -194,8 +176,10 @@ pub(crate) fn execute(command: &Command<'_>, inner: &Inner) -> Response {
     };
     match command {
         Command::Ping => Response::Pong,
-        Command::Insert(item) => match store.insert(item) {
-            Ok(fresh_bits) => Response::Inserted { fresh_bits },
+        // Single-item writes are one-item batches: the same store path,
+        // WAL record and degraded-mode guard as MINSERT/MDELETE.
+        Command::Insert(item) => match store.insert_batch(std::slice::from_ref(item)) {
+            Ok(outcome) => Response::Inserted { fresh_bits: outcome.fresh_bits as u32 },
             Err(refusal) => refused(refusal),
         },
         Command::Query(item) => Response::Found(store.contains(item)),
@@ -213,8 +197,8 @@ pub(crate) fn execute(command: &Command<'_>, inner: &Inner) -> Response {
         // families answer UNSUPPORTED (typed, connection stays open), so a
         // remote deletion adversary learns the family refuses rather than
         // tripping a protocol error.
-        Command::Delete(item) => match store.remove(item) {
-            Ok(was_present) => Response::Deleted { was_present },
+        Command::Delete(item) => match store.remove_batch(std::slice::from_ref(item)) {
+            Ok(answers) => Response::Deleted { was_present: answers[0] },
             Err(refusal) => refused(refusal),
         },
         Command::DeleteBatch(items) => match store.remove_batch(items) {

@@ -36,15 +36,13 @@
 //! * [`client_pool`] — [`ClientPool`]: checkout/checkin connection reuse
 //!   with probed dead-connection replacement (counted in
 //!   [`PoolHealth`]), and pooled pipelined batch helpers that stripe one
-//!   logical batch over several sockets;
+//!   logical batch over several sockets in [`POOL_FRAME_ITEMS`]-item
+//!   frames;
 //! * [`retry`] — the seeded decorrelated-jitter backoff schedule
 //!   ([`RetryPolicy`]/[`Backoff`]) behind [`ResilientClient`]: connect +
 //!   per-request deadlines ([`ClientConfig`]), bounded idempotency-aware
 //!   retries, typed `BUSY`/`DEGRADED` refusals surfaced as
-//!   [`ClientError`] variants;
-//! * [`remote`] — [`RemoteStore`]: the one trait both `Client` and
-//!   `ClientPool` implement, so attack drivers and bench workloads are
-//!   generic over a single connection vs a pool.
+//!   [`ClientError`] variants.
 //!
 //! ## Example
 //!
@@ -88,7 +86,6 @@ mod conn;
 mod metrics;
 #[cfg(target_os = "linux")]
 mod reactor;
-pub mod remote;
 pub mod retry;
 #[cfg(target_os = "linux")]
 pub mod server;
@@ -97,8 +94,7 @@ pub mod wire;
 #[cfg(target_os = "linux")]
 pub use backend::{fd_soft_limit, loopback_connection_budget};
 pub use client::{Client, ClientConfig, ClientError, RemoteBatchOutcome, ResilientClient};
-pub use client_pool::{ClientPool, PoolHealth};
-pub use remote::{RemoteStore, POOL_FRAME_ITEMS};
+pub use client_pool::{ClientPool, PoolHealth, POOL_FRAME_ITEMS};
 pub use retry::{Backoff, RetryPolicy};
 #[cfg(target_os = "linux")]
 pub use server::{Server, ServerConfig, ServerHandle};

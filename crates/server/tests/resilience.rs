@@ -223,6 +223,56 @@ fn degraded_read_only_mode_over_the_wire() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Deletes are writes too: on a degraded counting server, scalar `DELETE`
+/// and `MDELETE` draw the same typed `DEGRADED` refusal as `INSERT` and
+/// `MINSERT`, and a refused delete is not applied.
+#[test]
+fn degraded_counting_server_refuses_deletes_over_the_wire() {
+    let dir =
+        std::env::temp_dir().join(format!("evilbloom-degraded-deletes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create store dir");
+    let mut store = BloomStore::builder()
+        .shards(2)
+        .capacity(4_000)
+        .target_fpp(0.01)
+        .unhardened()
+        .seed(9)
+        .counting(4)
+        .build();
+    store.enable_persistence(&PersistConfig::new(&dir)).expect("enable persistence");
+    let handle = Server::spawn(Arc::new(store), "127.0.0.1:0", ServerConfig::default())
+        .expect("bind loopback");
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+
+    let faults = fault_session();
+    client.insert_batch(&[b"member-a".as_slice(), b"member-b"]).expect("insert before the break");
+    drop(faults);
+    {
+        let _chaos = fault::arm(FaultPlan::new(6).fail_nth(FaultPoint::WalFsync, 1));
+        client.insert(b"breaking-write").expect_err("the breaking write is refused");
+    }
+    let _faults = fault_session();
+
+    let scalar = client.delete(b"member-a").map(|_| ());
+    let batch = client.delete_batch(&[b"member-b".as_slice()]).map(|_| ());
+    for (name, result) in [("DELETE", scalar), ("MDELETE", batch)] {
+        match result {
+            Err(ClientError::Degraded(reason)) => {
+                assert!(reason.contains("degraded"), "{name}: refusal names the mode: {reason}")
+            }
+            Err(other) => panic!("{name}: expected DEGRADED, got {other}"),
+            Ok(()) => panic!("{name}: a degraded store accepted a delete"),
+        }
+    }
+    assert!(client.query(b"member-a").expect("query"), "a refused DELETE must not apply");
+    assert!(client.query(b"member-b").expect("query"), "a refused MDELETE must not apply");
+
+    drop(client);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `BUSY` admission past `max_conns`: with one slot, the held connection
 /// is served, the next dial's first request draws the typed refusal with
 /// the configured retry-after hint, and closing the held connection frees

@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use evilbloom_server::{
     Client, ClientError, ClientPool, Command, Response, Server, ServerConfig, ServerHandle,
+    POOL_FRAME_ITEMS,
 };
 use evilbloom_store::{BackendKind, BloomStore, ConcurrentCountingFilter, PersistConfig};
 
@@ -794,15 +795,13 @@ fn trace_scrape_surfaces_events_and_suspects() {
     handle.shutdown();
 }
 
-/// `TRACE` is also reachable through a pool and the `RemoteStore` trait.
+/// `TRACE` is also reachable through a pool.
 #[test]
 fn pooled_trace_scrape_round_trips() {
-    use evilbloom_server::RemoteStore;
-
     let (handle, _store) = spawn_on(true, 2);
     let mut pool = ClientPool::connect(handle.local_addr(), 2).expect("pool");
-    pool.minsert(&["pooled-a", "pooled-b"]).expect("minsert");
-    let trace = RemoteStore::trace(&mut pool).expect("trace");
+    pool.minsert_pooled(&["pooled-a", "pooled-b"], POOL_FRAME_ITEMS).expect("minsert");
+    let trace = pool.trace().expect("trace");
     assert!(trace.recorded > 0);
     assert!(trace.events.iter().any(|e| {
         matches!(e.event, evilbloom_server::TraceEvent::BatchExecuted { fresh_bits, .. } if fresh_bits > 0)

@@ -1,5 +1,5 @@
 //! Durability for [`BloomStore`]: per-shard snapshots plus an append-only
-//! insert log with group-commit batching, and generation-aware recovery.
+//! write log with group-commit batching, and generation-aware recovery.
 //!
 //! The paper's chosen-insertion adversary matters most against a
 //! *long-lived* filter: pollution accumulates over the filter's lifetime, so
@@ -27,18 +27,21 @@
 //!
 //! ## Write-ahead log and group commit
 //!
-//! Every insert is applied to the shard first and *then* appended to the
-//! WAL buffer **while still holding the shard lock** (read lock for
-//! inserts, write lock for rotations). That makes WAL order consistent
-//! with generation changes: an insert tagged generation `g` can never
-//! appear after the `RotateBegin` that retired `g`. The fsync wait happens
-//! *outside* the shard lock via group commit: concurrent committers elect
-//! one leader to `write` + `fsync` the whole buffer while the rest wait on
-//! a condvar, so one `fsync` amortises over every insert that arrived while
-//! the previous one was in flight ([`SyncPolicy::GroupCommit`]).
-//! [`SyncPolicy::OsOnly`] skips the fsync: records still reach `write(2)`
-//! before the insert returns, so they survive a process kill (`SIGKILL`),
-//! just not an OS crash.
+//! Every write reaches the log through one path. The store routes a
+//! batch into per-shard buckets (a scalar insert or remove is a one-item
+//! batch), applies each bucket to its shard first and *then* appends it to
+//! the WAL buffer as one item record — insert or remove, the same body
+//! under a different record kind — **while still holding the shard lock**
+//! (read lock for item records, write lock for rotations). That makes WAL
+//! order consistent with generation changes: a record tagged generation
+//! `g` can never appear after the `RotateBegin` that retired `g`. The
+//! fsync wait happens *outside* the shard lock via group commit:
+//! concurrent committers elect one leader to `write` + `fsync` the whole
+//! buffer while the rest wait on a condvar, so one `fsync` amortises over
+//! every write that arrived while the previous one was in flight
+//! ([`SyncPolicy::GroupCommit`]). [`SyncPolicy::OsOnly`] skips the fsync:
+//! records still reach `write(2)` before the write returns, so they
+//! survive a process kill (`SIGKILL`), just not an OS crash.
 //!
 //! ## Snapshot ⇄ WAL protocol
 //!
@@ -73,12 +76,18 @@
 //! fallback to an older one, which the publish has already pruned),
 //! rebuilds each shard's generations from the word arrays, then replays
 //! the WAL segments the snapshot names in order.
-//! Insert records from rotated-out generations are discarded — replaying
-//! them would resurrect exactly the polluted bits a completed rotation
-//! dropped. A torn final record (the crash cut a `write` short) is
-//! tolerated as a clean end of log. Recovery finishes by writing a fresh
-//! snapshot, so boot time is bounded by the WAL tail, not the store's
-//! lifetime.
+//! Insert and remove records follow one rule. A record for the shard's
+//! active or draining generation is applied to that generation. A record
+//! from a rotated-out generation is discarded — replaying it would
+//! resurrect exactly the polluted bits a completed rotation dropped. A
+//! record whose generation runs *ahead* of its shard (no log this module
+//! writes holds one) rolls the shard forward by rotating it, completing
+//! a rotation in flight first, and is then applied, so no logged write is
+//! lost; each forced rotation step counts in
+//! [`RecoveryReport::anomalies`]. A torn final record (the crash cut a
+//! `write` short) is tolerated as a clean end of log. Recovery finishes by
+//! writing a fresh snapshot, so boot time is bounded by the WAL tail, not
+//! the store's lifetime.
 //!
 //! Hardened stores refuse persistence with
 //! [`PersistError::HardenedStore`]: their bits are derived under secret
@@ -255,20 +264,22 @@ pub struct RecoveryReport {
     pub snapshot_seq: u64,
     /// WAL segments replayed.
     pub wal_segments: u64,
-    /// Insert records applied.
+    /// Logged inserts applied, counted per item.
     pub replayed_inserts: u64,
-    /// Remove records applied (deletable backends only).
+    /// Logged removes applied, counted per item (deletable backends only).
     pub replayed_removes: u64,
     /// Rotation records applied.
     pub replayed_rotations: u64,
     /// Records skipped because the snapshot's copy of their shard already
     /// holds them (they precede the shard's fence).
     pub skipped_in_snapshot: u64,
-    /// Insert records discarded because their generation was rotated out
-    /// (replaying them would resurrect dropped pollution).
+    /// Logged items (insert or remove) discarded because their generation
+    /// was rotated out (replaying them would resurrect dropped pollution).
     pub discarded_stale: u64,
-    /// Records whose generation ran *ahead* of the shard (should not occur
-    /// with logs this module wrote; tolerated, counted).
+    /// Records that do not fit the shard they name: each rotation step a
+    /// shard was forced through to meet a record ahead of it, plus any
+    /// record that could not be applied (should not occur with logs this
+    /// module wrote; tolerated, counted).
     pub anomalies: u64,
     /// Whether the last WAL segment ended mid-record (a crash cut a write
     /// short) — tolerated as a clean end of log.
@@ -877,24 +888,11 @@ impl StorePersistence {
         self.wal.as_ref().and_then(WalWriter::broken)
     }
 
-    /// Logs one applied insert. Called under the shard read lock.
-    pub(crate) fn log_insert(&self, shard: usize, generation: u64, item: &[u8]) -> Option<u64> {
-        let wal = self.wal.as_ref()?;
-        wal.append(|out| {
-            let mut body = Vec::with_capacity(4 + 8 + 4 + 4 + item.len());
-            body.extend_from_slice(&(shard as u32).to_le_bytes());
-            body.extend_from_slice(&generation.to_le_bytes());
-            body.extend_from_slice(&1u32.to_le_bytes());
-            body.extend_from_slice(&(item.len() as u32).to_le_bytes());
-            body.extend_from_slice(item);
-            put_record(out, REC_WAL_INSERT, &body)
-        })
-    }
-
-    /// Logs one applied per-shard insert bucket. Called under that shard's
-    /// read lock.
-    pub(crate) fn log_insert_bucket(
+    /// Logs one applied per-shard bucket of inserts or removes as one item
+    /// record. Called under that shard's read lock.
+    pub(crate) fn log_items(
         &self,
+        op: ItemOp,
         shard: usize,
         generation: u64,
         items: &[&[u8]],
@@ -910,31 +908,7 @@ impl StorePersistence {
                 body.extend_from_slice(&(item.len() as u32).to_le_bytes());
                 body.extend_from_slice(item);
             }
-            put_record(out, REC_WAL_INSERT, &body)
-        })
-    }
-
-    /// Logs one applied per-shard remove bucket (deletable backends only).
-    /// Called under that shard's read lock. Same body layout as an insert
-    /// record, distinguished by the record type.
-    pub(crate) fn log_remove_bucket(
-        &self,
-        shard: usize,
-        generation: u64,
-        items: &[&[u8]],
-    ) -> Option<u64> {
-        let wal = self.wal.as_ref()?;
-        wal.append(|out| {
-            let payload: usize = items.iter().map(|i| 4 + i.len()).sum();
-            let mut body = Vec::with_capacity(4 + 8 + 4 + payload);
-            body.extend_from_slice(&(shard as u32).to_le_bytes());
-            body.extend_from_slice(&generation.to_le_bytes());
-            body.extend_from_slice(&(items.len() as u32).to_le_bytes());
-            for item in items {
-                body.extend_from_slice(&(item.len() as u32).to_le_bytes());
-                body.extend_from_slice(item);
-            }
-            put_record(out, REC_WAL_REMOVE, &body)
+            put_record(out, op.record_kind(), &body)
         })
     }
 
@@ -1365,10 +1339,26 @@ impl SnapshotReader {
 // WAL decoding.
 // ---------------------------------------------------------------------------
 
+/// The write an item record logs. Inserts and removes share one record
+/// body and differ only in the record kind byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ItemOp {
+    Insert,
+    Remove,
+}
+
+impl ItemOp {
+    fn record_kind(self) -> u8 {
+        match self {
+            ItemOp::Insert => REC_WAL_INSERT,
+            ItemOp::Remove => REC_WAL_REMOVE,
+        }
+    }
+}
+
 /// One decoded WAL record, borrowing its items from the reader's buffer.
 pub(crate) enum WalRecord<'a> {
-    Insert { shard: u32, generation: u64, items: Vec<&'a [u8]> },
-    Remove { shard: u32, generation: u64, items: Vec<&'a [u8]> },
+    Items { op: ItemOp, shard: u32, generation: u64, items: Vec<&'a [u8]> },
     RotateBegin { shard: u32, generation: u64 },
     RotateComplete { shard: u32, generation: u64 },
 }
@@ -1377,8 +1367,7 @@ impl<'a> WalRecord<'a> {
     /// The shard the record applies to.
     pub(crate) fn shard(&self) -> u32 {
         match *self {
-            WalRecord::Insert { shard, .. }
-            | WalRecord::Remove { shard, .. }
+            WalRecord::Items { shard, .. }
             | WalRecord::RotateBegin { shard, .. }
             | WalRecord::RotateComplete { shard, .. } => shard,
         }
@@ -1397,11 +1386,8 @@ impl<'a> WalRecord<'a> {
                 let items = (0..count)
                     .map(|_| c.u32().and_then(|len| c.bytes(len as usize)))
                     .collect::<Option<Vec<_>>>()?;
-                if kind == REC_WAL_INSERT {
-                    WalRecord::Insert { shard, generation, items }
-                } else {
-                    WalRecord::Remove { shard, generation, items }
-                }
+                let op = if kind == REC_WAL_INSERT { ItemOp::Insert } else { ItemOp::Remove };
+                WalRecord::Items { op, shard, generation, items }
             }
             REC_WAL_ROTATE_BEGIN => {
                 WalRecord::RotateBegin { shard: c.u32()?, generation: c.u64()? }

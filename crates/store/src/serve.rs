@@ -8,20 +8,26 @@
 //! server stores an `Arc<dyn ServeStore>` and serves plain, counting and
 //! scalable stores through one code path.
 //!
-//! Deletion is part of the trait (the wire has a `DELETE` opcode) but not
+//! The trait has two writes, [`ServeStore::insert_batch`] and
+//! [`ServeStore::remove_batch`]. A single-item wire write (`INSERT`,
+//! `DELETE`) is a one-item batch, so every write reaches the shards and the
+//! WAL through the same path.
+//!
+//! Deletion is part of the trait (the wire has `DELETE` opcodes) but not
 //! every family honours it: non-deletable backends answer with the same
 //! typed [`UnsupportedOp`] the generic store raises, which the server maps
 //! to its `Unsupported` response rather than a connection error.
 //!
 //! ## Degraded read-only mode
 //!
-//! Writes through this trait are **durability-checked**: when the store's
-//! WAL has broken ([`BloomStore::degraded`]) they are refused with
-//! [`WriteRefusal::Degraded`] *before* touching the shards, and a write
-//! whose own commit broke the WAL is refused *after* applying — the item
-//! may be in memory, but the caller must not acknowledge it as durable
-//! (at-least-once, never silent loss). Queries are unaffected. Degraded
-//! mode exits on the next successful [`ServeStore::snapshot_to_disk`].
+//! Writes through this trait are **durability-checked** by one guard: when
+//! the store's WAL has broken ([`BloomStore::degraded`]) they are refused
+//! with [`WriteRefusal::Degraded`] *before* touching the shards, and a
+//! write whose own commit broke the WAL is refused *after* applying — the
+//! items may be in memory, but the caller must not acknowledge them as
+//! durable (at-least-once, never silent loss). Queries are unaffected.
+//! Degraded mode exits on the next successful
+//! [`ServeStore::snapshot_to_disk`].
 
 use rand::RngCore;
 
@@ -70,15 +76,6 @@ impl From<UnsupportedOp> for WriteRefusal {
 /// delegate to the inherent ones, so behaviour (WAL logging, metrics,
 /// rotation semantics) is identical through either interface.
 pub trait ServeStore: Send + Sync {
-    /// Inserts one item; returns the number of fresh cells it set.
-    ///
-    /// # Errors
-    ///
-    /// [`WriteRefusal::Degraded`] while the store is in degraded read-only
-    /// mode, or if this very write broke the WAL (applied in memory but not
-    /// durably logged — do not acknowledge it).
-    fn insert(&self, item: &[u8]) -> Result<u32, WriteRefusal>;
-
     /// Membership query.
     fn contains(&self, item: &[u8]) -> bool;
 
@@ -86,21 +83,16 @@ pub trait ServeStore: Send + Sync {
     ///
     /// # Errors
     ///
-    /// [`WriteRefusal::Degraded`]; see [`ServeStore::insert`].
+    /// [`WriteRefusal::Degraded`] while the store is in degraded read-only
+    /// mode, or if this very write broke the WAL (applied in memory but not
+    /// durably logged — do not acknowledge it).
     fn insert_batch(&self, items: &[&[u8]]) -> Result<BatchOutcome, WriteRefusal>;
 
     /// Batch membership query; answers in input order.
     fn query_batch(&self, items: &[&[u8]]) -> Vec<bool>;
 
-    /// Removes one item (deletable backends); `Ok(was_present)`.
-    ///
-    /// # Errors
-    ///
-    /// [`WriteRefusal::Unsupported`] on families without deletion,
-    /// [`WriteRefusal::Degraded`] while degraded.
-    fn remove(&self, item: &[u8]) -> Result<bool, WriteRefusal>;
-
-    /// Batch removal; answers in input order.
+    /// Batch removal (deletable backends); `was_present` answers in input
+    /// order.
     ///
     /// # Errors
     ///
@@ -151,52 +143,36 @@ pub trait ServeStore: Send + Sync {
     fn snapshot_to_disk(&self) -> Result<SnapshotInfo, PersistError>;
 }
 
-/// The degraded-mode write guard: checked before a write is applied (the
-/// common refusal) and again after it committed (this very write may have
-/// broken the WAL — applied in memory, but never acknowledge it as
-/// durable).
-fn write_guard<B: FilterBackend>(store: &BloomStore<B>) -> Result<(), WriteRefusal> {
-    match store.degraded() {
-        Some(reason) => Err(WriteRefusal::Degraded(reason)),
-        None => Ok(()),
-    }
+/// The degraded-mode guard around every write: checked before `write` is
+/// applied (the common refusal) and again after it committed (this very
+/// write may have broken the WAL — applied in memory, but never
+/// acknowledge it as durable).
+fn guarded<B: FilterBackend, T>(
+    store: &BloomStore<B>,
+    write: impl FnOnce() -> Result<T, UnsupportedOp>,
+) -> Result<T, WriteRefusal> {
+    let healthy = || store.degraded().map_or(Ok(()), |reason| Err(WriteRefusal::Degraded(reason)));
+    healthy()?;
+    let done = write()?;
+    healthy()?;
+    Ok(done)
 }
 
 impl<B: FilterBackend> ServeStore for BloomStore<B> {
-    fn insert(&self, item: &[u8]) -> Result<u32, WriteRefusal> {
-        write_guard(self)?;
-        let fresh = BloomStore::insert(self, item);
-        write_guard(self)?;
-        Ok(fresh)
-    }
-
     fn contains(&self, item: &[u8]) -> bool {
         BloomStore::contains(self, item)
     }
 
     fn insert_batch(&self, items: &[&[u8]]) -> Result<BatchOutcome, WriteRefusal> {
-        write_guard(self)?;
-        let outcome = BloomStore::insert_batch(self, items);
-        write_guard(self)?;
-        Ok(outcome)
+        guarded(self, || Ok(BloomStore::insert_batch(self, items)))
     }
 
     fn query_batch(&self, items: &[&[u8]]) -> Vec<bool> {
         BloomStore::query_batch(self, items)
     }
 
-    fn remove(&self, item: &[u8]) -> Result<bool, WriteRefusal> {
-        write_guard(self)?;
-        let was_present = BloomStore::remove(self, item)?;
-        write_guard(self)?;
-        Ok(was_present)
-    }
-
     fn remove_batch(&self, items: &[&[u8]]) -> Result<Vec<bool>, WriteRefusal> {
-        write_guard(self)?;
-        let answers = BloomStore::remove_batch(self, items)?;
-        write_guard(self)?;
-        Ok(answers)
+        guarded(self, || BloomStore::remove_batch(self, items))
     }
 
     fn degraded(&self) -> Option<String> {
@@ -274,8 +250,9 @@ mod tests {
     fn every_family_serves_through_the_trait_object() {
         for (name, store) in all_backends() {
             assert!(store.degraded().is_none(), "{name}");
-            let fresh = store.insert(b"one").expect("healthy store accepts writes");
-            assert_eq!(fresh, store.stats().shards[0].k.max(1), "{name}");
+            let outcome =
+                store.insert_batch(&[b"one".as_slice()]).expect("healthy store accepts writes");
+            assert_eq!(outcome.fresh_bits, u64::from(store.stats().shards[0].k.max(1)), "{name}");
             assert!(store.contains(b"one"), "{name}");
             let outcome =
                 store.insert_batch(&[b"two".as_slice(), b"three"]).expect("healthy store");
@@ -292,7 +269,7 @@ mod tests {
     #[test]
     fn remove_capability_matches_the_family() {
         for (name, store) in all_backends() {
-            let result = store.remove(b"one");
+            let result = store.remove_batch(&[b"one".as_slice()]);
             match store.backend_kind() {
                 BackendKind::Counting => assert!(result.is_ok(), "{name}"),
                 kind => match result.unwrap_err() {
@@ -306,7 +283,7 @@ mod tests {
     #[test]
     fn rotation_through_the_trait_object() {
         for (name, store) in all_backends() {
-            store.insert(b"old").expect("healthy store");
+            store.insert_batch(&[b"old".as_slice()]).expect("healthy store");
             let mut rng = StdRng::seed_from_u64(5);
             for shard in 0..store.shard_count() {
                 assert_eq!(store.begin_rotation_dyn(shard, &mut rng), Some(1), "{name}");

@@ -90,12 +90,6 @@ impl<B: FilterBackend> Shard<B> {
         f(&pair.active, pair.draining.as_ref())
     }
 
-    /// Inserts `item` into the active generation; returns the number of
-    /// fresh cells set.
-    pub fn insert(&self, item: &[u8]) -> u32 {
-        self.with_generations(|active, _| active.filter.insert(item))
-    }
-
     /// Membership query against the active generation, falling back to the
     /// draining generation during a rotation (old data keeps answering until
     /// the rebuild completes).
@@ -109,15 +103,12 @@ impl<B: FilterBackend> Shard<B> {
     /// active generation and the current one drains. Returns the new
     /// generation id, or `None` if a rotation is already in flight (finish
     /// it first — dropping a draining generation early would lose answers).
-    pub fn begin_rotation(&self, fresh: B) -> Option<u64> {
-        self.begin_rotation_logged(fresh, |_| {})
-    }
-
-    /// [`Shard::begin_rotation`] with a hook that runs *while the write lock
-    /// is still held* — the store's WAL append point. Holding the lock keeps
-    /// log order consistent with apply order: no insert (read lock) can log
-    /// between the generation switch and its log record.
-    pub(crate) fn begin_rotation_logged(&self, fresh: B, log: impl FnOnce(u64)) -> Option<u64> {
+    ///
+    /// `log` runs with the new id *while the write lock is still held* — the
+    /// store's WAL append point. Holding the lock keeps log order consistent
+    /// with apply order: no insert (read lock) can log between the
+    /// generation switch and its log record.
+    pub fn begin_rotation(&self, fresh: B, log: impl FnOnce(u64)) -> Option<u64> {
         let mut pair = self.generations.write().expect("shard lock poisoned");
         if pair.draining.is_some() {
             return None;
@@ -130,14 +121,9 @@ impl<B: FilterBackend> Shard<B> {
     }
 
     /// Finishes a rotation by dropping the draining generation. Returns
-    /// `false` if no rotation was in flight.
-    pub fn complete_rotation(&self) -> bool {
-        self.complete_rotation_logged(|_| {})
-    }
-
-    /// [`Shard::complete_rotation`] with a WAL-append hook run under the
-    /// write lock; the hook receives the dropped generation's id.
-    pub(crate) fn complete_rotation_logged(&self, log: impl FnOnce(u64)) -> bool {
+    /// `false` if no rotation was in flight. `log` runs under the write
+    /// lock with the dropped generation's id.
+    pub fn complete_rotation(&self, log: impl FnOnce(u64)) -> bool {
         let mut pair = self.generations.write().expect("shard lock poisoned");
         match pair.draining.take() {
             Some(dropped) => {
@@ -146,11 +132,6 @@ impl<B: FilterBackend> Shard<B> {
             }
             None => false,
         }
-    }
-
-    /// Whether a rotation's rebuild is currently in flight.
-    pub fn is_rotating(&self) -> bool {
-        self.generations.read().expect("shard lock poisoned").draining.is_some()
     }
 
     /// Current active generation id.
@@ -173,61 +154,85 @@ mod tests {
         )
     }
 
+    fn insert<B: FilterBackend>(shard: &Shard<B>, item: &[u8]) {
+        shard.with_generations(|active, _| active.filter.insert(item));
+    }
+
+    fn is_rotating<B: FilterBackend>(shard: &Shard<B>) -> bool {
+        shard.with_generations(|_, draining| draining.is_some())
+    }
+
+    /// Begins a rotation, checking the hook sees exactly the installed id.
+    fn begin(shard: &Shard) -> Option<u64> {
+        let mut logged = None;
+        let id = shard.begin_rotation(fresh_filter(), |id| logged = Some(id));
+        assert_eq!(logged, id, "the hook runs once, with the new generation id");
+        id
+    }
+
+    /// Completes a rotation, checking the hook sees the dropped id.
+    fn complete(shard: &Shard) -> bool {
+        let (mut logged, draining) = (None, shard.generation_id().checked_sub(1));
+        let completed = shard.complete_rotation(|dropped| logged = Some(dropped));
+        assert_eq!(logged, draining.filter(|_| completed), "the hook sees the dropped id");
+        completed
+    }
+
     #[test]
     fn insert_then_contains() {
         let shard = Shard::new(fresh_filter());
-        shard.insert(b"item");
+        insert(&shard, b"item");
         assert!(shard.contains(b"item"));
         assert!(!shard.contains(b"other"));
         assert_eq!(shard.generation_id(), 0);
-        assert!(!shard.is_rotating());
+        assert!(!is_rotating(&shard));
     }
 
     #[test]
     fn draining_generation_keeps_answering() {
         let shard = Shard::new(fresh_filter());
         for i in 0..100 {
-            shard.insert(format!("old-{i}").as_bytes());
+            insert(&shard, format!("old-{i}").as_bytes());
         }
-        assert_eq!(shard.begin_rotation(fresh_filter()), Some(1));
-        assert!(shard.is_rotating());
+        assert_eq!(begin(&shard), Some(1));
+        assert!(is_rotating(&shard));
         // Old items still answer via the draining generation…
         for i in 0..100 {
             assert!(shard.contains(format!("old-{i}").as_bytes()));
         }
         // …and new inserts land in the re-keyed active generation.
-        shard.insert(b"new-item");
+        insert(&shard, b"new-item");
         assert!(shard.contains(b"new-item"));
 
         // Rebuild: the application replays its items, then completes.
         for i in 0..100 {
-            shard.insert(format!("old-{i}").as_bytes());
+            insert(&shard, format!("old-{i}").as_bytes());
         }
-        assert!(shard.complete_rotation());
+        assert!(complete(&shard));
         for i in 0..100 {
             assert!(shard.contains(format!("old-{i}").as_bytes()));
         }
         assert!(shard.contains(b"new-item"));
-        assert!(!shard.is_rotating());
+        assert!(!is_rotating(&shard));
     }
 
     #[test]
     fn second_rotation_refused_while_draining() {
         let shard = Shard::new(fresh_filter());
-        assert_eq!(shard.begin_rotation(fresh_filter()), Some(1));
-        assert_eq!(shard.begin_rotation(fresh_filter()), None);
-        assert!(shard.complete_rotation());
-        assert!(!shard.complete_rotation(), "nothing left to complete");
-        assert_eq!(shard.begin_rotation(fresh_filter()), Some(2));
+        assert_eq!(begin(&shard), Some(1));
+        assert_eq!(begin(&shard), None);
+        assert!(complete(&shard));
+        assert!(!complete(&shard), "nothing left to complete");
+        assert_eq!(begin(&shard), Some(2));
         assert_eq!(shard.generation_id(), 2);
     }
 
     #[test]
     fn dropping_the_drained_generation_forgets_unreplayed_items() {
         let shard = Shard::new(fresh_filter());
-        shard.insert(b"pollution");
-        shard.begin_rotation(fresh_filter());
-        shard.complete_rotation();
+        insert(&shard, b"pollution");
+        begin(&shard);
+        complete(&shard);
         // The polluted bits lived only in the dropped generation.
         assert!(!shard.contains(b"pollution"));
     }
@@ -239,7 +244,7 @@ mod tests {
             Arc::new(KirschMitzenmacher::new(Murmur3_128)),
             &CountingOptions::default(),
         ));
-        shard.insert(b"victim");
+        insert(&shard, b"victim");
         assert!(shard.contains(b"victim"));
         let removed = shard.with_generations(|active, _| active.filter.remove(b"victim"));
         assert!(removed);

@@ -17,7 +17,8 @@ use evilbloom_hashes::{
 
 use crate::metrics::StoreMetrics;
 use crate::persist::{
-    self, PersistConfig, PersistError, RecoveryReport, SnapshotInfo, StorePersistence, WalRecord,
+    self, ItemOp, PersistConfig, PersistError, RecoveryReport, SnapshotInfo, StorePersistence,
+    WalRecord,
 };
 use crate::shard::{Generation, Shard};
 use crate::stats::{pollution_alarm, ShardStats, StoreStats};
@@ -128,6 +129,14 @@ impl Router {
         };
         (hash & mask) as usize
     }
+}
+
+/// One shard's share of a batch: its items, and where each sat in the
+/// input.
+#[derive(Default)]
+struct Bucket<'a> {
+    items: Vec<&'a [u8]>,
+    positions: Vec<usize>,
 }
 
 /// A sharded, lock-free concurrent filter store.
@@ -437,28 +446,16 @@ impl<B: FilterBackend> BloomStore<B> {
         self.public_strategy.as_ref()
     }
 
-    /// Inserts one item; returns the number of fresh cells it set.
+    /// Inserts one item; returns the number of fresh cells it set. A
+    /// one-item [`BloomStore::insert_batch`]: same routing, WAL record and
+    /// metrics.
     ///
-    /// With persistence attached the insert is appended to the write-ahead
-    /// log *after* it is applied, while the shard read lock is still held
-    /// (log order matches generation order); the durability wait then
-    /// happens outside the lock via group commit. A broken WAL never fails
-    /// an insert *through this method* — appends become no-ops — but the
-    /// store is then degraded ([`BloomStore::degraded`]) and the serving
-    /// layer refuses writes until a snapshot repairs the log.
+    /// A broken WAL never fails an insert *through this method* — appends
+    /// become no-ops — but the store is then degraded
+    /// ([`BloomStore::degraded`]) and the serving layer refuses writes
+    /// until a snapshot repairs the log.
     pub fn insert(&self, item: &[u8]) -> u32 {
-        let shard = self.route(item);
-        let (fresh, lsn) = self.shards[shard].with_generations(|active, _| {
-            let fresh = active.filter.insert(item);
-            let lsn = self.persistence.as_ref().and_then(|p| p.log_insert(shard, active.id, item));
-            (fresh, lsn)
-        });
-        if let (Some(p), Some(lsn)) = (self.persistence.as_ref(), lsn) {
-            p.commit(lsn);
-        }
-        self.metrics.inserts.inc();
-        self.metrics.fresh_bits.add(u64::from(fresh));
-        fresh
+        self.insert_batch(&[item]).fresh_bits as u32
     }
 
     /// Membership query (positives may be false positives; during a shard
@@ -470,8 +467,7 @@ impl<B: FilterBackend> BloomStore<B> {
 
     /// Removes one item, when the backend family supports deletion
     /// (counting filters). Returns whether the item read as present before
-    /// the removal. Like inserts, removals are WAL-logged under the shard
-    /// read lock so recovery replays them in apply order.
+    /// the removal. A one-item [`BloomStore::remove_batch`].
     ///
     /// Deleting items that were never inserted is exactly the paper's
     /// deletion adversary (Section 4.3): each such call can evict *other*
@@ -484,68 +480,28 @@ impl<B: FilterBackend> BloomStore<B> {
     ///
     /// [`UnsupportedOp`] on families without deletion (plain, scalable).
     pub fn remove(&self, item: &[u8]) -> Result<bool, UnsupportedOp> {
-        if !B::supports_remove() {
-            return Err(UnsupportedOp { backend: B::KIND, op: "remove" });
-        }
-        let shard = self.route(item);
-        let (was_present, lsn) = self.shards[shard].with_generations(|active, _| {
-            let was_present = active.filter.remove(item).expect("supports_remove() checked above");
-            let lsn = self
-                .persistence
-                .as_ref()
-                .and_then(|p| p.log_remove_bucket(shard, active.id, &[item]));
-            (was_present, lsn)
-        });
-        if let (Some(p), Some(lsn)) = (self.persistence.as_ref(), lsn) {
-            p.commit(lsn);
-        }
-        self.metrics.deletes.inc();
-        Ok(was_present)
+        Ok(self.remove_batch(&[item])?[0])
     }
 
     /// Batch removal; answers (`was_present` per item) are in input order.
-    /// Each shard is visited once, mirroring [`BloomStore::insert_batch`].
+    /// Each shard is visited once, and each shard's bucket is logged as one
+    /// WAL record, exactly as in [`BloomStore::insert_batch`].
     ///
     /// # Errors
     ///
     /// [`UnsupportedOp`] on families without deletion.
     pub fn remove_batch<I: AsRef<[u8]>>(&self, items: &[I]) -> Result<Vec<bool>, UnsupportedOp> {
         if !B::supports_remove() {
-            return Err(UnsupportedOp { backend: B::KIND, op: "remove_batch" });
-        }
-        let shards = self.shards.len();
-        let mut positions: Vec<Vec<usize>> = (0..shards).map(|_| Vec::new()).collect();
-        let mut buckets: Vec<Vec<&[u8]>> = (0..shards).map(|_| Vec::new()).collect();
-        for (position, item) in items.iter().enumerate() {
-            let item = item.as_ref();
-            let shard = self.route(item);
-            positions[shard].push(position);
-            buckets[shard].push(item);
+            return Err(UnsupportedOp { backend: B::KIND, op: "remove" });
         }
         let mut answers = vec![false; items.len()];
-        let mut last_lsn = None;
-        for (index, ((shard, bucket), bucket_positions)) in
-            self.shards.iter().zip(&buckets).zip(&positions).enumerate()
-        {
-            if bucket.is_empty() {
-                continue;
+        self.write_buckets(ItemOp::Remove, &self.route_buckets(items), |filter, bucket| {
+            let removed =
+                filter.remove_batch(&bucket.items).expect("supports_remove() checked above");
+            for (&position, was_present) in bucket.positions.iter().zip(removed) {
+                answers[position] = was_present;
             }
-            shard.with_generations(|active, _| {
-                let removed =
-                    active.filter.remove_batch(bucket).expect("supports_remove() checked above");
-                for (&position, was_present) in bucket_positions.iter().zip(removed) {
-                    answers[position] = was_present;
-                }
-                if let Some(p) = &self.persistence {
-                    if let Some(lsn) = p.log_remove_bucket(index, active.id, bucket) {
-                        last_lsn = Some(lsn);
-                    }
-                }
-            });
-        }
-        if let (Some(p), Some(lsn)) = (self.persistence.as_ref(), last_lsn) {
-            p.commit(lsn);
-        }
+        });
         self.metrics.deletes.add(items.len() as u64);
         Ok(answers)
     }
@@ -555,32 +511,17 @@ impl<B: FilterBackend> BloomStore<B> {
     /// hash-precomputing [`FilterBackend::insert_batch`] — amortising
     /// routing hashes, shard-lock acquisitions *and* per-item index-buffer
     /// allocations over the batch.
+    ///
+    /// With persistence attached each shard's bucket is appended to the
+    /// write-ahead log as one record *after* it is applied, while the shard
+    /// read lock is still held (log order matches generation order); the
+    /// durability wait then happens once, outside every lock, via group
+    /// commit.
     pub fn insert_batch<I: AsRef<[u8]>>(&self, items: &[I]) -> BatchOutcome {
-        let mut buckets: Vec<Vec<&[u8]>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for item in items {
-            let item = item.as_ref();
-            buckets[self.route(item)].push(item);
-        }
         let mut fresh_bits = 0u64;
-        let mut last_lsn = None;
-        for (index, (shard, bucket)) in self.shards.iter().zip(&buckets).enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            shard.with_generations(|active, _| {
-                fresh_bits += active.filter.insert_batch(bucket);
-                if let Some(p) = &self.persistence {
-                    // One WAL record per shard bucket; LSNs are monotonic,
-                    // so committing the last covers the whole batch.
-                    if let Some(lsn) = p.log_insert_bucket(index, active.id, bucket) {
-                        last_lsn = Some(lsn);
-                    }
-                }
-            });
-        }
-        if let (Some(p), Some(lsn)) = (self.persistence.as_ref(), last_lsn) {
-            p.commit(lsn);
-        }
+        self.write_buckets(ItemOp::Insert, &self.route_buckets(items), |filter, bucket| {
+            fresh_bits += filter.insert_batch(&bucket.items);
+        });
         self.metrics.inserts.add(items.len() as u64);
         self.metrics.fresh_bits.add(fresh_bits);
         BatchOutcome { items: items.len(), fresh_bits }
@@ -593,29 +534,63 @@ impl<B: FilterBackend> BloomStore<B> {
     /// may use a different key, so its indexes cannot be shared).
     pub fn query_batch<I: AsRef<[u8]>>(&self, items: &[I]) -> Vec<bool> {
         self.metrics.queries.add(items.len() as u64);
-        let shards = self.shards.len();
-        let mut positions: Vec<Vec<usize>> = (0..shards).map(|_| Vec::new()).collect();
-        let mut buckets: Vec<Vec<&[u8]>> = (0..shards).map(|_| Vec::new()).collect();
-        for (position, item) in items.iter().enumerate() {
-            let item = item.as_ref();
-            let shard = self.route(item);
-            positions[shard].push(position);
-            buckets[shard].push(item);
-        }
         let mut answers = vec![false; items.len()];
-        for ((shard, bucket), bucket_positions) in self.shards.iter().zip(&buckets).zip(&positions)
-        {
-            if bucket.is_empty() {
+        for (shard, bucket) in self.shards.iter().zip(&self.route_buckets(items)) {
+            if bucket.items.is_empty() {
                 continue;
             }
             shard.with_generations(|active, draining| {
-                let found = active.filter.query_batch(bucket);
-                for ((&position, item), hit) in bucket_positions.iter().zip(bucket).zip(found) {
+                let found = active.filter.query_batch(&bucket.items);
+                for ((&position, item), hit) in
+                    bucket.positions.iter().zip(&bucket.items).zip(found)
+                {
                     answers[position] = hit || draining.is_some_and(|g| g.filter.contains(item));
                 }
             });
         }
         answers
+    }
+
+    /// Routes `items` into one bucket per shard, each remembering the input
+    /// positions of its items.
+    fn route_buckets<'a, I: AsRef<[u8]>>(&self, items: &'a [I]) -> Vec<Bucket<'a>> {
+        let mut buckets: Vec<Bucket<'a>> =
+            (0..self.shards.len()).map(|_| Bucket::default()).collect();
+        for (position, item) in items.iter().enumerate() {
+            let item = item.as_ref();
+            let bucket = &mut buckets[self.route(item)];
+            bucket.items.push(item);
+            bucket.positions.push(position);
+        }
+        buckets
+    }
+
+    /// The one write path: applies `apply` to each non-empty bucket in its
+    /// shard's active generation under the shard read lock, logs the bucket
+    /// as one `op` record while still holding it, then waits outside every
+    /// lock for the last record to commit (LSNs are monotonic, so that
+    /// covers the whole batch).
+    fn write_buckets(
+        &self,
+        op: ItemOp,
+        buckets: &[Bucket<'_>],
+        mut apply: impl FnMut(&B, &Bucket<'_>),
+    ) {
+        let mut last_lsn = None;
+        for (index, (shard, bucket)) in self.shards.iter().zip(buckets).enumerate() {
+            if bucket.items.is_empty() {
+                continue;
+            }
+            shard.with_generations(|active, _| {
+                apply(&active.filter, bucket);
+                if let Some(p) = &self.persistence {
+                    last_lsn = p.log_items(op, index, active.id, &bucket.items).or(last_lsn);
+                }
+            });
+        }
+        if let (Some(p), Some(lsn)) = (self.persistence.as_ref(), last_lsn) {
+            p.commit(lsn);
+        }
     }
 
     /// Starts a rotation on one shard: installs a fresh filter while the old
@@ -634,7 +609,7 @@ impl<B: FilterBackend> BloomStore<B> {
             StoreHardening::Unhardened => self.build_shard_filter(&FilterKey::from_bytes([0; 32])),
         };
         let mut lsn = None;
-        let id = self.shards[shard].begin_rotation_logged(fresh, |new_id| {
+        let id = self.shards[shard].begin_rotation(fresh, |new_id| {
             lsn = self.persistence.as_ref().and_then(|p| p.log_rotation(shard, new_id, true));
         });
         if let (Some(p), Some(lsn)) = (self.persistence.as_ref(), lsn) {
@@ -651,7 +626,7 @@ impl<B: FilterBackend> BloomStore<B> {
     /// `false` if no rotation was in flight.
     pub fn complete_rotation(&self, shard: usize) -> bool {
         let mut lsn = None;
-        let completed = self.shards[shard].complete_rotation_logged(|dropped| {
+        let completed = self.shards[shard].complete_rotation(|dropped| {
             lsn = self.persistence.as_ref().and_then(|p| p.log_rotation(shard, dropped, false));
         });
         if let (Some(p), Some(lsn)) = (self.persistence.as_ref(), lsn) {
@@ -738,7 +713,7 @@ impl<B: FilterBackend> BloomStore<B> {
     /// Why the store is in degraded read-only mode, if it is: the original
     /// WAL write error. A degraded store still answers queries, but the
     /// serving layer refuses writes (see
-    /// [`crate::serve::ServeStore::insert`]) until a successful
+    /// [`crate::serve::ServeStore::insert_batch`]) until a successful
     /// [`BloomStore::snapshot_to_disk`] repairs the log.
     pub fn degraded(&self) -> Option<String> {
         self.persistence.as_ref().and_then(|p| p.wal_error())
@@ -886,7 +861,7 @@ impl<B: FilterBackend> BloomStore<B> {
                 continue;
             }
             match record {
-                WalRecord::Insert { shard, generation, items } => {
+                WalRecord::Items { op, shard, generation, items } => {
                     let Some(target) = self.shards.get(shard as usize) else {
                         report.anomalies += 1;
                         continue;
@@ -895,60 +870,47 @@ impl<B: FilterBackend> BloomStore<B> {
                     // of rotations the snapshot predates the record for —
                     // cannot happen with logs this module wrote (rotations
                     // log under the write lock), but tolerated: roll the
-                    // shard forward, then apply.
+                    // shard forward, then apply, so no logged write is lost.
+                    // A shard mid-rotation completes it first, as the log's
+                    // missing records must have.
                     while target.generation_id() < generation {
                         if self.begin_rotation(shard as usize, &mut rng).is_none() {
-                            break;
+                            self.complete_rotation(shard as usize);
                         }
                         report.anomalies += 1;
                     }
+                    let count = items.len() as u64;
                     target.with_generations(|active, draining| {
-                        if generation == active.id {
-                            for item in &items {
-                                active.filter.insert(item);
-                            }
-                            report.replayed_inserts += items.len() as u64;
-                        } else if draining.is_some_and(|d| d.id == generation) {
-                            let draining = draining.expect("checked above");
-                            for item in &items {
-                                draining.filter.insert(item);
-                            }
-                            report.replayed_inserts += items.len() as u64;
-                        } else if generation < active.id {
-                            // Rotated out: replaying would resurrect exactly
-                            // the pollution the completed rotation dropped.
-                            report.discarded_stale += items.len() as u64;
+                        let filter = if generation == active.id {
+                            &active.filter
+                        } else if let Some(d) = draining.filter(|d| d.id == generation) {
+                            &d.filter
                         } else {
-                            report.anomalies += 1;
-                        }
-                    });
-                }
-                WalRecord::Remove { shard, generation, items } => {
-                    let Some(target) = self.shards.get(shard as usize) else {
-                        report.anomalies += 1;
-                        continue;
-                    };
-                    target.with_generations(|active, draining| {
-                        let apply = |filter: &B, report: &mut RecoveryReport| {
-                            for item in &items {
-                                if filter.remove(item).is_some() {
-                                    report.replayed_removes += 1;
+                            if generation < active.id {
+                                // Rotated out: replaying would resurrect
+                                // exactly the pollution the completed
+                                // rotation dropped.
+                                report.discarded_stale += count;
+                            } else {
+                                report.anomalies += 1;
+                            }
+                            return;
+                        };
+                        match op {
+                            ItemOp::Insert => {
+                                filter.insert_batch(&items);
+                                report.replayed_inserts += count;
+                            }
+                            ItemOp::Remove => {
+                                if filter.remove_batch(&items).is_some() {
+                                    report.replayed_removes += count;
                                 } else {
-                                    // A remove record against a family with
-                                    // no deletion: a log this module never
-                                    // writes.
-                                    report.anomalies += 1;
+                                    // A remove record against a family
+                                    // with no deletion: a log this module
+                                    // never writes.
+                                    report.anomalies += count;
                                 }
                             }
-                        };
-                        if generation == active.id {
-                            apply(&active.filter, report);
-                        } else if let Some(d) = draining.filter(|d| d.id == generation) {
-                            apply(&d.filter, report);
-                        } else if generation < active.id {
-                            report.discarded_stale += items.len() as u64;
-                        } else {
-                            report.anomalies += 1;
                         }
                     });
                 }
@@ -1279,6 +1241,56 @@ mod tests {
         // The per-shard bit count must have grown past the base slice.
         assert!(stats.shards.iter().all(|s| s.m > store.shard_params().m));
         assert!(store.remove(b"x").is_err(), "scalable has no deletion");
+    }
+
+    /// A logged write whose generation runs ahead of its shard rolls the
+    /// shard forward and is applied, for inserts and removes alike, also
+    /// when the shard is mid-rotation; each forced rotation step counts as
+    /// an anomaly.
+    #[test]
+    fn item_records_ahead_of_their_shard_roll_it_forward_and_apply() {
+        for (op, mid_rotation) in [
+            (ItemOp::Insert, false),
+            (ItemOp::Remove, false),
+            (ItemOp::Insert, true),
+            (ItemOp::Remove, true),
+        ] {
+            let case = format!("{op:?}, mid-rotation {mid_rotation}");
+            let dir = std::env::temp_dir().join(format!(
+                "evilbloom-store-ahead-{op:?}-{mid_rotation}-{}",
+                std::process::id()
+            ));
+            drop(std::fs::remove_dir_all(&dir));
+            let config = PersistConfig::new(&dir);
+            let mut store =
+                BloomStore::builder().shards(2).capacity(1_000).unhardened().counting(4).build();
+            store.enable_persistence(&config).expect("enable");
+            if mid_rotation {
+                store.begin_rotation(0, &mut StdRng::seed_from_u64(1)).expect("begin");
+            }
+            let ahead = store.generation_id(0) + 1;
+            let item = (0..)
+                .map(|i| format!("ahead-{i}").into_bytes())
+                .find(|item| store.route(item) == 0)
+                .expect("some item routes to shard 0");
+            let persistence = store.persistence().expect("attached");
+            let lsn = persistence.log_items(op, 0, ahead, &[&item]).expect("logged");
+            persistence.commit(lsn);
+            drop(store);
+
+            let (recovered, report) =
+                BloomStore::<ConcurrentCountingFilter>::recover(&config).expect("recover");
+            assert_eq!(recovered.generation_id(0), ahead, "{case}: shard 0 rolled forward");
+            let steps = if mid_rotation { 2 } else { 1 };
+            assert_eq!(report.anomalies, steps, "{case}: each forced step is counted");
+            let applied = match op {
+                ItemOp::Insert => report.replayed_inserts,
+                ItemOp::Remove => report.replayed_removes,
+            };
+            assert_eq!(applied, 1, "{case}: the record is applied, not dropped");
+            assert_eq!(recovered.contains(&item), op == ItemOp::Insert, "{case}");
+            std::fs::remove_dir_all(&dir).expect("remove temp dir");
+        }
     }
 
     #[test]

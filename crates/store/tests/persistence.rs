@@ -698,7 +698,7 @@ fn wal_break_enters_degraded_mode_and_snapshot_repairs_it() {
     // This write's own group-commit flush fails: the WAL breaks, the store
     // enters degraded read-only mode, and the serve layer refuses to
     // acknowledge the write (it is applied in memory but not durable).
-    let refusal = ServeStore::insert(&store, b"limbo").unwrap_err();
+    let refusal = ServeStore::insert_batch(&store, &[b"limbo".as_slice()]).unwrap_err();
     assert!(matches!(refusal, WriteRefusal::Degraded(_)), "{refusal:?}");
     assert!(store.degraded().is_some());
     let exposition = store.metrics().registry().render();
@@ -707,7 +707,7 @@ fn wal_break_enters_degraded_mode_and_snapshot_repairs_it() {
 
     // Reads still serve; fresh writes are refused before they apply.
     assert!(store.contains(b"acked-before-break"));
-    let refusal = ServeStore::insert(&store, b"refused").unwrap_err();
+    let refusal = ServeStore::insert_batch(&store, &[b"refused".as_slice()]).unwrap_err();
     assert!(matches!(refusal, WriteRefusal::Degraded(_)), "{refusal:?}");
     assert!(!store.contains(b"refused"), "a refused write must not apply");
 
@@ -717,7 +717,7 @@ fn wal_break_enters_degraded_mode_and_snapshot_repairs_it() {
     assert!(store.degraded().is_none());
     let exposition = store.metrics().registry().render();
     assert!(exposition.contains("evilbloom_store_degraded 0"), "{exposition}");
-    ServeStore::insert(&store, b"acked-after-repair").expect("healthy again");
+    ServeStore::insert_batch(&store, &[b"acked-after-repair".as_slice()]).expect("healthy again");
 
     // Crash-shaped recovery: every acknowledged write survives, including
     // pre-break ones whose segment the repair superseded.
@@ -740,12 +740,12 @@ fn failed_repair_snapshot_keeps_the_store_degraded() {
     let plan =
         FaultPlan::new(2).fail_nth(FaultPoint::WalFsync, 1).fail_nth(FaultPoint::SnapshotWrite, 1);
     let _chaos = fault::arm(plan);
-    assert!(ServeStore::insert(&store, b"breaks-the-wal").is_err());
+    assert!(ServeStore::insert_batch(&store, &[b"breaks-the-wal".as_slice()]).is_err());
     // The repair rotates to a fresh segment, but the snapshot write itself
     // fails: the store must stay degraded (no half-repaired limbo).
     assert!(store.snapshot_to_disk().is_err());
     assert!(store.degraded().is_some());
-    let refusal = ServeStore::insert(&store, b"still-refused").unwrap_err();
+    let refusal = ServeStore::insert_batch(&store, &[b"still-refused".as_slice()]).unwrap_err();
     assert!(matches!(refusal, WriteRefusal::Degraded(_)), "{refusal:?}");
     // The next attempt (fault exhausted) succeeds and exits degraded mode.
     store.snapshot_to_disk().expect("second repair attempt");
@@ -788,6 +788,44 @@ fn snapshot_bytes_match_the_version_3_fixtures() {
         digest(&counting),
         (24328, "912e76005d326e2b2da6156a7b08325b3bcc93fa".into()),
         "counting snapshot bytes moved"
+    );
+}
+
+/// WAL segment bytes of a deterministic op mix: a scalar insert, a batch
+/// insert, a scalar remove and a batch remove (refused, and so unlogged, by
+/// a family without deletion), then a rotation begun and completed on
+/// shard 0 with a batch written in between.
+fn wal_op_mix_segment<B: FilterBackend>(mut store: BloomStore<B>, tag: &str) -> Vec<u8> {
+    let _faults = fault_session();
+    let dir = TempDir::new(tag);
+    store.enable_persistence(&PersistConfig::new(dir.path())).expect("enable");
+    let deletable = store.backend_kind() == BackendKind::Counting;
+    store.insert(b"wal-scalar");
+    store.insert_batch(&items("wal-batch", 40));
+    assert_eq!(store.remove(b"wal-scalar").is_ok(), deletable);
+    assert_eq!(store.remove_batch(&items("wal-batch", 15)).is_ok(), deletable);
+    store.begin_rotation(0, &mut StdRng::seed_from_u64(3)).expect("begin");
+    store.insert_batch(&items("wal-rotating", 10));
+    assert!(store.complete_rotation(0));
+    let segment = wal_segments(dir.path()).pop().expect("a wal segment");
+    fs::read(segment).expect("read wal")
+}
+
+#[test]
+fn wal_bytes_match_the_version_3_fixtures() {
+    // Length and SHA-1 of the WAL segments the op mix above wrote when
+    // scalar writes still had their own record writer: every write path
+    // must keep logging these bytes.
+    let digest = |bytes: &[u8]| (bytes.len(), hex::encode(&sha1(bytes)));
+    assert_eq!(
+        digest(&wal_op_mix_segment(unhardened_store(), "wal-fixture-plain")),
+        (1108, "278b8c489697b54310f44c3909c3f8437d1e0771".into()),
+        "plain WAL bytes moved"
+    );
+    assert_eq!(
+        digest(&wal_op_mix_segment(counting_store(), "wal-fixture-counting")),
+        (1477, "2986eb8f6450d7634f00f6ef98c62782accfd720".into()),
+        "counting WAL bytes moved"
     );
 }
 

@@ -26,7 +26,7 @@
 
 use std::sync::Arc;
 
-use evilbloom::server::{ClientPool, RemoteStore, Server, ServerConfig, ServerHandle};
+use evilbloom::server::{ClientPool, Server, ServerConfig, ServerHandle, POOL_FRAME_ITEMS};
 use evilbloom::store::{
     craft_store_pollution, forge_store_ghosts, plan_store_deletion, BackendKind, BloomStore,
     ConcurrentCountingFilter, ConcurrentScalableFilter, FilterBackend,
@@ -71,17 +71,17 @@ fn spawn<B: FilterBackend + 'static>(store: BloomStore<B>) -> (ServerHandle, Cli
 }
 
 /// Inserts `count` URLs from `namespace` through batch `MINSERT` frames.
-fn load<R: RemoteStore>(remote: &mut R, namespace: &str, count: u64) {
+fn load(pool: &mut ClientPool, namespace: &str, count: u64) {
     let generator = UrlGenerator::new(namespace);
     let urls: Vec<String> = (0..count).map(|i| generator.url(i)).collect();
-    remote.minsert(&urls).expect("remote MINSERT");
+    pool.minsert_pooled(&urls, POOL_FRAME_ITEMS).expect("remote MINSERT");
 }
 
 /// Observed false-positive rate over `PROBES` non-member URLs.
-fn remote_fpp<R: RemoteStore>(remote: &mut R) -> f64 {
+fn remote_fpp(pool: &mut ClientPool) -> f64 {
     let generator = UrlGenerator::new("probe-nonmember");
     let probes: Vec<String> = (0..PROBES).map(|i| generator.url(i)).collect();
-    let answers = remote.mquery(&probes).expect("remote MQUERY");
+    let answers = pool.mquery_pooled(&probes, POOL_FRAME_ITEMS).expect("remote MQUERY");
     answers.iter().filter(|&&a| a).count() as f64 / PROBES as f64
 }
 
@@ -119,8 +119,8 @@ fn pollution_drift<B: FilterBackend + 'static>(
     )
     .expect("unhardened stores can be mirrored");
     assert_eq!(plan.items.len(), CRAFTED, "crafting search exhausted its budget");
-    unhardened.minsert(&plan.items).expect("crafted MINSERT");
-    hardened.minsert(&plan.items).expect("crafted MINSERT");
+    unhardened.minsert_pooled(&plan.items, POOL_FRAME_ITEMS).expect("crafted MINSERT");
+    hardened.minsert_pooled(&plan.items, POOL_FRAME_ITEMS).expect("crafted MINSERT");
 
     let unhardened_ratio = remote_fpp(&mut unhardened) / baseline_fpp;
     let hardened_ratio = remote_fpp(&mut hardened) / baseline_fpp;
@@ -197,7 +197,7 @@ fn ghost_forgery() {
     for (slot, hardened_posture) in [false, true].into_iter().enumerate() {
         let (handle, mut pool) = spawn(counting_store(hardened_posture, 2));
         load(&mut pool, "public-web", CORPUS);
-        let answers = pool.mquery(&forged.items).expect("remote MQUERY");
+        let answers = pool.mquery_pooled(&forged.items, POOL_FRAME_ITEMS).expect("remote MQUERY");
         rates[slot] = answers.iter().filter(|&&a| a).count() as f64 / GHOSTS as f64;
         drop(pool);
         handle.shutdown();

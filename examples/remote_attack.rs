@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use evilbloom::server::{ClientPool, RemoteStore, Server, ServerConfig, ServerHandle};
+use evilbloom::server::{ClientPool, Server, ServerConfig, ServerHandle, POOL_FRAME_ITEMS};
 use evilbloom::store::{craft_store_pollution, BloomStore};
 use evilbloom::urlgen::UrlGenerator;
 
@@ -48,29 +48,25 @@ fn spawn_server(hardened: bool, seed: u64) -> (ServerHandle, ClientPool) {
     (handle, pool)
 }
 
-// The delivery and measurement helpers are generic over [`RemoteStore`]:
-// the attack runs unchanged over one pipelined socket or a striped pool —
-// swapping the transport is the caller's choice, not a second code path.
-
 /// Inserts `count` URLs from `namespace` through batch `MINSERT` frames.
-fn load_remote<R: RemoteStore>(remote: &mut R, namespace: &str, count: u64) {
+fn load_remote(pool: &mut ClientPool, namespace: &str, count: u64) {
     let generator = UrlGenerator::new(namespace);
     let urls: Vec<String> = (0..count).map(|i| generator.url(i)).collect();
-    send_batches(remote, &urls);
+    send_batches(pool, &urls);
 }
 
 /// Delivers `items` as batch `MINSERT` traffic (the pool stripes the frames
 /// over several sockets, all in flight before the first response).
-fn send_batches<R: RemoteStore>(remote: &mut R, items: &[String]) {
-    remote.minsert(items).expect("remote MINSERT");
+fn send_batches(pool: &mut ClientPool, items: &[String]) {
+    pool.minsert_pooled(items, POOL_FRAME_ITEMS).expect("remote MINSERT");
 }
 
 /// Observed false-positive rate over `PROBES` non-member URLs, measured
 /// through `MQUERY` frames.
-fn remote_fpp<R: RemoteStore>(remote: &mut R) -> f64 {
+fn remote_fpp(pool: &mut ClientPool) -> f64 {
     let generator = UrlGenerator::new("probe-nonmember");
     let probes: Vec<String> = (0..PROBES).map(|i| generator.url(i)).collect();
-    let answers = remote.mquery(&probes).expect("remote MQUERY");
+    let answers = pool.mquery_pooled(&probes, POOL_FRAME_ITEMS).expect("remote MQUERY");
     answers.iter().filter(|&&a| a).count() as f64 / PROBES as f64
 }
 
