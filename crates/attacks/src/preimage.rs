@@ -13,9 +13,7 @@
 use evilbloom_hashes::truncate::truncate_bits;
 use evilbloom_hashes::CryptoHash;
 
-pub use evilbloom_hashes::inversion::{
-    murmur2_32_multi_preimage, murmur2_32_preimage, murmur64a_preimage,
-};
+pub use evilbloom_hashes::inversion::{murmur2_32_multi_preimage, murmur2_32_preimage};
 
 use crate::search::{search, SearchOutcome};
 

@@ -1,4 +1,4 @@
-//! Minimal hexadecimal encoding/decoding used by test vectors and reports.
+//! Minimal hexadecimal encoding used by test vectors and reports.
 
 /// Encodes `bytes` as a lowercase hexadecimal string.
 ///
@@ -17,37 +17,6 @@ pub fn encode(bytes: &[u8]) -> String {
     out
 }
 
-/// Decodes a hexadecimal string into bytes.
-///
-/// Accepts upper- and lowercase digits. Returns `None` when the input has odd
-/// length or contains a non-hexadecimal character.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(evilbloom_hashes::hex::decode("DEad"), Some(vec![0xde, 0xad]));
-/// assert_eq!(evilbloom_hashes::hex::decode("xyz"), None);
-/// ```
-pub fn decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    let nibble = |c: u8| -> Option<u8> {
-        match c {
-            b'0'..=b'9' => Some(c - b'0'),
-            b'a'..=b'f' => Some(c - b'a' + 10),
-            b'A'..=b'F' => Some(c - b'A' + 10),
-            _ => None,
-        }
-    };
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len() / 2);
-    for pair in bytes.chunks_exact(2) {
-        out.push((nibble(pair[0])? << 4) | nibble(pair[1])?);
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,24 +29,8 @@ mod tests {
     #[test]
     fn encode_all_byte_values_roundtrip() {
         let all: Vec<u8> = (0..=255u8).collect();
-        let text = encode(&all);
-        assert_eq!(text.len(), 512);
-        assert_eq!(decode(&text).unwrap(), all);
-    }
-
-    #[test]
-    fn decode_rejects_odd_length() {
-        assert_eq!(decode("abc"), None);
-    }
-
-    #[test]
-    fn decode_rejects_bad_characters() {
-        assert_eq!(decode("zz"), None);
-        assert_eq!(decode("0g"), None);
-    }
-
-    #[test]
-    fn decode_accepts_mixed_case() {
-        assert_eq!(decode("AbCd"), Some(vec![0xab, 0xcd]));
+        let expected: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(expected.len(), 512);
+        assert_eq!(encode(&all), expected);
     }
 }

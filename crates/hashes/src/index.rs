@@ -175,9 +175,6 @@ impl IndexStrategy for RecycledCrypto {
     }
 }
 
-/// Boxed strategy alias used where heterogeneous strategies are stored.
-pub type BoxedIndexStrategy = Box<dyn IndexStrategy>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,7 +184,7 @@ mod tests {
         KmIndexes::new(KeyedPair::new(Box::new(SipHash24::new(key))))
     }
 
-    fn all_strategies() -> Vec<BoxedIndexStrategy> {
+    fn all_strategies() -> Vec<Box<dyn IndexStrategy>> {
         vec![
             Box::new(SaltedHashes::new(Murmur3_32)),
             Box::new(SaltedCrypto::new(Box::new(Sha1))),

@@ -4,11 +4,12 @@
 //! straightforward since MurmurHash can be inverted in constant time". This
 //! module provides those inversions:
 //!
-//! * the MurmurHash3 finalizers `fmix32`/`fmix64` are bijections whose
-//!   multiplicative constants are invertible modulo 2^32 / 2^64;
-//! * for single-block inputs, MurmurHash2 (32-bit) and MurmurHash64A can be
-//!   run backwards, yielding a 4- or 8-byte **pre-image** of any target
-//!   digest under any seed — no search required.
+//! * the MurmurHash3 finalizer `fmix32` is a bijection whose multiplicative
+//!   constants are invertible modulo 2^32;
+//! * for single-block inputs, MurmurHash2 (32-bit) can be run backwards,
+//!   yielding a 4-byte **pre-image** of any target digest under any seed —
+//!   no search required; two-block inputs give any number of distinct 8-byte
+//!   pre-images of one target.
 
 /// Multiplicative inverse of an odd 32-bit constant modulo 2^32, computed by
 /// Newton–Hensel lifting (each step doubles the number of correct low bits).
@@ -22,29 +23,12 @@ const fn inv_mod_2_32(a: u32) -> u32 {
     x
 }
 
-/// Multiplicative inverse of an odd 64-bit constant modulo 2^64.
-const fn inv_mod_2_64(a: u64) -> u64 {
-    let mut x: u64 = a;
-    let mut i = 0;
-    while i < 6 {
-        x = x.wrapping_mul(2u64.wrapping_sub(a.wrapping_mul(x)));
-        i += 1;
-    }
-    x
-}
-
 /// Modular inverse of `0x85eb_ca6b` modulo 2^32 (first `fmix32` constant).
 const INV_C1_32: u32 = inv_mod_2_32(0x85eb_ca6b);
 /// Modular inverse of `0xc2b2_ae35` modulo 2^32 (second `fmix32` constant).
 const INV_C2_32: u32 = inv_mod_2_32(0xc2b2_ae35);
-/// Modular inverse of `0xff51_afd7_ed55_8ccd` modulo 2^64.
-const INV_C1_64: u64 = inv_mod_2_64(0xff51_afd7_ed55_8ccd);
-/// Modular inverse of `0xc4ce_b9fe_1a85_ec53` modulo 2^64.
-const INV_C2_64: u64 = inv_mod_2_64(0xc4ce_b9fe_1a85_ec53);
 /// Modular inverse of the MurmurHash2 constant `0x5bd1_e995` modulo 2^32.
 const INV_M2_32: u32 = inv_mod_2_32(0x5bd1_e995);
-/// Modular inverse of the MurmurHash64A constant `0xc6a4_a793_5bd1_e995`.
-const INV_M64A: u64 = inv_mod_2_64(0xc6a4_a793_5bd1_e995);
 
 /// Inverts `x ^= x >> shift` for 32-bit `x`.
 #[inline]
@@ -61,18 +45,6 @@ fn unxorshift32(mut value: u32, shift: u32) -> u32 {
     value
 }
 
-/// Inverts `x ^= x >> shift` for 64-bit `x`.
-#[inline]
-fn unxorshift64(value: u64, shift: u32) -> u64 {
-    let mut recovered = value;
-    let mut steps = 64 / shift + 1;
-    while steps > 0 {
-        recovered = value ^ (recovered >> shift);
-        steps -= 1;
-    }
-    recovered
-}
-
 /// Inverse of [`crate::murmur3::fmix32`].
 pub fn unfmix32(mut h: u32) -> u32 {
     h = unxorshift32(h, 16);
@@ -81,16 +53,6 @@ pub fn unfmix32(mut h: u32) -> u32 {
     h = h.wrapping_mul(INV_C1_32);
     h = unxorshift32(h, 16);
     h
-}
-
-/// Inverse of [`crate::murmur3::fmix64`].
-pub fn unfmix64(mut k: u64) -> u64 {
-    k = unxorshift64(k, 33);
-    k = k.wrapping_mul(INV_C2_64);
-    k = unxorshift64(k, 33);
-    k = k.wrapping_mul(INV_C1_64);
-    k = unxorshift64(k, 33);
-    k
 }
 
 /// Computes a 4-byte pre-image of `target` under 32-bit MurmurHash2 with
@@ -117,30 +79,6 @@ pub fn murmur2_32_preimage(target: u32, seed: u32) -> [u8; 4] {
     let mut k = k_mixed.wrapping_mul(INV_M2_32);
     k = unxorshift32(k, R);
     k = k.wrapping_mul(INV_M2_32);
-
-    k.to_le_bytes()
-}
-
-/// Computes an 8-byte pre-image of `target` under MurmurHash64A with `seed`.
-pub fn murmur64a_preimage(target: u64, seed: u64) -> [u8; 8] {
-    const M: u64 = 0xc6a4_a793_5bd1_e995;
-    const R: u32 = 47;
-    let len: u64 = 8;
-
-    // Undo the finalization h ^= h>>R; h *= M; h ^= h>>R.
-    let mut h = target;
-    h = unxorshift64(h, R);
-    h = h.wrapping_mul(INV_M64A);
-    h = unxorshift64(h, R);
-
-    // Forward for a single 8-byte block: h = ((seed ^ len*M) ^ k') * M.
-    let h0 = seed ^ len.wrapping_mul(M);
-    let k_mixed = h.wrapping_mul(INV_M64A) ^ h0;
-
-    // Undo k *= M; k ^= k>>R; k *= M.
-    let mut k = k_mixed.wrapping_mul(INV_M64A);
-    k = unxorshift64(k, R);
-    k = k.wrapping_mul(INV_M64A);
 
     k.to_le_bytes()
 }
@@ -197,17 +135,14 @@ pub fn murmur2_32_multi_preimage(target: u32, seed: u32, n: usize) -> Vec<[u8; 8
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::murmur2::{murmur2_32, murmur64a};
-    use crate::murmur3::{fmix32, fmix64};
+    use crate::murmur2::murmur2_32;
+    use crate::murmur3::fmix32;
 
     #[test]
     fn modular_inverse_constants_are_correct() {
         assert_eq!(0x85eb_ca6bu32.wrapping_mul(INV_C1_32), 1);
         assert_eq!(0xc2b2_ae35u32.wrapping_mul(INV_C2_32), 1);
-        assert_eq!(0xff51_afd7_ed55_8ccdu64.wrapping_mul(INV_C1_64), 1);
-        assert_eq!(0xc4ce_b9fe_1a85_ec53u64.wrapping_mul(INV_C2_64), 1);
         assert_eq!(0x5bd1_e995u32.wrapping_mul(INV_M2_32), 1);
-        assert_eq!(0xc6a4_a793_5bd1_e995u64.wrapping_mul(INV_M64A), 1);
     }
 
     #[test]
@@ -219,29 +154,11 @@ mod tests {
     }
 
     #[test]
-    fn unfmix64_inverts_fmix64() {
-        for x in [0u64, 1, 42, 0xdead_beef_cafe_babe, u64::MAX, 0x0123_4567_89ab_cdef] {
-            assert_eq!(unfmix64(fmix64(x)), x);
-            assert_eq!(fmix64(unfmix64(x)), x);
-        }
-    }
-
-    #[test]
     fn murmur2_32_preimage_hits_target() {
         for target in [0u32, 1, 0xdead_beef, 0x7fff_ffff, u32::MAX] {
             for seed in [0u32, 1, 0x9747_b28c] {
                 let msg = murmur2_32_preimage(target, seed);
                 assert_eq!(murmur2_32(&msg, seed), target, "target {target:#x} seed {seed:#x}");
-            }
-        }
-    }
-
-    #[test]
-    fn murmur64a_preimage_hits_target() {
-        for target in [0u64, 1, 0xdead_beef_cafe_babe, u64::MAX] {
-            for seed in [0u64, 1, 0xdead_beef] {
-                let msg = murmur64a_preimage(target, seed);
-                assert_eq!(murmur64a(&msg, seed), target, "target {target:#x} seed {seed:#x}");
             }
         }
     }

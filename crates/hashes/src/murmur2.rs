@@ -1,4 +1,4 @@
-//! MurmurHash2 (32-bit) and MurmurHash64A.
+//! MurmurHash2 (32-bit).
 //!
 //! MurmurHash2 is the historical default of many Bloom-filter libraries. It
 //! is *not* collision resistant: Aumasson and Bernstein (paper reference \[7\])
@@ -52,42 +52,6 @@ pub fn murmur2_32(data: &[u8], seed: u32) -> u32 {
     h
 }
 
-/// MurmurHash64A — the 64-bit variant for 64-bit platforms.
-pub fn murmur64a(data: &[u8], seed: u64) -> u64 {
-    const M: u64 = 0xc6a4_a793_5bd1_e995;
-    const R: u32 = 47;
-
-    let len = data.len();
-    let mut h: u64 = seed ^ (len as u64).wrapping_mul(M);
-
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let mut k = u64::from_le_bytes([
-            chunk[0], chunk[1], chunk[2], chunk[3], chunk[4], chunk[5], chunk[6], chunk[7],
-        ]);
-        k = k.wrapping_mul(M);
-        k ^= k >> R;
-        k = k.wrapping_mul(M);
-        h ^= k;
-        h = h.wrapping_mul(M);
-    }
-
-    let tail = chunks.remainder();
-    if !tail.is_empty() {
-        let mut last = [0u8; 8];
-        last[..tail.len()].copy_from_slice(tail);
-        // The reference implementation XORs the tail bytes shifted by their
-        // position, which is exactly a little-endian read of the padded word.
-        h ^= u64::from_le_bytes(last);
-        h = h.wrapping_mul(M);
-    }
-
-    h ^= h >> R;
-    h = h.wrapping_mul(M);
-    h ^= h >> R;
-    h
-}
-
 /// MurmurHash2 (32-bit) as a seedable [`Hasher64`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Murmur2_32;
@@ -106,24 +70,6 @@ impl Hasher64 for Murmur2_32 {
     }
 }
 
-/// MurmurHash64A as a seedable [`Hasher64`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Murmur64A;
-
-impl Hasher64 for Murmur64A {
-    fn hash_with_seed(&self, data: &[u8], seed: u64) -> u64 {
-        murmur64a(data, seed)
-    }
-
-    fn name(&self) -> &'static str {
-        "MurmurHash64A"
-    }
-
-    fn output_bits(&self) -> u32 {
-        64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,17 +84,8 @@ mod tests {
     }
 
     #[test]
-    fn murmur64a_reference_vectors() {
-        assert_eq!(murmur64a(b"", 0), 0);
-        assert_eq!(murmur64a(b"a", 0), 0x071717d2d36b6b11);
-        assert_eq!(murmur64a(b"abc", 0), 0x9cc9c33498a95efb);
-        assert_eq!(murmur64a(b"hello, world", 0), 0x9659ad0699a8465f);
-    }
-
-    #[test]
     fn seed_sensitivity() {
         assert_ne!(murmur2_32(b"abc", 0), murmur2_32(b"abc", 1));
-        assert_ne!(murmur64a(b"abc", 0), murmur64a(b"abc", 1));
     }
 
     #[test]
@@ -156,7 +93,7 @@ mod tests {
         let data: Vec<u8> = (1u8..=32).collect();
         let mut outputs = std::collections::HashSet::new();
         for len in 0..=data.len() {
-            outputs.insert(murmur64a(&data[..len], 99));
+            outputs.insert(murmur2_32(&data[..len], 99));
         }
         assert_eq!(outputs.len(), data.len() + 1);
     }
@@ -164,8 +101,6 @@ mod tests {
     #[test]
     fn hasher64_wrappers() {
         assert_eq!(Murmur2_32.output_bits(), 32);
-        assert_eq!(Murmur64A.output_bits(), 64);
         assert_eq!(Murmur2_32.hash(b"hello"), u64::from(murmur2_32(b"hello", 0)));
-        assert_eq!(Murmur64A.hash(b"hello"), murmur64a(b"hello", 0));
     }
 }

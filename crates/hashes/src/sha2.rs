@@ -1,4 +1,4 @@
-//! The SHA-2 family (FIPS 180-4): SHA-224, SHA-256, SHA-384 and SHA-512.
+//! The SHA-2 family (FIPS 180-4): SHA-256, SHA-384 and SHA-512.
 //!
 //! These are the NIST-recommended functions the paper suggests (Section 8.2)
 //! when combined with **digest recycling**: one SHA-512 call yields 512 bits,
@@ -101,41 +101,27 @@ const K512: [u64; 80] = [
     0x6c44198c4a475817,
 ];
 
-/// Streaming SHA-256 / SHA-224 core (32-bit words, 64-byte blocks).
+/// Streaming SHA-256 core (32-bit words, 64-byte blocks).
 #[derive(Debug, Clone)]
 pub struct Sha256Context {
     state: [u32; 8],
     buffer: [u8; 64],
     buffer_len: usize,
     total_len: u64,
-    output_len: usize,
 }
 
 impl Sha256Context {
     /// Creates a SHA-256 context.
     pub fn new() -> Self {
-        Self::with_state(
-            [
+        Sha256Context {
+            state: [
                 0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
                 0x5be0cd19,
             ],
-            32,
-        )
-    }
-
-    /// Creates a SHA-224 context (truncated SHA-256 with distinct IV).
-    pub fn new_sha224() -> Self {
-        Self::with_state(
-            [
-                0xc1059ed8, 0x367cd507, 0x3070dd17, 0xf70e5939, 0xffc00b31, 0x68581511, 0x64f98fa7,
-                0xbefa4fa4,
-            ],
-            28,
-        )
-    }
-
-    fn with_state(state: [u32; 8], output_len: usize) -> Self {
-        Sha256Context { state, buffer: [0u8; 64], buffer_len: 0, total_len: 0, output_len }
+            buffer: [0u8; 64],
+            buffer_len: 0,
+            total_len: 0,
+        }
     }
 
     /// Absorbs `data` into the context.
@@ -169,8 +155,7 @@ impl Sha256Context {
         self.buffer_len = rest.len();
     }
 
-    /// Finalizes the hash and returns the digest (28 bytes for SHA-224,
-    /// 32 bytes for SHA-256).
+    /// Finalizes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> Vec<u8> {
         let bit_len = self.total_len.wrapping_mul(8);
         self.update(&[0x80]);
@@ -185,7 +170,6 @@ impl Sha256Context {
         for word in self.state {
             out.extend_from_slice(&word.to_be_bytes());
         }
-        out.truncate(self.output_len);
         out
     }
 
@@ -379,13 +363,6 @@ impl Default for Sha512Context {
     }
 }
 
-/// One-shot SHA-224.
-pub fn sha224(data: &[u8]) -> Vec<u8> {
-    let mut ctx = Sha256Context::new_sha224();
-    ctx.update(data);
-    ctx.finalize()
-}
-
 /// One-shot SHA-256.
 pub fn sha256(data: &[u8]) -> Vec<u8> {
     let mut ctx = Sha256Context::new();
@@ -433,7 +410,6 @@ macro_rules! crypto_hash_impl {
     };
 }
 
-crypto_hash_impl!(Sha224, "SHA-224", 28, 64, sha224);
 crypto_hash_impl!(Sha256, "SHA-256", 32, 64, sha256);
 crypto_hash_impl!(Sha384, "SHA-384", 48, 128, sha384);
 crypto_hash_impl!(Sha512, "SHA-512", 64, 128, sha512);
@@ -456,18 +432,6 @@ mod tests {
         assert_eq!(
             hex::encode(&sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-    }
-
-    #[test]
-    fn sha224_fips_vectors() {
-        assert_eq!(
-            hex::encode(&sha224(b"abc")),
-            "23097d223405d8228642a477bda255b32aadbce4bda0b3f7e36c9da7"
-        );
-        assert_eq!(
-            hex::encode(&sha224(b"")),
-            "d14a028c2a3a2bc9476102bb288234c415a2b01f828ea62ac5b3e42f"
         );
     }
 
@@ -537,7 +501,6 @@ hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
 
     #[test]
     fn crypto_hash_impl_metadata() {
-        assert_eq!(Sha224.output_len(), 28);
         assert_eq!(Sha256.output_len(), 32);
         assert_eq!(Sha384.output_len(), 48);
         assert_eq!(Sha512.output_len(), 64);

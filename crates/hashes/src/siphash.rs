@@ -2,8 +2,7 @@
 //!
 //! SipHash is the countermeasure the paper benchmarks against HMAC in
 //! Table 2: a keyed function fast enough to replace MurmurHash while denying
-//! the adversary the ability to predict filter indexes. Both the standard
-//! SipHash-2-4 and the faster SipHash-1-3 are provided.
+//! the adversary the ability to predict filter indexes.
 
 use crate::traits::{Hasher64, KeyedHash64};
 
@@ -49,8 +48,9 @@ fn sipround(v: &mut [u64; 4]) {
     v[2] = v[2].rotate_left(32);
 }
 
-/// Generic SipHash-c-d producing a 64-bit tag.
-pub fn siphash_cd(c_rounds: usize, d_rounds: usize, key: SipKey, data: &[u8]) -> u64 {
+/// SipHash-2-4 of `data` under `key`: two compression rounds per 8-byte
+/// word and four finalisation rounds.
+pub fn siphash24(key: SipKey, data: &[u8]) -> u64 {
     let mut v = [
         key.k0 ^ 0x736f_6d65_7073_6575,
         key.k1 ^ 0x646f_7261_6e64_6f6d,
@@ -63,9 +63,8 @@ pub fn siphash_cd(c_rounds: usize, d_rounds: usize, key: SipKey, data: &[u8]) ->
     for chunk in &mut chunks {
         let m = u64::from_le_bytes(chunk.try_into().expect("8-byte slice"));
         v[3] ^= m;
-        for _ in 0..c_rounds {
-            sipround(&mut v);
-        }
+        sipround(&mut v);
+        sipround(&mut v);
         v[0] ^= m;
     }
 
@@ -75,27 +74,15 @@ pub fn siphash_cd(c_rounds: usize, d_rounds: usize, key: SipKey, data: &[u8]) ->
     last[7] = len as u8;
     let m = u64::from_le_bytes(last);
     v[3] ^= m;
-    for _ in 0..c_rounds {
-        sipround(&mut v);
-    }
+    sipround(&mut v);
+    sipround(&mut v);
     v[0] ^= m;
 
     v[2] ^= 0xff;
-    for _ in 0..d_rounds {
+    for _ in 0..4 {
         sipround(&mut v);
     }
     v[0] ^ v[1] ^ v[2] ^ v[3]
-}
-
-/// SipHash-2-4 of `data` under `key`.
-pub fn siphash24(key: SipKey, data: &[u8]) -> u64 {
-    siphash_cd(2, 4, key, data)
-}
-
-/// SipHash-1-3 of `data` under `key` — the reduced-round variant used when
-/// throughput matters more than the full security margin.
-pub fn siphash13(key: SipKey, data: &[u8]) -> u64 {
-    siphash_cd(1, 3, key, data)
 }
 
 /// Keyed SipHash-2-4 implementing both [`KeyedHash64`] (the countermeasure
@@ -144,50 +131,6 @@ impl Hasher64 for SipHash24 {
 
     fn name(&self) -> &'static str {
         "SipHash-2-4"
-    }
-
-    fn output_bits(&self) -> u32 {
-        64
-    }
-}
-
-/// Keyed SipHash-1-3 (reduced-round) PRF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SipHash13 {
-    key: SipKey,
-}
-
-impl SipHash13 {
-    /// Creates the PRF with the given secret key.
-    pub fn new(key: SipKey) -> Self {
-        SipHash13 { key }
-    }
-}
-
-impl Default for SipHash13 {
-    fn default() -> Self {
-        SipHash13::new(SipKey::new(0, 0))
-    }
-}
-
-impl KeyedHash64 for SipHash13 {
-    fn mac_with_tweak(&self, data: &[u8], tweak: u64) -> u64 {
-        let tweaked = SipKey::new(self.key.k0, self.key.k1 ^ tweak);
-        siphash13(tweaked, data)
-    }
-
-    fn name(&self) -> &'static str {
-        "SipHash-1-3"
-    }
-}
-
-impl Hasher64 for SipHash13 {
-    fn hash_with_seed(&self, data: &[u8], seed: u64) -> u64 {
-        self.mac_with_tweak(data, seed)
-    }
-
-    fn name(&self) -> &'static str {
-        "SipHash-1-3"
     }
 
     fn output_bits(&self) -> u32 {
@@ -251,12 +194,6 @@ mod tests {
     fn tweak_acts_as_independent_function() {
         let prf = SipHash24::new(SipKey::new(42, 43));
         assert_ne!(prf.mac_with_tweak(b"item", 0), prf.mac_with_tweak(b"item", 1));
-    }
-
-    #[test]
-    fn siphash13_differs_from_siphash24() {
-        let key = reference_key();
-        assert_ne!(siphash13(key, b"message"), siphash24(key, b"message"));
     }
 
     #[test]

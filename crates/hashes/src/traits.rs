@@ -2,7 +2,7 @@
 //!
 //! The paper distinguishes two families of hash functions:
 //!
-//! * **non-cryptographic** functions (MurmurHash, Jenkins, FNV, …) designed
+//! * **non-cryptographic** functions (MurmurHash2, MurmurHash3) designed
 //!   for speed and statistical uniformity, represented here by [`Hasher64`];
 //! * **cryptographic** functions (MD5, SHA-1, SHA-2, …) that additionally aim
 //!   for pre-image, second pre-image and collision resistance, represented by
@@ -10,8 +10,6 @@
 //!
 //! Bloom filters consume *indexes* derived from digests; the strategies doing
 //! that derivation live in [`crate::index`] and are generic over these traits.
-
-use core::fmt;
 
 /// A seeded, non-cryptographic hash function producing a 64-bit digest.
 ///
@@ -102,78 +100,15 @@ pub trait KeyedHash64: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-/// Fixed-size digest wrapper used where owned digests cross module borders.
-///
-/// The wrapper mostly exists to provide hex formatting for test vectors and
-/// reports without pulling in an external dependency.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct DigestBytes(pub Vec<u8>);
-
-impl DigestBytes {
-    /// Returns the digest as a byte slice.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.0
-    }
-
-    /// Returns the digest length in bytes.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Returns `true` if the digest is empty (never the case for real hashes).
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Renders the digest as a lowercase hexadecimal string.
-    pub fn to_hex(&self) -> String {
-        crate::hex::encode(&self.0)
-    }
-}
-
-impl fmt::Debug for DigestBytes {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "DigestBytes({})", self.to_hex())
-    }
-}
-
-impl fmt::Display for DigestBytes {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_hex())
-    }
-}
-
-impl From<Vec<u8>> for DigestBytes {
-    fn from(v: Vec<u8>) -> Self {
-        DigestBytes(v)
-    }
-}
-
-impl AsRef<[u8]> for DigestBytes {
-    fn as_ref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Fnv1a64, Sha1};
+    use crate::{Murmur3_32, Sha1};
 
     #[test]
     fn hasher64_default_hash_uses_zero_seed() {
-        let h = Fnv1a64;
+        let h = Murmur3_32;
         assert_eq!(h.hash(b"abc"), h.hash_with_seed(b"abc", 0));
-    }
-
-    #[test]
-    fn digest_bytes_hex_roundtrip() {
-        let d = DigestBytes(vec![0x00, 0xff, 0x10, 0xab]);
-        assert_eq!(d.to_hex(), "00ff10ab");
-        assert_eq!(format!("{d}"), "00ff10ab");
-        assert_eq!(format!("{d:?}"), "DigestBytes(00ff10ab)");
-        assert_eq!(d.len(), 4);
-        assert!(!d.is_empty());
     }
 
     #[test]
@@ -184,8 +119,8 @@ mod tests {
 
     #[test]
     fn traits_are_object_safe() {
-        let hashers: Vec<Box<dyn Hasher64>> = vec![Box::new(Fnv1a64)];
-        assert_eq!(hashers[0].name(), "FNV-1a-64");
+        let hashers: Vec<Box<dyn Hasher64>> = vec![Box::new(Murmur3_32)];
+        assert_eq!(hashers[0].name(), "MurmurHash3-x86-32");
         let digests: Vec<Box<dyn CryptoHash>> = vec![Box::new(Sha1)];
         assert_eq!(digests[0].name(), "SHA-1");
     }

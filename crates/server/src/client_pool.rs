@@ -207,30 +207,6 @@ impl ClientPool {
         Ok(answers)
     }
 
-    /// Pipelined pooled batch delete: like [`ClientPool::mquery_pooled`]
-    /// but with `MDELETE` frames; answers come back in `items` order.
-    /// [`ClientError::Unsupported`] when the served family has no deletion
-    /// (the lanes that answered are dropped, not checked in, since
-    /// responses may still be in flight on the others).
-    pub fn mdelete_pooled<I: AsRef<[u8]>>(
-        &mut self,
-        items: &[I],
-        frame_items: usize,
-    ) -> Result<Vec<bool>, ClientError> {
-        let mut answers = Vec::with_capacity(items.len());
-        self.striped(items, frame_items, Command::DeleteBatch, |response, sent| match response {
-            Response::BatchDeleted(deleted) if deleted.len() == sent => {
-                answers.extend(deleted);
-                Ok(())
-            }
-            Response::BatchDeleted(_) => {
-                Err(ClientError::Wire(WireError::Malformed("answer count mismatch")))
-            }
-            other => Err(ClientError::Unexpected { expected: "MDELETED", got: other.name() }),
-        })?;
-        Ok(answers)
-    }
-
     /// The striping loop behind the pooled batch helpers: splits `items`
     /// into `frame`s of `frame_items`, sends every frame round-robin over
     /// the lanes, then hands each response to `accept` in send order with

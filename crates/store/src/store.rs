@@ -239,11 +239,6 @@ impl<B: FilterBackend> StoreBuilder<B> {
         self.hardening(StoreHardening::Hardened(HardeningLevel::KeyedSipHash))
     }
 
-    /// Hardening at an explicit [`HardeningLevel`].
-    pub fn hardened_at(self, level: HardeningLevel) -> Self {
-        self.hardening(StoreHardening::Hardened(level))
-    }
-
     /// No hardening: public routing and index derivation, the posture of the
     /// attacked deployments.
     pub fn unhardened(self) -> Self {

@@ -103,11 +103,6 @@ impl DedupStore {
         DedupStore::Bloom(ConcurrentBloomFilter::new(params, SaltedCrypto::new(Box::new(Sha512))))
     }
 
-    /// Wraps an existing Bloom filter (used to install hardened filters).
-    pub fn from_filter(filter: ConcurrentBloomFilter) -> Self {
-        DedupStore::Bloom(filter)
-    }
-
     /// Hardened concurrent store: `capacity` URLs at false-positive
     /// probability `fpp` over `shards` keyed shards (keys drawn from
     /// `seed` — deterministic for experiments).

@@ -11,7 +11,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`hashes`] | `evilbloom-hashes` | Murmur/FNV/Jenkins/SipHash/MD5/SHA, HMAC, truncation, recycling, index strategies, inversions |
+//! | [`hashes`] | `evilbloom-hashes` | Murmur2/3, SipHash-2-4, MD5, SHA-1/2, HMAC, truncation, recycling, index strategies, Murmur inversions |
 //! | [`analysis`] | `evilbloom-analysis` | closed-form honest and adversarial false-positive analysis, Table 1 probabilities |
 //! | [`filters`] | `evilbloom-filters` | classic/counting/scalable/Dablooms filters, Squid cache digests, hardened variants |
 //! | [`attacks`] | `evilbloom-attacks` | pollution, saturation, false-positive forgery, latency queries, deletion, pre-image search |
