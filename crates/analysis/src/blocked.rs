@@ -25,7 +25,7 @@ use crate::false_positive;
 
 /// Exact false-positive probability of one `block_bits`-bit block holding `j`
 /// items, each setting `k` *distinct* bits (the register-blocked probing used
-/// by `evilbloom-filters::BlockedBloomFilter` guarantees distinctness).
+/// by `evilbloom-hashes::BlockedKm` guarantees distinctness).
 ///
 /// With distinct bits per item the zero-probability per bit after `j` items
 /// is `(1 - k/B)^j`, marginally tighter than the independent-bit

@@ -5,9 +5,7 @@
 //! exactly the information every attack needs: the geometry `(m, k)`, the
 //! index derivation, and which bits/cells are currently set.
 
-use evilbloom_filters::{
-    BlockedBloomFilter, CacheDigest, ConcurrentBloomFilter, ConcurrentCountingFilter,
-};
+use evilbloom_filters::{CacheDigest, ConcurrentBloomFilter, ConcurrentCountingFilter};
 
 /// Read-only adversarial view of a Bloom-filter-like structure.
 pub trait TargetFilter {
@@ -35,6 +33,11 @@ pub trait TargetFilter {
     }
 }
 
+/// Covers every index strategy, the cache-line blocked layout
+/// ([`evilbloom_hashes::BlockedKm`]) included: with a predictable pair source
+/// the adversary computes block and in-block offsets offline and every engine
+/// in this crate applies unchanged — confinement to one block is a
+/// performance trade, not a defence.
 impl TargetFilter for ConcurrentBloomFilter {
     fn m(&self) -> u64 {
         ConcurrentBloomFilter::m(self)
@@ -50,33 +53,6 @@ impl TargetFilter for ConcurrentBloomFilter {
 
     fn is_set(&self, index: u64) -> bool {
         ConcurrentBloomFilter::is_set(self, index)
-    }
-
-    fn weight(&self) -> u64 {
-        self.hamming_weight()
-    }
-}
-
-impl TargetFilter for BlockedBloomFilter {
-    /// The cache-line blocked fast path is *exactly* as attackable as the
-    /// classic filter when its pair source is predictable: the adversary
-    /// computes block and in-block offsets offline and every engine in this
-    /// crate applies unchanged — confinement to one block is a performance
-    /// trade, not a defence.
-    fn m(&self) -> u64 {
-        BlockedBloomFilter::m(self)
-    }
-
-    fn k(&self) -> u32 {
-        BlockedBloomFilter::k(self)
-    }
-
-    fn indexes_of(&self, item: &[u8]) -> Vec<u64> {
-        self.bit_positions(item)
-    }
-
-    fn is_set(&self, index: u64) -> bool {
-        BlockedBloomFilter::is_set(self, index)
     }
 
     fn weight(&self) -> u64 {
@@ -135,7 +111,12 @@ impl TargetFilter for CacheDigest {
 mod tests {
     use super::*;
     use evilbloom_filters::FilterParams;
-    use evilbloom_hashes::{KirschMitzenmacher, Murmur3_128};
+    use evilbloom_hashes::{BlockedKm, KirschMitzenmacher, Murmur128Pair, Murmur3_128, BLOCK_BITS};
+
+    /// A plain filter on the cache-line blocked layout.
+    fn blocked_filter(params: FilterParams) -> ConcurrentBloomFilter {
+        ConcurrentBloomFilter::new(params.rounded_to_blocks(), BlockedKm::new(Murmur128Pair))
+    }
 
     #[test]
     fn bloom_filter_view_is_consistent() {
@@ -155,26 +136,23 @@ mod tests {
 
     #[test]
     fn blocked_filter_view_is_consistent_and_attackable() {
-        use evilbloom_hashes::Murmur128Pair;
-
-        let mut filter =
-            BlockedBloomFilter::new(FilterParams::explicit(2048, 4, 100), Murmur128Pair);
+        let filter = blocked_filter(FilterParams::explicit(2048, 4, 100));
         filter.insert(b"item");
         let view: &dyn TargetFilter = &filter;
         assert_eq!(view.m(), 2048);
         assert_eq!(view.k(), 4);
         assert_eq!(view.weight(), filter.hamming_weight());
-        assert_eq!(view.indexes_of(b"item"), filter.bit_positions(b"item"));
+        assert_eq!(view.indexes_of(b"item"), filter.indexes(b"item"));
+        let block = view.indexes_of(b"item")[0] / BLOCK_BITS;
+        assert!(view.indexes_of(b"item").iter().all(|&i| i / BLOCK_BITS == block));
         assert!(view.indexes_of(b"item").iter().all(|&i| view.is_set(i)));
     }
 
     #[test]
     fn pollution_engine_attacks_blocked_filter_unchanged() {
-        use evilbloom_hashes::Murmur128Pair;
         use evilbloom_urlgen::UrlGenerator;
 
-        let mut filter =
-            BlockedBloomFilter::new(FilterParams::explicit(4096, 4, 800), Murmur128Pair);
+        let filter = blocked_filter(FilterParams::explicit(4096, 4, 800));
         let plan = crate::pollution::craft_polluting_items(
             &filter,
             &UrlGenerator::new("blocked-pollution"),

@@ -28,11 +28,11 @@ use evilbloom_bench::{
 };
 use evilbloom_fault::{FaultPlan, FaultPoint};
 use evilbloom_filters::{
-    hardened_filter, BlockedBloomFilter, ConcurrentBloomFilter, FilterKey, FilterParams,
-    HardeningLevel, BLOCK_BITS,
+    hardened_filter, ConcurrentBloomFilter, FilterKey, FilterParams, HardeningLevel,
 };
 use evilbloom_hashes::{
-    md5, sha256, siphash24, HashStrategy, KirschMitzenmacher, Murmur128Pair, Murmur3_128, SipKey,
+    md5, sha256, siphash24, BlockedKm, HashStrategy, KirschMitzenmacher, Murmur128Pair,
+    Murmur3_128, SipKey, BLOCK_BITS,
 };
 use evilbloom_server::{
     loopback_connection_budget, Client, Command, Response, Server, ServerConfig,
@@ -470,8 +470,10 @@ impl Suite {
             }
         });
 
-        // Blocked filter: same (n, target fpp) budget, one cache line per op.
-        let mut blocked = BlockedBloomFilter::new(params, Murmur128Pair);
+        // Blocked layout: the plain filter over `BlockedKm`, same (n, target
+        // fpp) budget rounded up to whole blocks, one cache line per op.
+        let blocked =
+            ConcurrentBloomFilter::new(params.rounded_to_blocks(), BlockedKm::new(Murmur128Pair));
         for item in members {
             blocked.insert(item.as_bytes());
         }
@@ -1069,30 +1071,28 @@ impl Suite {
 
     /// The paper's quantitative core as observables: false-positive drift
     /// under a chosen-insertion (pollution) attack, on the classic filter
-    /// and on the blocked fast path — demonstrating the attack carries over.
+    /// and on the blocked layout — demonstrating the attack carries over.
     fn pollution_workloads(&self, out: &mut Vec<ObservableRecord>) {
         let probes = 20_000u64;
 
         if self.selected("attack/pollution_drift/standard") {
             // Classic Figure 3 geometry: m = 3200, k = 4, 300 honest then
             // 150 crafted insertions.
-            let mut standard = ConcurrentBloomFilter::new(
+            let standard = ConcurrentBloomFilter::new(
                 FilterParams::explicit(3200, 4, 600),
                 KirschMitzenmacher::new(Murmur3_128),
             );
-            out.push(self.pollution_drift(
-                "attack/pollution_drift/standard",
-                probes,
-                &mut standard,
-            ));
+            out.push(self.pollution_drift("attack/pollution_drift/standard", probes, &standard));
         }
 
         if self.selected("attack/pollution_drift/blocked") {
             // Same budget on the blocked layout (3200 → 3584 bits, 7 blocks).
-            let mut blocked =
-                BlockedBloomFilter::new(FilterParams::explicit(3200, 4, 600), Murmur128Pair);
+            let blocked = ConcurrentBloomFilter::new(
+                FilterParams::explicit(3200, 4, 600).rounded_to_blocks(),
+                BlockedKm::new(Murmur128Pair),
+            );
             let mut record =
-                self.pollution_drift("attack/pollution_drift/blocked", probes, &mut blocked);
+                self.pollution_drift("attack/pollution_drift/blocked", probes, &blocked);
             let corrected = evilbloom_analysis::blocked::blocked_false_positive(
                 blocked.m(),
                 300,
@@ -1104,12 +1104,14 @@ impl Suite {
         }
     }
 
-    fn pollution_drift<F>(&self, id: &str, probes: u64, filter: &mut F) -> ObservableRecord
-    where
-        F: evilbloom_attacks::target::TargetFilter + PollutionTarget,
-    {
+    fn pollution_drift(
+        &self,
+        id: &str,
+        probes: u64,
+        filter: &ConcurrentBloomFilter,
+    ) -> ObservableRecord {
         for i in 0..300 {
-            filter.insert_item(format!("honest-{i}").as_bytes());
+            filter.insert(format!("honest-{i}").as_bytes());
         }
         let before = measured_fpp(filter, probes, "probe-before");
         let plan = craft_polluting_items(
@@ -1119,7 +1121,7 @@ impl Suite {
             self.pollution_attempts,
         );
         for item in &plan.items {
-            filter.insert_item(item.as_bytes());
+            filter.insert(item.as_bytes());
         }
         let after = measured_fpp(filter, probes, "probe-after");
         println!(
@@ -1139,37 +1141,10 @@ impl Suite {
     }
 }
 
-/// The two mutable filter shapes the pollution observables drive. (The
-/// attack engines only need the read-only `TargetFilter` view; insertion is
-/// the victim's side of the protocol.)
-trait PollutionTarget {
-    fn insert_item(&mut self, item: &[u8]);
-}
-
-impl PollutionTarget for ConcurrentBloomFilter {
-    fn insert_item(&mut self, item: &[u8]) {
-        self.insert(item);
-    }
-}
-
-impl PollutionTarget for BlockedBloomFilter {
-    fn insert_item(&mut self, item: &[u8]) {
-        self.insert(item);
-    }
-}
-
-fn measured_fpp<F: evilbloom_attacks::target::TargetFilter + ?Sized>(
-    filter: &F,
-    probes: u64,
-    salt: &str,
-) -> f64 {
-    let mut false_positives = 0u64;
-    for i in 0..probes {
-        let item = format!("https://{salt}-{i}.example/");
-        if filter.indexes_of(item.as_bytes()).iter().all(|&idx| filter.is_set(idx)) {
-            false_positives += 1;
-        }
-    }
+fn measured_fpp(filter: &ConcurrentBloomFilter, probes: u64, salt: &str) -> f64 {
+    let false_positives = (0..probes)
+        .filter(|i| filter.contains(format!("https://{salt}-{i}.example/").as_bytes()))
+        .count();
     false_positives as f64 / probes as f64
 }
 

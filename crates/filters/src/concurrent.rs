@@ -10,6 +10,7 @@
 //! insert set the bits are the same whatever the interleaving (see the
 //! property tests in `evilbloom-store`).
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -113,12 +114,29 @@ impl ConcurrentBloomFilter {
         self.strategy.indexes(item, self.params.k, self.params.m)
     }
 
+    /// Runs `f` on the `k` indexes of `item`, derived into a reused
+    /// per-thread buffer: the scalar insert and query allocate nothing.
+    fn with_indexes<R>(&self, item: &[u8], f: impl FnOnce(&[u64]) -> R) -> R {
+        thread_local! {
+            static INDEXES: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
+        }
+        INDEXES.with(|cell| {
+            // Taken, not borrowed: a nested call would find an empty buffer
+            // and allocate, never panic.
+            let mut indexes = cell.take();
+            indexes.clear();
+            self.strategy.indexes_into(item, self.params.k, self.params.m, &mut indexes);
+            let result = f(&indexes);
+            cell.set(indexes);
+            result
+        })
+    }
+
     /// Inserts `item`. Returns the number of bits this call flipped from 0
     /// to 1 (racing inserts of overlapping items split the credit — each
     /// flipped bit is credited to exactly one caller).
     pub fn insert(&self, item: &[u8]) -> u32 {
-        let indexes = self.indexes(item);
-        self.insert_indexes(&indexes)
+        self.with_indexes(item, |indexes| self.insert_indexes(indexes))
     }
 
     /// Inserts an item by its pre-computed indexes (the batch APIs derive
@@ -142,7 +160,7 @@ impl ConcurrentBloomFilter {
     /// answers may be false positives; an item whose insert call returned
     /// before this query began is always found.
     pub fn contains(&self, item: &[u8]) -> bool {
-        self.indexes(item).iter().all(|&i| self.bits.get(i))
+        self.with_indexes(item, |indexes| self.contains_indexes(indexes))
     }
 
     /// Membership query by pre-computed indexes.
@@ -156,13 +174,8 @@ impl ConcurrentBloomFilter {
     /// sets. Bit-identical to per-item [`ConcurrentBloomFilter::insert`]
     /// calls; returns the total number of bits flipped 0 → 1 by this batch.
     pub fn insert_batch<I: AsRef<[u8]>>(&self, items: &[I]) -> u64 {
-        let k = self.params.k as usize;
-        let mut indexes = Vec::with_capacity(items.len() * k);
-        for item in items {
-            self.strategy.indexes_into(item.as_ref(), self.params.k, self.params.m, &mut indexes);
-        }
         let mut fresh = 0u64;
-        for &i in &indexes {
+        for i in self.batch_indexes(items) {
             if !self.bits.set(i) {
                 fresh += 1;
             }
@@ -175,12 +188,17 @@ impl ConcurrentBloomFilter {
     /// order and bit-identical to per-item [`ConcurrentBloomFilter::contains`]
     /// calls.
     pub fn query_batch<I: AsRef<[u8]>>(&self, items: &[I]) -> Vec<bool> {
-        let k = self.params.k as usize;
-        let mut indexes = Vec::with_capacity(items.len() * k);
+        let indexes = self.batch_indexes(items);
+        indexes.chunks_exact(self.params.k as usize).map(|c| self.contains_indexes(c)).collect()
+    }
+
+    /// The indexes of every item, `k` per item, in one flat buffer.
+    fn batch_indexes<I: AsRef<[u8]>>(&self, items: &[I]) -> Vec<u64> {
+        let mut indexes = Vec::with_capacity(items.len() * self.params.k as usize);
         for item in items {
             self.strategy.indexes_into(item.as_ref(), self.params.k, self.params.m, &mut indexes);
         }
-        indexes.chunks_exact(k).map(|chunk| chunk.iter().all(|&i| self.bits.get(i))).collect()
+        indexes
     }
 
     /// Whether the bit at `index` is set.

@@ -11,6 +11,7 @@
 //! * [`FilterParams::explicit`] — whatever the caller says (for experiments).
 
 use evilbloom_analysis::{false_positive, worst_case};
+use evilbloom_hashes::BLOCK_BITS;
 
 /// How a [`FilterParams`] instance was derived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,6 +97,13 @@ impl FilterParams {
     /// budget of Section 8.2.
     pub fn digest_bits_required(&self) -> u32 {
         self.k * (64 - (self.m - 1).leading_zeros())
+    }
+
+    /// These parameters with `m` rounded **up** to a whole number of
+    /// [`BLOCK_BITS`]-bit blocks (at least one): the geometry of a filter over
+    /// the cache-line blocked layout, [`evilbloom_hashes::BlockedKm`].
+    pub fn rounded_to_blocks(self) -> Self {
+        FilterParams { m: self.m.div_ceil(BLOCK_BITS).max(1) * BLOCK_BITS, ..self }
     }
 
     /// Memory footprint in bytes of a plain bit-vector filter with these

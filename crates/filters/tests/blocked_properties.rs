@@ -1,18 +1,24 @@
-//! Randomized property tests for the blocked filter, the double-hashing
-//! strategy and the batch APIs. The environment has no network access, so
+//! Randomized property tests for the blocked layout (a
+//! `ConcurrentBloomFilter` over `BlockedKm`), the double-hashing strategy
+//! and the batch APIs. The environment has no network access, so
 //! instead of `proptest` these drive the properties from a seeded
 //! `StdRng` — every case is reproducible from the seed in the message.
 
-use evilbloom_filters::{BlockedBloomFilter, ConcurrentBloomFilter, FilterParams};
+use evilbloom_filters::{ConcurrentBloomFilter, FilterParams};
 use evilbloom_hashes::double::km_indexes_from_pair;
 use evilbloom_hashes::{
-    Hasher64, IndexStrategy, KeyedPair, KirschMitzenmacher, Murmur128Pair, Murmur3_128, SipHash24,
-    SipKey,
+    BlockedKm, HashStrategy, Hasher64, IndexStrategy, KeyedPair, KirschMitzenmacher, Murmur128Pair,
+    Murmur3_128, SipHash24, SipKey, BLOCK_BITS,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const CASES: u64 = 48;
+
+/// A filter on the blocked layout: `params` rounded up to whole blocks.
+fn blocked<S: HashStrategy + 'static>(params: FilterParams, pair: S) -> ConcurrentBloomFilter {
+    ConcurrentBloomFilter::new(params.rounded_to_blocks(), BlockedKm::new(pair))
+}
 
 fn random_items(rng: &mut StdRng, max_items: usize, max_len: usize) -> Vec<Vec<u8>> {
     let count = rng.gen_range(1..max_items);
@@ -34,11 +40,9 @@ fn blocked_no_false_negatives() {
         let mut rng = StdRng::seed_from_u64(seed);
         let items = random_items(&mut rng, 300, 64);
         let params = FilterParams::optimal(items.len().max(1) as u64, 0.01);
-        let mut plain = BlockedBloomFilter::new(params, Murmur128Pair);
-        let mut keyed = BlockedBloomFilter::new(
-            params,
-            KeyedPair::new(Box::new(SipHash24::new(SipKey::new(seed, !seed)))),
-        );
+        let plain = blocked(params, Murmur128Pair);
+        let keyed =
+            blocked(params, KeyedPair::new(Box::new(SipHash24::new(SipKey::new(seed, !seed)))));
         for item in &items {
             plain.insert(item);
             keyed.insert(item);
@@ -51,7 +55,7 @@ fn blocked_no_false_negatives() {
 }
 
 /// Batch results are bit-identical to per-item calls — inserts and queries,
-/// blocked and concurrent alike.
+/// on the blocked and the classic layout alike.
 #[test]
 fn batch_calls_are_bit_identical_to_loops() {
     for seed in 0..CASES {
@@ -59,38 +63,24 @@ fn batch_calls_are_bit_identical_to_loops() {
         let items = random_items(&mut rng, 200, 48);
         let probes = random_items(&mut rng, 100, 48);
         let params = FilterParams::explicit(1 << 13, rng.gen_range(1..9), items.len() as u64);
-
-        let mut blocked_loop = BlockedBloomFilter::new(params, Murmur128Pair);
-        let mut blocked_batch = BlockedBloomFilter::new(params, Murmur128Pair);
-        let mut fresh_loop = 0u64;
-        for item in &items {
-            fresh_loop += u64::from(blocked_loop.insert(item));
-        }
-        assert_eq!(blocked_batch.insert_batch(&items), fresh_loop, "seed {seed}");
-        assert_eq!(blocked_batch.hamming_weight(), blocked_loop.hamming_weight(), "seed {seed}");
-        let answers = blocked_batch.query_batch(&probes);
-        for (probe, answer) in probes.iter().zip(&answers) {
-            assert_eq!(*answer, blocked_loop.contains(probe), "seed {seed}");
-        }
-
-        let concurrent_loop =
-            ConcurrentBloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
-        let concurrent_batch =
-            ConcurrentBloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128));
-        let mut fresh_loop = 0u64;
-        for item in &items {
-            fresh_loop += u64::from(concurrent_loop.insert(item));
-        }
-        assert_eq!(concurrent_batch.insert_batch(&items), fresh_loop, "seed {seed}");
-        assert_eq!(
-            concurrent_batch.snapshot_words(),
-            concurrent_loop.snapshot_words(),
-            "seed {seed}"
-        );
-        assert_eq!(concurrent_batch.inserted(), concurrent_loop.inserted(), "seed {seed}");
-        let answers = concurrent_batch.query_batch(&probes);
-        for (probe, answer) in probes.iter().zip(&answers) {
-            assert_eq!(*answer, concurrent_loop.contains(probe), "seed {seed}");
+        let layouts: [fn(FilterParams) -> ConcurrentBloomFilter; 2] = [
+            |params| blocked(params, Murmur128Pair),
+            |params| ConcurrentBloomFilter::new(params, KirschMitzenmacher::new(Murmur3_128)),
+        ];
+        for layout in layouts {
+            let (one_by_one, batched) = (layout(params), layout(params));
+            let mut fresh_loop = 0u64;
+            for item in &items {
+                fresh_loop += u64::from(one_by_one.insert(item));
+            }
+            let name = one_by_one.strategy_name();
+            assert_eq!(batched.insert_batch(&items), fresh_loop, "{name} seed {seed}");
+            assert_eq!(batched.snapshot_words(), one_by_one.snapshot_words(), "{name} seed {seed}");
+            assert_eq!(batched.inserted(), one_by_one.inserted(), "{name} seed {seed}");
+            let answers = batched.query_batch(&probes);
+            for (probe, answer) in probes.iter().zip(&answers) {
+                assert_eq!(*answer, one_by_one.contains(probe), "{name} seed {seed}");
+            }
         }
     }
 }
@@ -124,16 +114,12 @@ fn blocked_observed_fpp_within_2x_of_corrected_bound() {
         let k = 4 + (seed as u32 % 3); // k in 4..=6
         let m = 1u64 << 15;
         let n = 3_500 + 500 * seed;
-        let mut filter = BlockedBloomFilter::new(FilterParams::explicit(m, k, n), Murmur128Pair);
+        let filter = blocked(FilterParams::explicit(m, k, n), Murmur128Pair);
         for i in 0..n {
             filter.insert(format!("member-{seed}-{i}").as_bytes());
         }
-        let corrected = evilbloom_analysis::blocked::blocked_false_positive(
-            filter.m(),
-            n,
-            k,
-            evilbloom_filters::BLOCK_BITS,
-        );
+        let corrected =
+            evilbloom_analysis::blocked::blocked_false_positive(filter.m(), n, k, BLOCK_BITS);
         let probes = 150_000u64;
         let false_positives = (0..probes)
             .filter(|i| filter.contains(format!("absent-{seed}-{i}").as_bytes()))
@@ -156,18 +142,12 @@ fn blocked_observed_fpp_within_2x_of_corrected_bound() {
 #[test]
 fn keyed_blocked_filters_disagree_across_keys() {
     let params = FilterParams::explicit(1 << 14, 4, 200);
-    let a = BlockedBloomFilter::new(
-        params,
-        KeyedPair::new(Box::new(SipHash24::new(SipKey::new(1, 2)))),
-    );
-    let b = BlockedBloomFilter::new(
-        params,
-        KeyedPair::new(Box::new(SipHash24::new(SipKey::new(3, 4)))),
-    );
+    let a = blocked(params, KeyedPair::new(Box::new(SipHash24::new(SipKey::new(1, 2)))));
+    let b = blocked(params, KeyedPair::new(Box::new(SipHash24::new(SipKey::new(3, 4)))));
     let differing = (0..200)
         .filter(|i| {
             let item = format!("item-{i}");
-            a.bit_positions(item.as_bytes()) != b.bit_positions(item.as_bytes())
+            a.indexes(item.as_bytes()) != b.indexes(item.as_bytes())
         })
         .count();
     assert!(differing > 190, "only {differing}/200 items placed differently");

@@ -4,11 +4,12 @@
 //!
 //! [`HashStrategy`] separates the expensive part (hashing the item once into
 //! a `(u64, u64)` pair) from the cheap part (deriving indexes from the pair).
-//! That split lets the blocked filter pick a *block* with one half and probe
-//! inside it with the other, and lets batch APIs precompute hashes in one
-//! pass and replay them in a second, memory-bound pass. [`KmIndexes`] turns
-//! any pair source into an [`IndexStrategy`] through the one index loop,
-//! [`km_indexes_from_pair`].
+//! That split lets batch APIs precompute hashes in one pass and replay them
+//! in a second, memory-bound pass. Two [`IndexStrategy`]s consume a pair
+//! source: [`KmIndexes`], through the one index loop
+//! [`km_indexes_from_pair`], and [`BlockedKm`], the cache-line blocked
+//! layout, which picks a *block* with one half of the pair and probes inside
+//! it with both.
 //!
 //! Three pair sources are provided:
 //!
@@ -148,6 +149,63 @@ impl<S: HashStrategy> IndexStrategy for KmIndexes<S> {
     }
 }
 
+/// Bits per block of the cache-line blocked layout: one x86-64 cache line.
+pub const BLOCK_BITS: u64 = 512;
+
+/// The cache-line blocked layout (Putze, Sanders & Singler, "Cache-, Hash-
+/// and Space-Efficient Bloom Filters", JEA 2009) as an [`IndexStrategy`]
+/// over any [`HashStrategy`] pair source: all `k` indexes of an item fall in
+/// one [`BLOCK_BITS`]-bit block, so a probe touches one cache line.
+///
+/// 1. one pair call yields `(h1, h2)`;
+/// 2. `h1 mod (m / 512)` picks the block;
+/// 3. the in-block offsets are `(h2 + i·stride) mod 512` with the odd stride
+///    `(h1 >> 32) | 1` — odd, hence coprime with 512, so the `k` offsets are
+///    pairwise distinct.
+///
+/// `m` should be a whole number of blocks (`FilterParams::rounded_to_blocks`
+/// in `evilbloom-filters`); a ragged tail is never indexed, so no index
+/// reaches `m`. The layout is a performance trade, not a defence: over a
+/// predictable pair source the block and offsets are computable offline, and
+/// over [`KeyedPair`] it is the hardened blocked layout.
+#[derive(Debug, Clone)]
+pub struct BlockedKm<S> {
+    strategy: S,
+}
+
+impl<S: HashStrategy> BlockedKm<S> {
+    /// Wraps a pair source.
+    pub fn new(strategy: S) -> Self {
+        BlockedKm { strategy }
+    }
+}
+
+impl<S: HashStrategy> IndexStrategy for BlockedKm<S> {
+    /// # Panics
+    ///
+    /// Panics if `k` exceeds [`BLOCK_BITS`] or `m` is smaller than one block.
+    fn indexes_into(&self, item: &[u8], k: u32, m: u64, out: &mut Vec<u64>) {
+        assert!(u64::from(k) <= BLOCK_BITS, "k = {k} exceeds the {BLOCK_BITS}-bit block");
+        let blocks = m / BLOCK_BITS;
+        assert!(blocks > 0, "m = {m} is smaller than one {BLOCK_BITS}-bit block");
+        let (h1, h2) = self.strategy.hash_pair(item);
+        let base = h1 % blocks * BLOCK_BITS;
+        let stride = (h1 >> 32) | 1;
+        out.extend(
+            (0..u64::from(k))
+                .map(|i| base + (h2.wrapping_add(i.wrapping_mul(stride)) & (BLOCK_BITS - 1))),
+        );
+    }
+
+    fn name(&self) -> &'static str {
+        self.strategy.name()
+    }
+
+    fn is_predictable(&self) -> bool {
+        self.strategy.is_predictable()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,8 +256,51 @@ mod tests {
     fn keyed_km_strategy_is_unpredictable() {
         let keyed = KmIndexes::new(KeyedPair::new(Box::new(SipHash24::new(SipKey::new(1, 2)))));
         assert!(!IndexStrategy::is_predictable(&keyed));
+        let blocked = BlockedKm::new(KeyedPair::new(Box::new(SipHash24::new(SipKey::new(1, 2)))));
+        assert!(!IndexStrategy::is_predictable(&blocked));
         let idx = keyed.indexes(b"item", 4, 1 << 16);
         assert_eq!(idx.len(), 4);
         assert!(idx.iter().all(|&i| i < (1 << 16)));
+    }
+
+    /// Pins the blocked layout bit for bit: recorded from the dedicated
+    /// blocked filter this strategy replaced, whose `m = 1000` and
+    /// `m = 3200` rounded up to 1024 and 3584 bits.
+    #[test]
+    fn blocked_km_known_answers() {
+        let strategy = BlockedKm::new(Murmur128Pair);
+        let cases: [(&[u8], u64, [u64; 7]); 9] = [
+            (b"http://example.org/", 1024, [157, 96, 35, 486, 425, 364, 303]),
+            (b"item-0", 1024, [195, 168, 141, 114, 87, 60, 33]),
+            (b"evilbloom", 1024, [900, 521, 654, 787, 920, 541, 674]),
+            (b"http://example.org/", 3584, [1693, 1632, 1571, 2022, 1961, 1900, 1839]),
+            (b"item-0", 3584, [195, 168, 141, 114, 87, 60, 33]),
+            (b"evilbloom", 3584, [2948, 2569, 2702, 2835, 2968, 2589, 2722]),
+            (b"http://example.org/", 1 << 16, [6301, 6240, 6179, 6630, 6569, 6508, 6447]),
+            (b"item-0", 1 << 16, [52419, 52392, 52365, 52338, 52311, 52284, 52257]),
+            (b"evilbloom", 1 << 16, [64388, 64009, 64142, 64275, 64408, 64029, 64162]),
+        ];
+        for (item, m, expect) in cases {
+            assert_eq!(strategy.indexes(item, 7, m), expect, "{item:?} m={m} k=7");
+            // k = 4 is the same walk, stopped early.
+            assert_eq!(strategy.indexes(item, 4, m), expect[..4], "{item:?} m={m} k=4");
+        }
+        assert_eq!(strategy.name(), "MurmurHash3-x64-128-pair");
+        assert!(strategy.is_predictable());
+    }
+
+    #[test]
+    fn blocked_km_never_indexes_a_ragged_tail() {
+        let strategy = BlockedKm::new(Murmur128Pair);
+        for i in 0..200 {
+            let idx = strategy.indexes(format!("item-{i}").as_bytes(), 8, 1500);
+            assert!(idx.iter().all(|&i| i < 1024), "{idx:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "smaller than one 512-bit block")]
+    fn blocked_km_rejects_m_below_one_block() {
+        BlockedKm::new(Murmur128Pair).indexes(b"item", 4, 511);
     }
 }

@@ -12,10 +12,12 @@
 //! | [`Md5Split`] | Squid cache digests | yes |
 //! | [`RecycledCrypto`] | Section 8.2 recycling countermeasure | yes (but at full-digest cost per trial) |
 //! | [`KmIndexes`] over [`KeyedPair`](crate::KeyedPair) | HMAC / SipHash countermeasure | **no** (secret key) |
+//! | [`BlockedKm`](crate::BlockedKm) | cache-line blocked layout (Putze et al.), all `k` bits in one 512-bit block | yes over a public pair; **no** over [`KeyedPair`](crate::KeyedPair) |
 //!
 //! Both Kirsch–Mitzenmacher rows are the same [`KmIndexes`] loop over a
 //! different `(h1, h2)` pair source (see [`crate::double`]): two seeded
-//! public hash calls, or two keyed PRF calls.
+//! public hash calls, or two keyed PRF calls. [`BlockedKm`](crate::BlockedKm)
+//! consumes the same pair sources.
 
 use crate::double::KmIndexes;
 use crate::recycle::recycled_indexes;

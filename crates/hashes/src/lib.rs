@@ -20,7 +20,8 @@
 //!   recommends;
 //! * **double hashing** ([`double`]) — the Kirsch–Mitzenmacher trick as a
 //!   reusable `(h1, h2)` pair source ([`HashStrategy`]), the substrate of the
-//!   cache-line blocked filter and the hash-precomputing batch APIs;
+//!   cache-line blocked layout ([`BlockedKm`]) and the hash-precomputing
+//!   batch APIs;
 //! * **inversions** ([`inversion`]) — constant-time pre-images for
 //!   MurmurHash2 and the inverse of the MurmurHash3 `fmix32` finalizer, as
 //!   used by the Dablooms deletion attack (Section 6.2).
@@ -55,7 +56,7 @@ pub mod siphash;
 pub mod traits;
 pub mod truncate;
 
-pub use double::{HashStrategy, KeyedPair, KmIndexes, Murmur128Pair};
+pub use double::{BlockedKm, HashStrategy, KeyedPair, KmIndexes, Murmur128Pair, BLOCK_BITS};
 pub use hmac::{hmac, Hmac};
 pub use index::{
     IndexStrategy, KirschMitzenmacher, Md5Split, RecycledCrypto, SaltedCrypto, SaltedHashes,
@@ -74,6 +75,23 @@ pub use traits::{CryptoHash, Hasher64, KeyedHash64};
 /// SHA-512). Convenient for benchmarks and reports.
 pub fn all_crypto_hashes() -> Vec<Box<dyn CryptoHash>> {
     vec![Box::new(Md5), Box::new(Sha1), Box::new(Sha256), Box::new(Sha384), Box::new(Sha512)]
+}
+
+/// `0x80` followed by zeros: the Merkle–Damgård padding run, long enough for
+/// SHA-512's 128-byte blocks.
+const MD_PADDING: [u8; 128] = {
+    let mut padding = [0; 128];
+    padding[0] = 0x80;
+    padding
+};
+
+/// The padding a digest absorbs in one `update` when `buffered` bytes of a
+/// `block`-byte block are pending: `0x80`, then zeros up to the
+/// `length_field`-byte message length at the end of the (possibly next)
+/// block.
+pub(crate) fn md_padding(buffered: usize, block: usize, length_field: usize) -> &'static [u8] {
+    let len = (2 * block - length_field - 1 - buffered) % block + 1;
+    &MD_PADDING[..len]
 }
 
 #[cfg(test)]

@@ -96,10 +96,7 @@ impl Md5Context {
     /// Finalizes the hash and returns the 16-byte digest.
     pub fn finalize(mut self) -> [u8; 16] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0]);
-        }
+        self.update(crate::md_padding(self.buffer_len, 64, 8));
         // Length padding is appended manually to avoid counting it.
         let mut block = self.buffer;
         block[56..64].copy_from_slice(&bit_len.to_le_bytes());

@@ -80,10 +80,7 @@ impl Sha1Context {
     /// Finalizes the hash and returns the 20-byte digest.
     pub fn finalize(mut self) -> [u8; 20] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0]);
-        }
+        self.update(crate::md_padding(self.buffer_len, 64, 8));
         let mut block = self.buffer;
         block[56..64].copy_from_slice(&bit_len.to_be_bytes());
         self.process_block(&block);

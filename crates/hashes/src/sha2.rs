@@ -158,10 +158,7 @@ impl Sha256Context {
     /// Finalizes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> Vec<u8> {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0]);
-        }
+        self.update(crate::md_padding(self.buffer_len, 64, 8));
         let mut block = self.buffer;
         block[56..64].copy_from_slice(&bit_len.to_be_bytes());
         self.process_block(&block);
@@ -302,10 +299,7 @@ impl Sha512Context {
     /// 64 bytes for SHA-512).
     pub fn finalize(mut self) -> Vec<u8> {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 112 {
-            self.update(&[0]);
-        }
+        self.update(crate::md_padding(self.buffer_len, 128, 16));
         let mut block = self.buffer;
         block[112..128].copy_from_slice(&bit_len.to_be_bytes());
         self.process_block(&block);

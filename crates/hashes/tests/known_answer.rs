@@ -225,3 +225,93 @@ fn siphash24_paper_vectors() {
         );
     }
 }
+
+/// The message of length `len` the padding sweep hashes: bytes `0, 1, 2, …`
+/// (wrapping after 255).
+fn sweep_message(len: usize) -> Vec<u8> {
+    (0..len).map(|i| i as u8).collect()
+}
+
+/// Merkle–Damgård padding sweep: every message length `0..=256` through
+/// each padded digest, so every padding boundary is crossed — 55/56/63/64
+/// for the 64-byte-block digests, 111/112/127/128 for SHA-512. Each entry
+/// pins the SHA-256 of the concatenated 257 digests, plus the full digests
+/// at the boundary lengths (for a readable failure). The expected values
+/// were recorded from the byte-at-a-time padding loop this crate used
+/// before padding became one `update` call; SHA-256 of the 64-byte message
+/// `00 01 … 3f` is the widely published
+/// `fdeab9ac…d9151108`.
+#[test]
+fn padding_sweep_over_every_length_to_256() {
+    type Digest = fn(&[u8]) -> Vec<u8>;
+    type Boundaries = [(usize, &'static str); 4];
+    let cases: [(&str, Digest, &str, Boundaries); 4] = [
+        (
+            "MD5",
+            |m| md5(m).to_vec(),
+            "bb354cf9ad7e11496875bc0d1e2b9e94fad95e303ddbfde03a1268aea88295ac",
+            [
+                (55, "6912ee65fff2d9f9ce2508cddf8bcda0"),
+                (56, "51fdd1acda72405dfdfa03fcb85896d7"),
+                (63, "48a6295221902e8e0938f773a7185e72"),
+                (64, "b2d3f56bc197fd985d5965079b5e7148"),
+            ],
+        ),
+        (
+            "SHA-1",
+            |m| sha1(m).to_vec(),
+            "b229778ae5049868399be475fb1fa15359b56c24e7cbbdf4155251d4899563dc",
+            [
+                (55, "8ae2d46729cfe68ff927af5eec9c7d1b66d65ac2"),
+                (56, "636e2ec698dac903498e648bd2f3af641d3c88cb"),
+                (63, "6d942da0c4392b123528f2905c713a3ce28364bd"),
+                (64, "c6138d514ffa2135bfce0ed0b8fac65669917ec7"),
+            ],
+        ),
+        (
+            "SHA-256",
+            sha256,
+            "35970715cb0d62a006d72921e886dd4ea67151affe64b55164397fe5bb5c1730",
+            [
+                (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59"),
+                (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562"),
+                (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488"),
+                (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108"),
+            ],
+        ),
+        (
+            "SHA-512",
+            sha512,
+            "7069719c034a33c51845a7b9d8d330a9cda7aa6b941bf6929ccfec72fee58298",
+            [
+                (
+                    111,
+                    "a1a111449b198d9b1f538bad7f3fc1022b3a5b1a5e90a0bc860de8512746cbc3\
+                     1599e6c834de3a3235327af0b51ff57bf7acf1974a73014d9c3953812edc7c8d",
+                ),
+                (
+                    112,
+                    "c5fbd731d19d2ae1180f001be72c2c1aaba1d7b094b3748880e24593b8e117a7\
+                     50e11c1bd867cc2f96dace8c8b74abd2d5c4f236be444e77d30d1916174070b9",
+                ),
+                (
+                    127,
+                    "eab89674feaa34e27aebeeff3c0a4d70070bb872d5e9f186cf1dbbdee517b6e3\
+                     5724d629ff025a5b07185e911ada7e3c8acf830aa0e4f71777bd2d44f504f7f0",
+                ),
+                (
+                    128,
+                    "1dffd5e3adb71d45d2245939665521ae001a317a03720a45732ba1900ca3b835\
+                     1fc5c9b4ca513eba6f80bc7b1d1fdad4abd13491cb824d61b08d8c0e1561b3f7",
+                ),
+            ],
+        ),
+    ];
+    for (name, digest, sweep, boundaries) in cases {
+        for (len, expected) in boundaries {
+            assert_eq!(hex::encode(&digest(&sweep_message(len))), expected, "{name}, {len} bytes");
+        }
+        let all: Vec<u8> = (0..=256).flat_map(|len| digest(&sweep_message(len))).collect();
+        assert_eq!(hex::encode(&sha256(&all)), sweep, "{name}, lengths 0..=256");
+    }
+}

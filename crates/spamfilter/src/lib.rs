@@ -151,16 +151,19 @@ pub struct PollutionCampaign {
     pub stats: SearchStats,
 }
 
-/// Plans a pollution campaign of `count` crafted URLs against the service's
-/// *active* sub-filter.
+/// Plans one wave of a pollution campaign: `count` crafted URLs, drawn from
+/// the URL stream named `label`, against the service's *active* sub-filter.
 ///
 /// The adversary targets whichever slice new reports currently land in; as
 /// slices fill up she re-plans, which [`run_pollution_campaign`] does
-/// automatically slice by slice.
-pub fn plan_pollution_campaign(service: &ShorteningService, count: usize) -> PollutionCampaign {
+/// automatically slice by slice, one wave per slice.
+pub fn plan_pollution_campaign(
+    service: &ShorteningService,
+    count: usize,
+    label: &str,
+) -> PollutionCampaign {
     let active = service.blocklist().active_slice();
-    let generator = UrlGenerator::new("phish-campaign");
-    let plan = craft_polluting_items(&*active, &generator, count, u64::MAX);
+    let plan = craft_polluting_items(&*active, &UrlGenerator::new(label), count, u64::MAX);
     PollutionCampaign { urls: plan.items, stats: plan.stats }
 }
 
@@ -183,10 +186,9 @@ pub fn run_pollution_campaign(service: &mut ShorteningService, total: usize) -> 
             continue;
         }
         let batch = (total - reported).min(remaining);
-        let generator = UrlGenerator::new(&format!("phish-wave-{wave}"));
-        let plan = craft_polluting_items(&*active, &generator, batch, u64::MAX);
-        let crafted = plan.items.len();
-        for url in &plan.items {
+        let campaign = plan_pollution_campaign(service, batch, &format!("phish-wave-{wave}"));
+        let crafted = campaign.urls.len();
+        for url in &campaign.urls {
             service.report_malicious(url);
         }
         reported += crafted;

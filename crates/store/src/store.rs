@@ -131,12 +131,20 @@ impl Router {
     }
 }
 
-/// One shard's share of a batch: its items, and where each sat in the
-/// input.
-#[derive(Default)]
-struct Bucket<'a> {
-    items: Vec<&'a [u8]>,
-    positions: Vec<usize>,
+/// A routed batch: each shard's bucket of items, and each input item's
+/// shard in input order.
+struct Routed<'a> {
+    buckets: Vec<Vec<&'a [u8]>>,
+    shards: Vec<usize>,
+}
+
+impl Routed<'_> {
+    /// Maps per-shard answers (in bucket order) back to input order, with
+    /// one cursor per shard.
+    fn in_input_order(&self, per_shard: Vec<Vec<bool>>) -> Vec<bool> {
+        let mut cursors: Vec<_> = per_shard.into_iter().map(Vec::into_iter).collect();
+        self.shards.iter().map(|&shard| cursors[shard].next().expect("routed item")).collect()
+    }
 }
 
 /// A sharded, lock-free concurrent filter store.
@@ -489,16 +497,12 @@ impl<B: FilterBackend> BloomStore<B> {
         if !B::supports_remove() {
             return Err(UnsupportedOp { backend: B::KIND, op: "remove" });
         }
-        let mut answers = vec![false; items.len()];
-        self.write_buckets(ItemOp::Remove, &self.route_buckets(items), |filter, bucket| {
-            let removed =
-                filter.remove_batch(&bucket.items).expect("supports_remove() checked above");
-            for (&position, was_present) in bucket.positions.iter().zip(removed) {
-                answers[position] = was_present;
-            }
+        let routed = self.route_buckets(items);
+        let removed = self.write_buckets(ItemOp::Remove, &routed.buckets, |filter, bucket| {
+            filter.remove_batch(bucket).expect("supports_remove() checked above")
         });
         self.metrics.deletes.add(items.len() as u64);
-        Ok(answers)
+        Ok(routed.in_input_order(removed))
     }
 
     /// Inserts a batch: routes every item first, then visits each shard
@@ -513,10 +517,9 @@ impl<B: FilterBackend> BloomStore<B> {
     /// durability wait then happens once, outside every lock, via group
     /// commit.
     pub fn insert_batch<I: AsRef<[u8]>>(&self, items: &[I]) -> BatchOutcome {
-        let mut fresh_bits = 0u64;
-        self.write_buckets(ItemOp::Insert, &self.route_buckets(items), |filter, bucket| {
-            fresh_bits += filter.insert_batch(&bucket.items);
-        });
+        let buckets = self.route_buckets(items).buckets;
+        let fresh = self.write_buckets(ItemOp::Insert, &buckets, |f, b| f.insert_batch(b));
+        let fresh_bits = fresh.iter().sum();
         self.metrics.inserts.add(items.len() as u64);
         self.metrics.fresh_bits.add(fresh_bits);
         BatchOutcome { items: items.len(), fresh_bits }
@@ -529,63 +532,69 @@ impl<B: FilterBackend> BloomStore<B> {
     /// may use a different key, so its indexes cannot be shared).
     pub fn query_batch<I: AsRef<[u8]>>(&self, items: &[I]) -> Vec<bool> {
         self.metrics.queries.add(items.len() as u64);
-        let mut answers = vec![false; items.len()];
-        for (shard, bucket) in self.shards.iter().zip(&self.route_buckets(items)) {
-            if bucket.items.is_empty() {
-                continue;
+        let routed = self.route_buckets(items);
+        let found = self.shards.iter().zip(&routed.buckets).map(|(shard, bucket)| {
+            if bucket.is_empty() {
+                return Vec::new();
             }
             shard.with_generations(|active, draining| {
-                let found = active.filter.query_batch(&bucket.items);
-                for ((&position, item), hit) in
-                    bucket.positions.iter().zip(&bucket.items).zip(found)
-                {
-                    answers[position] = hit || draining.is_some_and(|g| g.filter.contains(item));
+                let mut found = active.filter.query_batch(bucket);
+                if let Some(draining) = draining {
+                    for (hit, item) in found.iter_mut().zip(bucket) {
+                        *hit = *hit || draining.filter.contains(item);
+                    }
                 }
-            });
-        }
-        answers
+                found
+            })
+        });
+        routed.in_input_order(found.collect())
     }
 
-    /// Routes `items` into one bucket per shard, each remembering the input
-    /// positions of its items.
-    fn route_buckets<'a, I: AsRef<[u8]>>(&self, items: &'a [I]) -> Vec<Bucket<'a>> {
-        let mut buckets: Vec<Bucket<'a>> =
-            (0..self.shards.len()).map(|_| Bucket::default()).collect();
-        for (position, item) in items.iter().enumerate() {
+    /// Routes `items` once: into one bucket per shard, and each item's shard
+    /// in input order.
+    fn route_buckets<'a, I: AsRef<[u8]>>(&self, items: &'a [I]) -> Routed<'a> {
+        let mut buckets = vec![Vec::new(); self.shards.len()];
+        let mut shards = Vec::with_capacity(items.len());
+        for item in items {
             let item = item.as_ref();
-            let bucket = &mut buckets[self.route(item)];
-            bucket.items.push(item);
-            bucket.positions.push(position);
+            let shard = self.route(item);
+            buckets[shard].push(item);
+            shards.push(shard);
         }
-        buckets
+        Routed { buckets, shards }
     }
 
     /// The one write path: applies `apply` to each non-empty bucket in its
     /// shard's active generation under the shard read lock, logs the bucket
     /// as one `op` record while still holding it, then waits outside every
     /// lock for the last record to commit (LSNs are monotonic, so that
-    /// covers the whole batch).
-    fn write_buckets(
+    /// covers the whole batch). Returns `apply`'s result per shard (the
+    /// default for an empty bucket).
+    fn write_buckets<T: Default>(
         &self,
         op: ItemOp,
-        buckets: &[Bucket<'_>],
-        mut apply: impl FnMut(&B, &Bucket<'_>),
-    ) {
+        buckets: &[Vec<&[u8]>],
+        apply: impl Fn(&B, &[&[u8]]) -> T,
+    ) -> Vec<T> {
         let mut last_lsn = None;
+        let mut results = Vec::with_capacity(buckets.len());
         for (index, (shard, bucket)) in self.shards.iter().zip(buckets).enumerate() {
-            if bucket.items.is_empty() {
+            if bucket.is_empty() {
+                results.push(T::default());
                 continue;
             }
-            shard.with_generations(|active, _| {
-                apply(&active.filter, bucket);
+            results.push(shard.with_generations(|active, _| {
+                let result = apply(&active.filter, bucket);
                 if let Some(p) = &self.persistence {
-                    last_lsn = p.log_items(op, index, active.id, &bucket.items).or(last_lsn);
+                    last_lsn = p.log_items(op, index, active.id, bucket).or(last_lsn);
                 }
-            });
+                result
+            }));
         }
         if let (Some(p), Some(lsn)) = (self.persistence.as_ref(), last_lsn) {
             p.commit(lsn);
         }
+        results
     }
 
     /// Starts a rotation on one shard: installs a fresh filter while the old
