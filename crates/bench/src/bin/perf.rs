@@ -706,8 +706,7 @@ impl Suite {
                 .build(),
         );
         store.insert_batch(members);
-        let handle =
-            Server::spawn(Arc::clone(&store), "127.0.0.1:0", config).expect("bind loopback");
+        let handle = Server::spawn(store.clone(), "127.0.0.1:0", config).expect("bind loopback");
         let mut client = Client::connect(handle.local_addr()).expect("connect");
 
         let mut i = 0usize;
@@ -957,7 +956,7 @@ impl Suite {
             );
             counting.insert_batch(members);
             let handle =
-                Server::spawn(Arc::clone(&counting), "127.0.0.1:0", config).expect("bind loopback");
+                Server::spawn(counting.clone(), "127.0.0.1:0", config).expect("bind loopback");
             let mut client = Client::connect(handle.local_addr()).expect("connect");
             let frame: Vec<&[u8]> = members.iter().take(batch).map(String::as_bytes).collect();
             self.time(out, "server/delete_batch", batch as u64, || {
@@ -994,8 +993,7 @@ impl Suite {
         )
         .expect("unhardened stores expose an adversarial view");
         assert_eq!(plan.items.len(), batch / 2, "crafting budget exhausted");
-        let handle =
-            Server::spawn(Arc::clone(&victim), "127.0.0.1:0", config).expect("bind loopback");
+        let handle = Server::spawn(victim.clone(), "127.0.0.1:0", config).expect("bind loopback");
         let mut client = Client::connect(handle.local_addr()).expect("connect");
         let frame = 128usize;
         let crafted_frames: Vec<Vec<&[u8]>> =

@@ -22,10 +22,10 @@ use std::io::{self, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use evilbloom_store::{BatchOutcome, SnapshotInfo, StoreStats};
+
 use crate::retry::RetryPolicy;
-use crate::wire::{
-    self, Command, Response, WireError, WireSnapshot, WireStats, DEFAULT_MAX_FRAME_BYTES,
-};
+use crate::wire::{self, Command, Response, WireError, WireTrace, DEFAULT_MAX_FRAME_BYTES};
 
 /// Errors a client call can surface.
 #[derive(Debug)]
@@ -98,16 +98,6 @@ impl From<WireError> for ClientError {
     fn from(e: WireError) -> Self {
         ClientError::Wire(e)
     }
-}
-
-/// Outcome of a remote batch insert (the wire twin of
-/// [`evilbloom_store::BatchOutcome`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RemoteBatchOutcome {
-    /// Items the server inserted.
-    pub items: u32,
-    /// Bits the batch flipped 0 → 1 across all shards.
-    pub fresh_bits: u64,
 }
 
 /// Deadlines, frame cap and retry budget for a client connection.
@@ -294,11 +284,11 @@ impl Client {
     pub fn insert_batch<I: AsRef<[u8]>>(
         &mut self,
         items: &[I],
-    ) -> Result<RemoteBatchOutcome, ClientError> {
+    ) -> Result<BatchOutcome, ClientError> {
         let borrowed: Vec<&[u8]> = items.iter().map(AsRef::as_ref).collect();
         match self.call(&Command::InsertBatch(borrowed))? {
             Response::BatchInserted { items, fresh_bits } => {
-                Ok(RemoteBatchOutcome { items, fresh_bits })
+                Ok(BatchOutcome { items: items as usize, fresh_bits })
             }
             other => unexpected("MINSERTED", &other),
         }
@@ -339,7 +329,7 @@ impl Client {
     }
 
     /// Health snapshot, including per-shard pollution alarms.
-    pub fn stats(&mut self) -> Result<WireStats, ClientError> {
+    pub fn stats(&mut self) -> Result<StoreStats, ClientError> {
         match self.call(&Command::Stats)? {
             Response::Stats(stats) => Ok(stats),
             other => unexpected("STATS", &other),
@@ -367,7 +357,7 @@ impl Client {
     /// snapshot plus later log segments reconstruct the exact bit state).
     /// Fails with [`ClientError::Remote`] when the server has no
     /// persistence enabled.
-    pub fn snapshot(&mut self) -> Result<WireSnapshot, ClientError> {
+    pub fn snapshot(&mut self) -> Result<SnapshotInfo, ClientError> {
         match self.call(&Command::Snapshot)? {
             Response::Snapshotted(info) => Ok(info),
             other => unexpected("SNAPSHOTTED", &other),
@@ -387,8 +377,8 @@ impl Client {
     /// Fetches the server's forensic trace: recent flight-recorder events,
     /// the per-connection suspect ranking (fresh-bits-per-insert EWMAs)
     /// and the pollution-drift timeline. Render it for humans with
-    /// [`crate::WireTrace::render`].
-    pub fn trace(&mut self) -> Result<crate::WireTrace, ClientError> {
+    /// [`WireTrace::render`].
+    pub fn trace(&mut self) -> Result<WireTrace, ClientError> {
         match self.call(&Command::Trace)? {
             Response::Trace(trace) => Ok(trace),
             other => unexpected("TRACE", &other),
@@ -542,7 +532,7 @@ impl ResilientClient {
     }
 
     /// Health snapshot (retried freely).
-    pub fn stats(&mut self) -> Result<WireStats, ClientError> {
+    pub fn stats(&mut self) -> Result<StoreStats, ClientError> {
         self.run(true, |c| c.stats())
     }
 
@@ -552,13 +542,13 @@ impl ResilientClient {
     }
 
     /// Forensic trace fetch (retried freely).
-    pub fn trace(&mut self) -> Result<crate::WireTrace, ClientError> {
+    pub fn trace(&mut self) -> Result<WireTrace, ClientError> {
         self.run(true, |c| c.trace())
     }
 
     /// Durable snapshot request. Safe to repeat (a second snapshot of the
     /// same state is a no-op for correctness), so retried freely.
-    pub fn snapshot(&mut self) -> Result<WireSnapshot, ClientError> {
+    pub fn snapshot(&mut self) -> Result<SnapshotInfo, ClientError> {
         self.run(true, |c| c.snapshot())
     }
 
@@ -572,7 +562,7 @@ impl ResilientClient {
     pub fn insert_batch<I: AsRef<[u8]>>(
         &mut self,
         items: &[I],
-    ) -> Result<RemoteBatchOutcome, ClientError> {
+    ) -> Result<BatchOutcome, ClientError> {
         self.run(false, |c| c.insert_batch(items))
     }
 

@@ -233,60 +233,20 @@ impl ClientPool {
         Ok(())
     }
 
-    /// Health snapshot over one pooled connection (see [`Client::stats`]);
-    /// stats are store-global, so one lane suffices.
-    pub fn stats(&mut self) -> Result<crate::wire::WireStats, ClientError> {
+    /// Runs one call on one validated pooled connection (see
+    /// [`ClientPool::checkout_validated`]) and checks the connection back
+    /// in when the call succeeded. A connection whose call failed is
+    /// dropped, not checked in: its stream may hold half-read responses.
+    /// Server-global requests need only one lane:
+    /// `pool.with_connection(|c| c.stats())`.
+    pub fn with_connection<T>(
+        &mut self,
+        call: impl FnOnce(&mut Client) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
         let mut client = self.checkout_validated()?;
-        let stats = client.stats()?;
+        let value = call(&mut client)?;
         self.checkin(client);
-        Ok(stats)
-    }
-
-    /// Starts a key rotation on one shard over one pooled connection (see
-    /// [`Client::rotate_begin`]).
-    pub fn rotate_begin(&mut self, shard: u32) -> Result<Option<u64>, ClientError> {
-        let mut client = self.checkout_validated()?;
-        let generation = client.rotate_begin(shard)?;
-        self.checkin(client);
-        Ok(generation)
-    }
-
-    /// Completes a shard's rotation over one pooled connection (see
-    /// [`Client::rotate_complete`]).
-    pub fn rotate_complete(&mut self, shard: u32) -> Result<bool, ClientError> {
-        let mut client = self.checkout_validated()?;
-        let completed = client.rotate_complete(shard)?;
-        self.checkin(client);
-        Ok(completed)
-    }
-
-    /// Asks the server for a durable snapshot over one pooled connection
-    /// (see [`Client::snapshot`]). Snapshots are store-global, so one lane
-    /// suffices no matter how many connections the pool holds.
-    pub fn snapshot(&mut self) -> Result<crate::wire::WireSnapshot, ClientError> {
-        let mut client = self.checkout_validated()?;
-        let info = client.snapshot()?;
-        self.checkin(client);
-        Ok(info)
-    }
-
-    /// Scrapes the server's telemetry exposition over one pooled connection
-    /// (see [`Client::metrics`]); the scrape is server-global, so one lane
-    /// suffices.
-    pub fn metrics(&mut self) -> Result<String, ClientError> {
-        let mut client = self.checkout_validated()?;
-        let text = client.metrics()?;
-        self.checkin(client);
-        Ok(text)
-    }
-
-    /// Fetches the server's forensic trace over one pooled connection (see
-    /// [`Client::trace`]); like a metrics scrape, it is server-global.
-    pub fn trace(&mut self) -> Result<crate::WireTrace, ClientError> {
-        let mut client = self.checkout_validated()?;
-        let trace = client.trace()?;
-        self.checkin(client);
-        Ok(trace)
+        Ok(value)
     }
 
     /// Checks out the connections a pooled call will stripe over: the pool

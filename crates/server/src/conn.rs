@@ -20,10 +20,7 @@ use evilbloom_store::WriteRefusal;
 
 use crate::metrics::op_of;
 use crate::server::Inner;
-use crate::wire::{
-    self, Command, Response, WireDriftPoint, WireSnapshot, WireStats, WireSuspect, WireTrace,
-    WireTraceEvent,
-};
+use crate::wire::{self, Command, Response, WireTrace};
 
 /// Per-read chunk size: each reactor shard owns one shared scratch buffer
 /// of this size, not one per connection.
@@ -205,14 +202,7 @@ pub(crate) fn execute(command: &Command<'_>, inner: &Inner) -> Response {
             Ok(answers) => Response::BatchDeleted(answers),
             Err(refusal) => refused(refusal),
         },
-        Command::Stats => {
-            let uptime = inner.started.elapsed().as_secs();
-            let degraded = store.degraded().is_some();
-            match WireStats::from_stats(&store.stats(), store.is_hardened(), uptime, degraded) {
-                Ok(stats) => Response::Stats(stats),
-                Err(err) => Response::Error(format!("stats unencodable: {err}")),
-            }
-        }
+        Command::Stats => Response::Stats(store.stats()),
         Command::Metrics => {
             // A scrape refreshes the sampled store gauges (per-shard fill,
             // alarms, the drift series) and the uptime gauge before
@@ -225,12 +215,7 @@ pub(crate) fn execute(command: &Command<'_>, inner: &Inner) -> Response {
             ]))
         }
         Command::Snapshot => match store.snapshot_to_disk() {
-            Ok(info) => Response::Snapshotted(WireSnapshot {
-                seq: info.seq,
-                wal_seq: info.wal_seq,
-                shards: info.shards,
-                bytes: info.bytes,
-            }),
+            Ok(info) => Response::Snapshotted(info),
             Err(err) => Response::Error(format!("snapshot failed: {err}")),
         },
         Command::RotateBegin { shard } => match checked_shard(store, *shard) {
@@ -264,37 +249,15 @@ pub(crate) fn execute(command: &Command<'_>, inner: &Inner) -> Response {
             // events) at sample time, so the scrape that asks "who did
             // this?" is also the one that notices the alarm.
             store.sample_metrics();
-            let events = inner
-                .recorder
-                .snapshot()
-                .into_iter()
-                .map(|e| WireTraceEvent { seq: e.seq, ts_ms: e.ts_ms, event: e.event })
-                .collect();
-            let suspects = inner
-                .suspects
-                .top(SUSPECT_TOP_K)
-                .into_iter()
-                .map(|row| WireSuspect {
-                    conn_id: row.conn_id,
-                    ewma_bits_per_item: row.ewma_bits_per_item,
-                    batches: row.batches,
-                    items: row.items,
-                    fresh_bits: row.fresh_bits,
-                })
-                .collect();
-            let drift = store
-                .metrics()
-                .drift_series()
-                .into_iter()
-                .map(|(inserts, fresh_bits)| WireDriftPoint { inserts, fresh_bits })
-                .collect();
+            // Fields evaluate in the order written: the counters are read
+            // after the events, so they cover every retained event.
             Response::Trace(WireTrace {
+                events: inner.recorder.snapshot(),
+                suspects: inner.suspects.top(SUSPECT_TOP_K),
+                drift: store.metrics().drift_series(),
                 recorded: inner.recorder.recorded(),
                 dropped: inner.recorder.dropped(),
                 overwritten: inner.recorder.overwritten(),
-                events,
-                suspects,
-                drift,
             })
         }
     }

@@ -20,8 +20,12 @@
 //!   `STATS`/`ROTATE`/`METRICS`/`TRACE`), one encoder/decoder shared by
 //!   both ends, panic-free
 //!   on arbitrary input, with commands borrowing item bytes straight from
-//!   the receive buffer. `DELETE` is honoured by deletable filter families
-//!   and answered with a typed `UNSUPPORTED` elsewhere;
+//!   the receive buffer. Replies carry the store's and the flight
+//!   recorder's own types ([`StoreStats`], [`SnapshotInfo`],
+//!   [`RecordedEvent`], [`ConnDrift`]), so what a remote operator reads
+//!   compares equal to what the store holds. Each reply has one layout per
+//!   [`PROTOCOL_VERSION`]. `DELETE` is honoured by deletable filter
+//!   families and answered with a typed `UNSUPPORTED` elsewhere;
 //! * [`server`] — the serving layer: an epoll reactor built on raw
 //!   `epoll_create1`/`epoll_ctl`/`epoll_wait` syscalls (no `libc`/`mio`
 //!   dependency), N reactor shards with round-robin accept handoff, every
@@ -35,9 +39,10 @@
 //!   [`Client::recv`] pipelining;
 //! * [`client_pool`] — [`ClientPool`]: checkout/checkin connection reuse
 //!   with probed dead-connection replacement (counted in
-//!   [`PoolHealth`]), and pooled pipelined batch helpers that stripe one
+//!   [`PoolHealth`]), pooled pipelined batch helpers that stripe one
 //!   logical batch over several sockets in [`POOL_FRAME_ITEMS`]-item
-//!   frames;
+//!   frames, and [`ClientPool::with_connection`] for one server-global
+//!   call (`STATS`, `SNAPSHOT`, `METRICS`, `TRACE`, `ROTATE`);
 //! * [`retry`] — the seeded decorrelated-jitter backoff schedule
 //!   ([`RetryPolicy`]/[`Backoff`]) behind [`ResilientClient`]: connect +
 //!   per-request deadlines ([`ClientConfig`]), bounded idempotency-aware
@@ -93,17 +98,21 @@ pub mod wire;
 
 #[cfg(target_os = "linux")]
 pub use backend::{fd_soft_limit, loopback_connection_budget};
-pub use client::{Client, ClientConfig, ClientError, RemoteBatchOutcome, ResilientClient};
+pub use client::{Client, ClientConfig, ClientError, ResilientClient};
 pub use client_pool::{ClientPool, PoolHealth, POOL_FRAME_ITEMS};
 pub use retry::{Backoff, RetryPolicy};
 #[cfg(target_os = "linux")]
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use wire::{
-    Command, Response, WireDriftPoint, WireError, WireShardStats, WireSnapshot, WireStats,
-    WireSuspect, WireTrace, WireTraceEvent, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    Command, Response, WireError, WireTrace, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 
-/// The typed flight-recorder event carried inside [`WireTraceEvent`]
-/// (re-exported from `evilbloom-trace` so clients can match on it without
-/// a direct dependency).
-pub use evilbloom_trace::TraceEvent;
+/// The store types the `STATS`, `SNAPSHOTTED` and `MINSERTED` replies carry
+/// (re-exported from `evilbloom-store` so clients can name them without a
+/// direct dependency).
+pub use evilbloom_store::{BatchOutcome, ShardStats, SnapshotInfo, StoreStats};
+
+/// The flight-recorder types a [`WireTrace`] carries (re-exported from
+/// `evilbloom-trace` so clients can match on them without a direct
+/// dependency).
+pub use evilbloom_trace::{ConnDrift, RecordedEvent, TraceEvent};

@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use evilbloom_store::{BackendKind, ServeStore};
+use evilbloom_store::ServeStore;
 use evilbloom_trace::{FlightRecorder, SuspectTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,14 +63,6 @@ pub struct ServerConfig {
     /// reactors' `epoll_wait` calls re-check the shutdown flag, and at
     /// which each reactor sweeps for slow consumers.
     pub poll_interval: Duration,
-    /// Filter-family selector: the backend this deployment expects to
-    /// serve. `None` (default) serves whatever store it is handed;
-    /// `Some(kind)` makes [`Server::spawn`] refuse a store of a different
-    /// family with [`io::ErrorKind::InvalidInput`] — a config/deployment
-    /// assertion, since `DELETE` support and persistence semantics depend
-    /// on the family. The served family is surfaced remotely in `STATS`
-    /// and as the `evilbloom_store_backend_info` metric.
-    pub store_backend: Option<BackendKind>,
     /// Requests whose execution takes at least this long are logged at
     /// `warn` and recorded as `slow-request` flight-recorder events.
     pub slow_request_threshold: Duration,
@@ -98,7 +90,6 @@ impl Default for ServerConfig {
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             rotation_seed: 0x5EED_0F0D_D5EE_D545,
             poll_interval: Duration::from_millis(25),
-            store_backend: None,
             slow_request_threshold: Duration::from_millis(100),
             trace_events: 1024,
             // Far above the perf lab's 8k-connection tier: the default
@@ -107,15 +98,6 @@ impl Default for ServerConfig {
             busy_retry_after: Duration::from_millis(100),
             slow_consumer_grace: Duration::from_secs(5),
         }
-    }
-}
-
-impl ServerConfig {
-    /// Sets the expected filter family (see
-    /// [`ServerConfig::store_backend`]).
-    pub fn expect_store_backend(mut self, kind: BackendKind) -> Self {
-        self.store_backend = Some(kind);
-        self
     }
 }
 
@@ -131,7 +113,7 @@ pub(crate) struct Inner {
     pub(crate) buffers: BufferPool,
     /// Serving-layer telemetry (the store carries its own registry).
     pub(crate) metrics: ServerMetrics,
-    /// When the server spawned, for the uptime gauge and `STATS` field.
+    /// When the server spawned, for the uptime gauge.
     pub(crate) started: Instant,
     /// The forensic flight recorder, shared with the store (which records
     /// alarm, fsync-stall and snapshot events into it).
@@ -191,34 +173,14 @@ pub struct Server;
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral loopback port) and starts
     /// serving `store` — any [`ServeStore`], so a `BloomStore` of any
-    /// filter family. Returns a handle owning the background threads. On a
-    /// platform without epoll this fails with
-    /// [`io::ErrorKind::Unsupported`]; a store whose family contradicts
-    /// `config.store_backend` fails with [`io::ErrorKind::InvalidInput`].
-    pub fn spawn<S: ServeStore + 'static>(
-        store: Arc<S>,
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-    ) -> io::Result<ServerHandle> {
-        Server::spawn_dyn(store, addr, config)
-    }
-
-    /// [`Server::spawn`] for a store whose filter family was chosen at
-    /// runtime (an already-erased `Arc<dyn ServeStore>`).
-    pub fn spawn_dyn(
+    /// filter family (an `Arc<BloomStore<B>>` coerces at the call). Returns
+    /// a handle owning the background threads. On a platform without epoll
+    /// this fails with [`io::ErrorKind::Unsupported`].
+    pub fn spawn(
         store: Arc<dyn ServeStore>,
         addr: impl ToSocketAddrs,
         config: ServerConfig,
     ) -> io::Result<ServerHandle> {
-        if let Some(expected) = config.store_backend {
-            let actual = store.backend_kind();
-            if actual != expected {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("config expects a {expected} store, got {actual}"),
-                ));
-            }
-        }
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let metrics = ServerMetrics::new();

@@ -6,7 +6,7 @@
 //! ```text
 //! +----------------+-----------+----------+------------------+
 //! | len: u32 LE    | version:  | opcode:  | body (len - 2    |
-//! | (payload size) | u8 (= 1)  | u8       | bytes)           |
+//! | (payload size) | u8 (= 2)  | u8       | bytes)           |
 //! +----------------+-----------+----------+------------------+
 //! ```
 //!
@@ -15,6 +15,12 @@
 //! floats travel as their IEEE-754 bit patterns. Frames above a configurable
 //! cap ([`DEFAULT_MAX_FRAME_BYTES`]) are rejected before any allocation, so
 //! a hostile length prefix cannot balloon memory.
+//!
+//! Every reply has exactly one layout per [`PROTOCOL_VERSION`], and the
+//! decoder reads every field of it or fails with [`WireError::Malformed`].
+//! There are no optional tails: adding, removing or reordering a field
+//! bumps the version byte, which a peer of any other version refuses with
+//! [`WireError::BadVersion`].
 //!
 //! ## Commands and responses
 //!
@@ -25,7 +31,7 @@
 //! | `0x03` | `QUERY` | item bytes | `0x83 FOUND` (`u8` bool) |
 //! | `0x04` | `MINSERT` | item list | `0x84 MINSERTED` (`u32` items, `u64` fresh bits) |
 //! | `0x05` | `MQUERY` | item list | `0x85 MFOUND` (`u32` count + bitmap) |
-//! | `0x06` | `STATS` | — | `0x86 STATS` (store + per-shard health) |
+//! | `0x06` | `STATS` | — | `0x86 STATS` (see below) |
 //! | `0x07` | `ROTATE` | `u8` phase, `u32` shard | `0x87 ROTATED` |
 //! | `0x08` | `SNAPSHOT` | — | `0x88 SNAPSHOTTED` (seq `u64`, WAL seq `u64`, shards `u32`, bytes `u64`) |
 //! | `0x09` | `METRICS` | — | `0x89 METRICS` (UTF-8 text exposition) |
@@ -49,6 +55,15 @@
 //! length then bytes. The `MFOUND` bitmap packs answer `i` into bit `i % 8`
 //! of byte `i / 8`, padding bits zero.
 //!
+//! The `STATS` body is [`evilbloom_store::StoreStats`]: the `u8` hardened
+//! flag, `u64` total inserted, `f64` mean fill, `f64` max estimated FPP,
+//! `u32` alarm count, `u32` shard count, one 54-byte record per shard
+//! (`u64` generation, `u8` rotating, `u64` m, `u32` k, `u64` inserted,
+//! `u64` weight, `f64` fill, `f64` estimated FPP, `u8` pollution alarm; the
+//! shard index is the record's position), then the `u8` backend code and
+//! the `u8` degraded flag. Server uptime is not part of it: it is the
+//! `evilbloom_server_uptime_seconds` gauge of `METRICS`.
+//!
 //! Decoding is allocation-bounded and panic-free on arbitrary input: every
 //! malformed, truncated or oversized frame surfaces as a [`WireError`].
 //! Commands borrow their item bytes from the receive buffer
@@ -57,11 +72,12 @@
 
 use std::io::{self, Read};
 
-use evilbloom_store::{BackendKind, StoreStats};
-use evilbloom_trace::{TraceEvent, EVENT_PAYLOAD_WORDS};
+use evilbloom_store::{BackendKind, ShardStats, SnapshotInfo, StoreStats};
+use evilbloom_trace::{ConnDrift, RecordedEvent, TraceEvent, EVENT_PAYLOAD_WORDS};
 
-/// Version byte every payload starts with. Bump on incompatible changes.
-pub const PROTOCOL_VERSION: u8 = 1;
+/// Version byte every payload starts with. Bumped whenever any frame's
+/// layout changes (see the module docs).
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Default cap on the payload length a peer will accept (16 MiB) — large
 /// enough for tens of thousands of URLs per batch frame, small enough that a
@@ -331,7 +347,7 @@ pub enum Response {
     /// Reply to [`Command::QueryBatch`], answers in input order.
     BatchFound(Vec<bool>),
     /// Reply to [`Command::Stats`].
-    Stats(WireStats),
+    Stats(StoreStats),
     /// Reply to [`Command::RotateBegin`]: the new generation id, or `None`
     /// if a rotation was already draining on that shard.
     Rotated {
@@ -342,7 +358,7 @@ pub enum Response {
     /// was actually dropped.
     RotationCompleted(bool),
     /// Reply to [`Command::Snapshot`]: where the snapshot landed.
-    Snapshotted(WireSnapshot),
+    Snapshotted(SnapshotInfo),
     /// Reply to [`Command::Metrics`]: the telemetry text exposition.
     Metrics(String),
     /// Reply to [`Command::Delete`]: whether the item was (probably)
@@ -430,7 +446,7 @@ impl Response {
                 }
                 Response::Stats(stats) => {
                     out.push(OP_STATS_REPLY);
-                    stats.encode(out)?;
+                    encode_stats(stats, out)?;
                 }
                 Response::Rotated { generation } => {
                     out.push(OP_ROTATED);
@@ -503,9 +519,9 @@ impl Response {
             OP_MFOUND => Response::BatchFound(r.bitmap()?),
             OP_DELETED => Response::Deleted { was_present: r.flag()? },
             OP_MDELETED => Response::BatchDeleted(r.bitmap()?),
-            OP_STATS_REPLY => Response::Stats(WireStats::decode(&mut r)?),
+            OP_STATS_REPLY => Response::Stats(decode_stats(&mut r)?),
             OP_TRACE_REPLY => Response::Trace(WireTrace::decode(&mut r)?),
-            OP_SNAPSHOT_REPLY => Response::Snapshotted(WireSnapshot {
+            OP_SNAPSHOT_REPLY => Response::Snapshotted(SnapshotInfo {
                 seq: r.u64()?,
                 wal_seq: r.u64()?,
                 shards: r.u32()?,
@@ -552,255 +568,9 @@ impl Response {
     }
 }
 
-/// Where a [`Command::Snapshot`] landed, as it travels over the wire — the
-/// serialisable twin of `evilbloom_store::SnapshotInfo`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireSnapshot {
-    /// Sequence number of the snapshot file.
-    pub seq: u64,
-    /// First WAL segment recovery replays on top of it (0 = no log).
-    pub wal_seq: u64,
-    /// Shards recorded.
-    pub shards: u32,
-    /// Bytes written.
-    pub bytes: u64,
-}
-
-/// Store health snapshot as it travels over the wire — the serialisable twin
-/// of [`evilbloom_store::StoreStats`], plus the hardening posture (which the
-/// in-process stats do not need to carry, but a remote operator does).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireStats {
-    /// Whether the store uses keyed routing and index derivation.
-    pub hardened: bool,
-    /// Total insert calls across shards (active generations).
-    pub total_inserted: u64,
-    /// Mean shard fill ratio.
-    pub mean_fill: f64,
-    /// Highest per-shard false-positive estimate.
-    pub max_estimated_fpp: f64,
-    /// Number of shards currently raising the pollution alarm.
-    pub alarms: u32,
-    /// Per-shard health, indexed by shard.
-    pub shards: Vec<WireShardStats>,
-    /// Highest active generation id across shards — how far key rotation
-    /// has advanced. Decodes as 0 from servers predating this field.
-    pub generation: u64,
-    /// Seconds the server has been up. Decodes as 0 from servers predating
-    /// this field.
-    pub uptime_secs: u64,
-    /// Filter family the store serves. Decodes as [`BackendKind::Bloom`]
-    /// from servers predating the backend selector.
-    pub backend: BackendKind,
-    /// Whether the store is in degraded read-only mode (WAL broken, writes
-    /// refused until a snapshot repairs it). Decodes as `false` from servers
-    /// predating degraded mode.
-    pub degraded: bool,
-}
-
-/// One shard's health snapshot on the wire.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WireShardStats {
-    /// Active generation id.
-    pub generation: u64,
-    /// Whether a rotation's rebuild is in flight.
-    pub rotating: bool,
-    /// Bits in the shard's active filter.
-    pub m: u64,
-    /// Indexes per item.
-    pub k: u32,
-    /// Insert calls served by the active generation.
-    pub inserted: u64,
-    /// Set bits in the active generation.
-    pub weight: u64,
-    /// Fill ratio `weight / m`.
-    pub fill: f64,
-    /// Estimated false-positive probability at the current fill.
-    pub estimated_fpp: f64,
-    /// Whether the fill trajectory looks like a pollution attack.
-    pub pollution_alarm: bool,
-}
-
-impl WireStats {
-    /// Builds the wire form of an in-process stats snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::TooLarge`] if the alarm count exceeds its `u32` wire
-    /// field (possible only on a store with more than `u32::MAX` shards).
-    pub fn from_stats(
-        stats: &StoreStats,
-        hardened: bool,
-        uptime_secs: u64,
-        degraded: bool,
-    ) -> Result<Self, WireError> {
-        Ok(WireStats {
-            hardened,
-            total_inserted: stats.total_inserted,
-            mean_fill: stats.mean_fill,
-            max_estimated_fpp: stats.max_estimated_fpp,
-            alarms: wire_count("alarm count", stats.alarms)?,
-            generation: stats.shards.iter().map(|s| s.generation).max().unwrap_or(0),
-            uptime_secs,
-            backend: stats.backend,
-            degraded,
-            shards: stats
-                .shards
-                .iter()
-                .map(|s| WireShardStats {
-                    generation: s.generation,
-                    rotating: s.rotating,
-                    m: s.m,
-                    k: s.k,
-                    inserted: s.inserted,
-                    weight: s.weight,
-                    fill: s.fill,
-                    estimated_fpp: s.estimated_fpp,
-                    pollution_alarm: s.pollution_alarm,
-                })
-                .collect(),
-        })
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
-        out.push(u8::from(self.hardened));
-        out.extend_from_slice(&self.total_inserted.to_le_bytes());
-        out.extend_from_slice(&self.mean_fill.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.max_estimated_fpp.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.alarms.to_le_bytes());
-        out.extend_from_slice(&wire_count("shard count", self.shards.len())?.to_le_bytes());
-        for shard in &self.shards {
-            out.extend_from_slice(&shard.generation.to_le_bytes());
-            out.push(u8::from(shard.rotating));
-            out.extend_from_slice(&shard.m.to_le_bytes());
-            out.extend_from_slice(&shard.k.to_le_bytes());
-            out.extend_from_slice(&shard.inserted.to_le_bytes());
-            out.extend_from_slice(&shard.weight.to_le_bytes());
-            out.extend_from_slice(&shard.fill.to_bits().to_le_bytes());
-            out.extend_from_slice(&shard.estimated_fpp.to_bits().to_le_bytes());
-            out.push(u8::from(shard.pollution_alarm));
-        }
-        // Appended after the original layout so old decoders (which stop at
-        // the shard array) and new decoders (which read the tail when it is
-        // present) both stay compatible. The backend byte rides after the
-        // generation/uptime pair, appended by servers with the backend
-        // selector; the degraded flag rides after the backend byte, appended
-        // by servers with degraded read-only mode.
-        out.extend_from_slice(&self.generation.to_le_bytes());
-        out.extend_from_slice(&self.uptime_secs.to_le_bytes());
-        out.push(self.backend.code());
-        out.push(u8::from(self.degraded));
-        Ok(())
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let hardened = r.flag()?;
-        let total_inserted = r.u64()?;
-        let mean_fill = r.f64()?;
-        let max_estimated_fpp = r.f64()?;
-        let alarms = r.u32()?;
-        let count = r.u32()? as usize;
-        // Each shard record is 54 encoded bytes (two u8 flags, one u32, six
-        // u64-sized fields); reject counts the body cannot hold before
-        // allocating.
-        const SHARD_RECORD_BYTES: usize = 8 + 1 + 8 + 4 + 8 + 8 + 8 + 8 + 1;
-        if count > r.remaining() / SHARD_RECORD_BYTES {
-            return Err(WireError::Malformed("shard count exceeds frame"));
-        }
-        let mut shards = Vec::with_capacity(count);
-        for _ in 0..count {
-            shards.push(WireShardStats {
-                generation: r.u64()?,
-                rotating: r.flag()?,
-                m: r.u64()?,
-                k: r.u32()?,
-                inserted: r.u64()?,
-                weight: r.u64()?,
-                fill: r.f64()?,
-                estimated_fpp: r.f64()?,
-                pollution_alarm: r.flag()?,
-            });
-        }
-        // Fields appended by newer servers: absent on the wire means a
-        // server predating them, not a malformed frame. The tail is strictly
-        // layered — the backend byte only ever rides after a full
-        // generation/uptime pair (it was introduced later), so a lone stray
-        // byte after the shard array is trailing garbage, not a backend code.
-        let (generation, uptime_secs, backend, degraded) = if r.remaining() >= 16 {
-            let generation = r.u64()?;
-            let uptime_secs = r.u64()?;
-            let (backend, degraded) = if r.remaining() >= 1 {
-                let backend = BackendKind::from_code(r.u8()?)
-                    .ok_or(WireError::Malformed("unknown backend code in stats"))?;
-                let degraded = if r.remaining() >= 1 { r.flag()? } else { false };
-                (backend, degraded)
-            } else {
-                (BackendKind::Bloom, false)
-            };
-            (generation, uptime_secs, backend, degraded)
-        } else {
-            (0, 0, BackendKind::Bloom, false)
-        };
-        Ok(WireStats {
-            hardened,
-            total_inserted,
-            mean_fill,
-            max_estimated_fpp,
-            alarms,
-            shards,
-            generation,
-            uptime_secs,
-            backend,
-            degraded,
-        })
-    }
-}
-
-/// One flight-recorder event as it travels over the wire, with its position
-/// in the recorder's history and its coarse uptime timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireTraceEvent {
-    /// The event's position in the recorder's history (monotonic across
-    /// ring wraps).
-    pub seq: u64,
-    /// Milliseconds since the recorder was built.
-    pub ts_ms: u64,
-    /// The recorded event.
-    pub event: TraceEvent,
-}
-
-/// One row of the per-connection suspect ranking on the wire.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WireSuspect {
-    /// The suspected connection.
-    pub conn_id: u64,
-    /// Its fresh-bits-per-inserted-item EWMA — the suspicion score. Honest
-    /// connections decay toward `k·(1−fill)`; crafted batches pin at `k`.
-    pub ewma_bits_per_item: f64,
-    /// Insert batches observed on the connection.
-    pub batches: u64,
-    /// Total items it inserted.
-    pub items: u64,
-    /// Total fresh bits those inserts set.
-    pub fresh_bits: u64,
-}
-
-/// One `(inserts, fresh_bits)` sample of the store's drift timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireDriftPoint {
-    /// Cumulative items inserted at sample time.
-    pub inserts: u64,
-    /// Cumulative fresh bits set at sample time.
-    pub fresh_bits: u64,
-}
-
-/// The server's forensic trace as it travels over the wire: flight-recorder
-/// events, the suspect ranking and the drift timeline.
-///
-/// The suspect and drift sections are an appended, strictly layered tail
-/// (like the [`WireStats`] tail fields): decoders read them only when
-/// present, so a frame that stops after the event list decodes with empty
-/// tables instead of erroring.
+/// The server's forensic trace as it travels over the wire: the flight
+/// recorder's counters and retained events, the suspect ranking and the
+/// drift timeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireTrace {
     /// Events ever recorded (including overwritten and dropped ones).
@@ -810,19 +580,87 @@ pub struct WireTrace {
     /// Events that scrolled out of the ring, overwritten by newer ones.
     pub overwritten: u64,
     /// The retained events, oldest first.
-    pub events: Vec<WireTraceEvent>,
+    pub events: Vec<RecordedEvent>,
     /// The top-K suspect ranking, most suspicious first.
-    pub suspects: Vec<WireSuspect>,
-    /// The recent drift timeline, oldest sample first.
-    pub drift: Vec<WireDriftPoint>,
+    pub suspects: Vec<ConnDrift>,
+    /// The recent `(inserts, fresh_bits)` drift timeline, oldest sample
+    /// first (see `StoreMetrics::drift_series`).
+    pub drift: Vec<(u64, u64)>,
 }
 
+/// Encoded size of one shard record: two `u8` flags, one `u32` and six
+/// `u64`-sized fields (the shard index is the record's position).
+const SHARD_RECORD_BYTES: usize = 8 + 1 + 8 + 4 + 8 + 8 + 8 + 8 + 1;
 /// Encoded size of one event record: seq + timestamp + kind byte + payload.
 const TRACE_EVENT_BYTES: usize = 8 + 8 + 1 + 8 * EVENT_PAYLOAD_WORDS;
 /// Encoded size of one suspect row.
 const TRACE_SUSPECT_BYTES: usize = 8 + 8 + 8 + 8 + 8;
 /// Encoded size of one drift sample.
 const TRACE_DRIFT_BYTES: usize = 8 + 8;
+
+fn encode_stats(stats: &StoreStats, out: &mut Vec<u8>) -> Result<(), WireError> {
+    out.push(u8::from(stats.hardened));
+    out.extend_from_slice(&stats.total_inserted.to_le_bytes());
+    out.extend_from_slice(&stats.mean_fill.to_bits().to_le_bytes());
+    out.extend_from_slice(&stats.max_estimated_fpp.to_bits().to_le_bytes());
+    out.extend_from_slice(&wire_count("alarm count", stats.alarms)?.to_le_bytes());
+    out.extend_from_slice(&wire_count("shard count", stats.shards.len())?.to_le_bytes());
+    for shard in &stats.shards {
+        out.extend_from_slice(&shard.generation.to_le_bytes());
+        out.push(u8::from(shard.rotating));
+        out.extend_from_slice(&shard.m.to_le_bytes());
+        out.extend_from_slice(&shard.k.to_le_bytes());
+        out.extend_from_slice(&shard.inserted.to_le_bytes());
+        out.extend_from_slice(&shard.weight.to_le_bytes());
+        out.extend_from_slice(&shard.fill.to_bits().to_le_bytes());
+        out.extend_from_slice(&shard.estimated_fpp.to_bits().to_le_bytes());
+        out.push(u8::from(shard.pollution_alarm));
+    }
+    out.push(stats.backend.code());
+    out.push(u8::from(stats.degraded));
+    Ok(())
+}
+
+fn decode_stats(r: &mut Reader<'_>) -> Result<StoreStats, WireError> {
+    let hardened = r.flag()?;
+    let total_inserted = r.u64()?;
+    let mean_fill = r.f64()?;
+    let max_estimated_fpp = r.f64()?;
+    let alarms = r.u32()? as usize;
+    let count = r.u32()? as usize;
+    // Reject counts the body cannot hold before allocating.
+    if count > r.remaining() / SHARD_RECORD_BYTES {
+        return Err(WireError::Malformed("shard count exceeds frame"));
+    }
+    let mut shards = Vec::with_capacity(count);
+    for shard in 0..count {
+        shards.push(ShardStats {
+            shard,
+            generation: r.u64()?,
+            rotating: r.flag()?,
+            m: r.u64()?,
+            k: r.u32()?,
+            inserted: r.u64()?,
+            weight: r.u64()?,
+            fill: r.f64()?,
+            estimated_fpp: r.f64()?,
+            pollution_alarm: r.flag()?,
+        });
+    }
+    let backend = BackendKind::from_code(r.u8()?)
+        .ok_or(WireError::Malformed("unknown backend code in stats"))?;
+    let degraded = r.flag()?;
+    Ok(StoreStats {
+        backend,
+        hardened,
+        degraded,
+        shards,
+        total_inserted,
+        mean_fill,
+        max_estimated_fpp,
+        alarms,
+    })
+}
 
 impl WireTrace {
     fn encode(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
@@ -839,9 +677,6 @@ impl WireTrace {
                 out.extend_from_slice(&word.to_le_bytes());
             }
         }
-        // Appended tail sections, strictly layered: the suspect table rides
-        // after the event list, the drift timeline only ever after a full
-        // suspect table. Decoders treat an absent section as empty.
         out.extend_from_slice(&wire_count("suspect count", self.suspects.len())?.to_le_bytes());
         for suspect in &self.suspects {
             out.extend_from_slice(&suspect.conn_id.to_le_bytes());
@@ -851,9 +686,9 @@ impl WireTrace {
             out.extend_from_slice(&suspect.fresh_bits.to_le_bytes());
         }
         out.extend_from_slice(&wire_count("drift count", self.drift.len())?.to_le_bytes());
-        for point in &self.drift {
-            out.extend_from_slice(&point.inserts.to_le_bytes());
-            out.extend_from_slice(&point.fresh_bits.to_le_bytes());
+        for (inserts, fresh_bits) in &self.drift {
+            out.extend_from_slice(&inserts.to_le_bytes());
+            out.extend_from_slice(&fresh_bits.to_le_bytes());
         }
         Ok(())
     }
@@ -877,36 +712,29 @@ impl WireTrace {
             }
             let event = TraceEvent::from_raw(kind, payload)
                 .ok_or(WireError::Malformed("unknown trace event kind"))?;
-            events.push(WireTraceEvent { seq, ts_ms, event });
+            events.push(RecordedEvent { seq, ts_ms, event });
         }
-        // Version-tolerant tails: a frame that ends after the event list is
-        // a server predating the suspect table (empty, not malformed); one
-        // that ends after the suspects predates the drift timeline.
-        let mut suspects = Vec::new();
-        if r.remaining() >= 4 {
-            let count = r.u32()? as usize;
-            if count > r.remaining() / TRACE_SUSPECT_BYTES {
-                return Err(WireError::Malformed("suspect count exceeds frame"));
-            }
-            for _ in 0..count {
-                suspects.push(WireSuspect {
-                    conn_id: r.u64()?,
-                    ewma_bits_per_item: r.f64()?,
-                    batches: r.u64()?,
-                    items: r.u64()?,
-                    fresh_bits: r.u64()?,
-                });
-            }
+        let count = r.u32()? as usize;
+        if count > r.remaining() / TRACE_SUSPECT_BYTES {
+            return Err(WireError::Malformed("suspect count exceeds frame"));
         }
-        let mut drift = Vec::new();
-        if r.remaining() >= 4 {
-            let count = r.u32()? as usize;
-            if count > r.remaining() / TRACE_DRIFT_BYTES {
-                return Err(WireError::Malformed("drift count exceeds frame"));
-            }
-            for _ in 0..count {
-                drift.push(WireDriftPoint { inserts: r.u64()?, fresh_bits: r.u64()? });
-            }
+        let mut suspects = Vec::with_capacity(count);
+        for _ in 0..count {
+            suspects.push(ConnDrift {
+                conn_id: r.u64()?,
+                ewma_bits_per_item: r.f64()?,
+                batches: r.u64()?,
+                items: r.u64()?,
+                fresh_bits: r.u64()?,
+            });
+        }
+        let count = r.u32()? as usize;
+        if count > r.remaining() / TRACE_DRIFT_BYTES {
+            return Err(WireError::Malformed("drift count exceeds frame"));
+        }
+        let mut drift = Vec::with_capacity(count);
+        for _ in 0..count {
+            drift.push((r.u64()?, r.u64()?));
         }
         Ok(WireTrace { recorded, dropped, overwritten, events, suspects, drift })
     }
@@ -976,8 +804,8 @@ impl WireTrace {
             );
         }
         out.push_str("-- drift timeline (inserts, fresh_bits) --\n");
-        for p in &self.drift {
-            let _ = writeln!(out, "({}, {})", p.inserts, p.fresh_bits);
+        for (inserts, fresh_bits) in &self.drift {
+            let _ = writeln!(out, "({inserts}, {fresh_bits})");
         }
         out
     }
@@ -1260,7 +1088,7 @@ mod tests {
         roundtrip_response(&Response::Rotated { generation: Some(4) });
         roundtrip_response(&Response::Rotated { generation: None });
         roundtrip_response(&Response::RotationCompleted(true));
-        roundtrip_response(&Response::Snapshotted(WireSnapshot {
+        roundtrip_response(&Response::Snapshotted(SnapshotInfo {
             seq: 12,
             wal_seq: 40,
             shards: 8,
@@ -1296,160 +1124,175 @@ mod tests {
         );
     }
 
-    #[test]
-    fn stats_roundtrip() {
-        let stats = WireStats {
-            hardened: true,
-            total_inserted: 12345,
-            mean_fill: 0.25,
-            max_estimated_fpp: 1e-3,
-            alarms: 2,
-            generation: 3,
-            uptime_secs: 7200,
+    fn sample_stats() -> StoreStats {
+        let shard =
+            |shard: usize, generation: u64, inserted: u64, weight: u64, fill: f64| ShardStats {
+                shard,
+                generation,
+                rotating: generation > 0,
+                m: 9586,
+                k: 7,
+                inserted,
+                weight,
+                fill,
+                estimated_fpp: if generation > 0 { 0.005 } else { 0.28 },
+                pollution_alarm: generation == 0,
+            };
+        StoreStats {
             backend: BackendKind::Counting,
+            hardened: true,
             degraded: true,
-            shards: vec![
-                WireShardStats {
-                    generation: 3,
-                    rotating: true,
-                    m: 9586,
-                    k: 7,
-                    inserted: 1000,
-                    weight: 4500,
-                    fill: 0.4694,
-                    estimated_fpp: 0.005,
-                    pollution_alarm: false,
-                },
-                WireShardStats {
-                    generation: 0,
-                    rotating: false,
-                    m: 9586,
-                    k: 7,
-                    inserted: 1200,
-                    weight: 8000,
-                    fill: 0.8345,
-                    estimated_fpp: 0.28,
-                    pollution_alarm: true,
-                },
-            ],
-        };
-        roundtrip_response(&Response::Stats(stats));
+            shards: vec![shard(0, 3, 1000, 4500, 0.4694), shard(1, 0, 1200, 8000, 0.8345)],
+            total_inserted: 2200,
+            mean_fill: 0.65195,
+            max_estimated_fpp: 0.28,
+            alarms: 1,
+        }
     }
 
     #[test]
-    fn stats_from_old_servers_decode_with_zero_tail_fields() {
-        // Version tolerance: a payload without the appended tail fields
-        // (generation, uptime, backend byte — an older server) must decode
-        // with zero/Bloom defaults, not error as truncated.
-        let stats = WireStats {
-            hardened: false,
-            total_inserted: 9,
-            mean_fill: 0.5,
-            max_estimated_fpp: 0.01,
-            alarms: 0,
-            generation: 11,
-            uptime_secs: 300,
-            backend: BackendKind::Scalable,
-            degraded: true,
-            shards: vec![],
-        };
+    fn stats_roundtrip() {
+        roundtrip_response(&Response::Stats(sample_stats()));
+        let empty = StoreStats { shards: vec![], alarms: 0, ..sample_stats() };
+        roundtrip_response(&Response::Stats(empty));
+    }
+
+    /// Encodes `response` and strips the length prefix.
+    fn payload_of(response: &Response) -> Vec<u8> {
         let mut frame = Vec::new();
-        Response::Stats(stats.clone()).encode(&mut frame).expect("encodes");
-        // Strip the 18-byte tail (16 + backend byte + degraded flag) and
-        // patch the length prefix, recreating the pre-field wire image.
-        frame.truncate(frame.len() - 18);
-        let len = (frame.len() - 4) as u32;
-        frame[..4].copy_from_slice(&len.to_le_bytes());
-        match Response::decode(&frame[4..]).expect("old layout decodes") {
-            Response::Stats(decoded) => {
-                assert_eq!(decoded.generation, 0);
-                assert_eq!(decoded.uptime_secs, 0);
-                assert_eq!(decoded.backend, BackendKind::Bloom);
-                assert!(!decoded.degraded);
-                assert_eq!(decoded.total_inserted, stats.total_inserted);
-            }
-            other => panic!("expected STATS, got {other:?}"),
+        response.encode(&mut frame).expect("encodes");
+        frame.split_off(4)
+    }
+
+    /// A version-1 frame's payload (length prefix stripped) from its hex.
+    fn v1_payload(hex: &str) -> Vec<u8> {
+        let bytes: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+            .collect();
+        assert_eq!(bytes[4], 1, "fixture is a version-1 frame");
+        bytes[4..].to_vec()
+    }
+
+    // Version-1 frames of the fixed replies below, recorded from the
+    // encoder that still carried them in per-reply wire structs.
+    const V1_SNAPSHOTTED: &str =
+        "1e00000001880c000000000000002800000000000000080000000000100000000000";
+    const V1_MINSERTED: &str = "0e0000000184030000001500000000000000";
+    const V1_TRACE: &str = "\
+        41010000018c28000000000000000100000000000000080000000000000003000000200000000000\
+        00000500000000000000010500000000000000000000000000000000000000000000000000000000\
+        00000000000000000000002100000000000000060000000000000003050000000000000004000000\
+        000000006400000000000000b50200000000000010a400000000000024000000000000000c000000\
+        00000000090300000000000000060000000000000009000000000000000000000000000000000000\
+        0000000000020000000500000000000000b81e85eb51b81b40060000000000000058020000000000\
+        004010000000000000020000000000000066666666666600400500000000000000f4010000000000\
+        004c04000000000000020000006400000000000000b502000000000000c8000000000000000a0500\
+        0000000000";
+    const V1_STATS: &str = "\
+        a100000001860198080000000000000612143fc6dce43fec51b81e85ebd13f010000000200000003\
+        0000000000000001722500000000000007000000e80300000000000094110000000000007b832f4c\
+        a60ade3f7b14ae47e17a743f00000000000000000000722500000000000007000000b00400000000\
+        0000401f0000000000004e62105839b4ea3fec51b81e85ebd13f010300000000000000201c000000\
+        0000000101";
+
+    /// Field-by-field check of the version-2 encoders against the version-1
+    /// ones: `SNAPSHOTTED`, `MINSERTED` and `TRACE` differ only in the
+    /// version byte; `STATS` also lost its top-level generation and uptime
+    /// words, which sat between the shard records and the backend byte.
+    #[test]
+    fn reply_bytes_match_the_version_1_fixtures() {
+        let snapshot = SnapshotInfo { seq: 12, wal_seq: 40, shards: 8, bytes: 1 << 20 };
+        let minserted = Response::BatchInserted { items: 3, fresh_bits: 21 };
+        let fixtures = [
+            (V1_SNAPSHOTTED, Response::Snapshotted(snapshot)),
+            (V1_MINSERTED, minserted),
+            (V1_TRACE, Response::Trace(fixture_trace())),
+        ];
+        for (hex, response) in fixtures {
+            let mut expected = v1_payload(hex);
+            expected[0] = PROTOCOL_VERSION;
+            assert_eq!(payload_of(&response), expected, "{}", response.name());
         }
+        let mut expected = v1_payload(V1_STATS);
+        expected[0] = PROTOCOL_VERSION;
+        let tail = expected.len() - 2;
+        expected.drain(tail - 16..tail);
+        assert_eq!(payload_of(&Response::Stats(sample_stats())), expected);
+    }
+
+    /// The `STATS` payload cut off before its backend byte and degraded
+    /// flag, i.e. right after the shard records.
+    fn stats_after_shards() -> Vec<u8> {
+        let stats = payload_of(&Response::Stats(sample_stats()));
+        stats[..stats.len() - 2].to_vec()
+    }
+
+    /// The generation and uptime words version 1 wrote after the shards.
+    fn v1_generation_uptime() -> Vec<u8> {
+        [2u64, 60].iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    /// A sample `TRACE` payload and the byte lengths of its suspect table
+    /// (with the drift timeline after it) and of its drift timeline.
+    fn trace_and_tails() -> (Vec<u8>, usize, usize) {
+        let trace = sample_trace();
+        let bytes = payload_of(&Response::Trace(trace.clone()));
+        let drift_tail = 4 + trace.drift.len() * TRACE_DRIFT_BYTES;
+        let suspect_tail = 4 + trace.suspects.len() * TRACE_SUSPECT_BYTES + drift_tail;
+        (bytes, suspect_tail, drift_tail)
+    }
+
+    // The five tests below pin short layouts the version-1 decoder once
+    // tolerated from older servers: each is now an error.
+
+    #[test]
+    fn stats_from_old_servers_decode_with_zero_tail_fields() {
+        assert_eq!(Response::decode(&stats_after_shards()), Err(WireError::Truncated));
     }
 
     #[test]
     fn stats_without_the_backend_byte_decode_as_bloom() {
-        // A server with the generation/uptime tail but not yet the backend
-        // byte (nor the degraded flag layered after it): strip both.
-        let stats = WireStats {
-            hardened: true,
-            total_inserted: 4,
-            mean_fill: 0.1,
-            max_estimated_fpp: 0.002,
-            alarms: 0,
-            generation: 2,
-            uptime_secs: 60,
-            backend: BackendKind::Counting,
-            degraded: true,
-            shards: vec![],
-        };
-        let mut frame = Vec::new();
-        Response::Stats(stats).encode(&mut frame).expect("encodes");
-        frame.truncate(frame.len() - 2);
-        let len = (frame.len() - 4) as u32;
-        frame[..4].copy_from_slice(&len.to_le_bytes());
-        match Response::decode(&frame[4..]).expect("tail-less layout decodes") {
-            Response::Stats(decoded) => {
-                assert_eq!(decoded.backend, BackendKind::Bloom);
-                assert!(!decoded.degraded);
-                assert_eq!(decoded.generation, 2);
-                assert_eq!(decoded.uptime_secs, 60);
-            }
-            other => panic!("expected STATS, got {other:?}"),
-        }
+        let payload = [stats_after_shards(), v1_generation_uptime()].concat();
+        assert_eq!(
+            Response::decode(&payload),
+            Err(WireError::Malformed("trailing bytes after body"))
+        );
     }
 
     #[test]
     fn stats_without_the_degraded_flag_decode_as_healthy() {
-        // A server with the backend byte but predating degraded mode: strip
-        // only the degraded flag.
-        let stats = WireStats {
-            hardened: true,
-            total_inserted: 4,
-            mean_fill: 0.1,
-            max_estimated_fpp: 0.002,
-            alarms: 0,
-            generation: 2,
-            uptime_secs: 60,
-            backend: BackendKind::Counting,
-            degraded: true,
-            shards: vec![],
-        };
-        let mut frame = Vec::new();
-        Response::Stats(stats).encode(&mut frame).expect("encodes");
-        frame.truncate(frame.len() - 1);
-        let len = (frame.len() - 4) as u32;
-        frame[..4].copy_from_slice(&len.to_le_bytes());
-        match Response::decode(&frame[4..]).expect("flag-less layout decodes") {
-            Response::Stats(decoded) => {
-                assert_eq!(decoded.backend, BackendKind::Counting);
-                assert!(!decoded.degraded);
-            }
-            other => panic!("expected STATS, got {other:?}"),
-        }
+        let backend = vec![BackendKind::Counting.code()];
+        let payload = [stats_after_shards(), v1_generation_uptime(), backend].concat();
+        assert_eq!(
+            Response::decode(&payload),
+            Err(WireError::Malformed("trailing bytes after body"))
+        );
+    }
+
+    #[test]
+    fn trace_without_the_suspect_tail_decodes_with_empty_tables() {
+        let (bytes, suspect_tail, _) = trace_and_tails();
+        let payload = &bytes[..bytes.len() - suspect_tail];
+        assert_eq!(Response::decode(payload), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn trace_without_the_drift_tail_decodes_with_an_empty_timeline() {
+        let (bytes, _, drift_tail) = trace_and_tails();
+        let payload = &bytes[..bytes.len() - drift_tail];
+        assert_eq!(Response::decode(payload), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn version_1_frames_are_refused() {
+        assert_eq!(Response::decode(&v1_payload(V1_STATS)), Err(WireError::BadVersion(1)));
     }
 
     #[test]
     fn unknown_backend_codes_in_stats_are_rejected() {
-        let stats = WireStats {
-            hardened: false,
-            total_inserted: 0,
-            mean_fill: 0.0,
-            max_estimated_fpp: 0.0,
-            alarms: 0,
-            generation: 0,
-            uptime_secs: 0,
-            backend: BackendKind::Bloom,
-            degraded: false,
-            shards: vec![],
-        };
         let mut frame = Vec::new();
-        Response::Stats(stats).encode(&mut frame).expect("encodes");
+        Response::Stats(sample_stats()).encode(&mut frame).expect("encodes");
         // The backend byte sits just before the trailing degraded flag.
         let backend_at = frame.len() - 2;
         frame[backend_at] = 0x7F;
@@ -1465,8 +1308,8 @@ mod tests {
             dropped: 1,
             overwritten: 8,
             events: vec![
-                WireTraceEvent { seq: 32, ts_ms: 5, event: TraceEvent::ConnOpened { conn_id: 5 } },
-                WireTraceEvent {
+                RecordedEvent { seq: 32, ts_ms: 5, event: TraceEvent::ConnOpened { conn_id: 5 } },
+                RecordedEvent {
                     seq: 33,
                     ts_ms: 6,
                     event: TraceEvent::BatchExecuted {
@@ -1477,27 +1320,27 @@ mod tests {
                         latency_ns: 42_000,
                     },
                 },
-                WireTraceEvent { seq: 34, ts_ms: 9, event: TraceEvent::AlarmTripped { shard: 2 } },
-                WireTraceEvent {
+                RecordedEvent { seq: 34, ts_ms: 9, event: TraceEvent::AlarmTripped { shard: 2 } },
+                RecordedEvent {
                     seq: 35,
                     ts_ms: 11,
                     event: TraceEvent::RotationBegun { shard: 2, generation: 1 },
                 },
-                WireTraceEvent {
+                RecordedEvent {
                     seq: 36,
                     ts_ms: 12,
                     event: TraceEvent::SlowRequest { conn_id: 3, opcode: 0x06, latency_ns: 9 },
                 },
             ],
             suspects: vec![
-                WireSuspect {
+                ConnDrift {
                     conn_id: 5,
                     ewma_bits_per_item: 6.93,
                     batches: 6,
                     items: 600,
                     fresh_bits: 4160,
                 },
-                WireSuspect {
+                ConnDrift {
                     conn_id: 2,
                     ewma_bits_per_item: 2.05,
                     batches: 5,
@@ -1505,11 +1348,16 @@ mod tests {
                     fresh_bits: 1100,
                 },
             ],
-            drift: vec![
-                WireDriftPoint { inserts: 100, fresh_bits: 693 },
-                WireDriftPoint { inserts: 200, fresh_bits: 1290 },
-            ],
+            drift: vec![(100, 693), (200, 1290)],
         }
+    }
+
+    /// [`sample_trace`] without the alarm and rotation events: the `TRACE`
+    /// reply of the version-1 fixture.
+    fn fixture_trace() -> WireTrace {
+        let mut trace = sample_trace();
+        trace.events.retain(|e| matches!(e.seq, 32 | 33 | 36));
+        trace
     }
 
     #[test]
@@ -1527,53 +1375,12 @@ mod tests {
     }
 
     #[test]
-    fn trace_without_the_suspect_tail_decodes_with_empty_tables() {
-        // Version tolerance: a frame that stops after the event list (a
-        // server predating the suspect table and drift timeline) decodes
-        // with empty tables, not an error.
-        let trace = sample_trace();
-        let mut frame = Vec::new();
-        Response::Trace(trace.clone()).encode(&mut frame).expect("encodes");
-        let tail = 4 + trace.suspects.len() * (8 + 8 + 8 + 8 + 8) + 4 + trace.drift.len() * (8 + 8);
-        frame.truncate(frame.len() - tail);
-        let len = (frame.len() - 4) as u32;
-        frame[..4].copy_from_slice(&len.to_le_bytes());
-        match Response::decode(&frame[4..]).expect("tail-less trace decodes") {
-            Response::Trace(decoded) => {
-                assert_eq!(decoded.events, trace.events);
-                assert_eq!(decoded.recorded, trace.recorded);
-                assert!(decoded.suspects.is_empty());
-                assert!(decoded.drift.is_empty());
-            }
-            other => panic!("expected TRACE, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn trace_without_the_drift_tail_decodes_with_an_empty_timeline() {
-        let trace = sample_trace();
-        let mut frame = Vec::new();
-        Response::Trace(trace.clone()).encode(&mut frame).expect("encodes");
-        let tail = 4 + trace.drift.len() * (8 + 8);
-        frame.truncate(frame.len() - tail);
-        let len = (frame.len() - 4) as u32;
-        frame[..4].copy_from_slice(&len.to_le_bytes());
-        match Response::decode(&frame[4..]).expect("drift-less trace decodes") {
-            Response::Trace(decoded) => {
-                assert_eq!(decoded.suspects, trace.suspects);
-                assert!(decoded.drift.is_empty());
-            }
-            other => panic!("expected TRACE, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn unknown_trace_event_kinds_are_rejected() {
         let trace = WireTrace {
             recorded: 1,
             dropped: 0,
             overwritten: 0,
-            events: vec![WireTraceEvent {
+            events: vec![RecordedEvent {
                 seq: 0,
                 ts_ms: 0,
                 event: TraceEvent::ConnOpened { conn_id: 1 },
@@ -1688,24 +1495,20 @@ mod tests {
 
     #[test]
     fn from_stats_rejects_alarm_counts_past_u32() {
-        // Regression for the silent `stats.alarms as u32` narrowing: a
-        // count past the wire field must error, not truncate. (Reaching it
-        // for real needs > u32::MAX shards; the host-side struct gets us to
-        // the boundary without them.)
-        let stats = StoreStats {
-            backend: BackendKind::Bloom,
-            shards: Vec::new(),
-            total_inserted: 0,
-            mean_fill: 0.0,
-            max_estimated_fpp: 0.0,
-            alarms: u32::MAX as usize + 1,
-        };
+        // A STATS reply built from store stats whose alarm count exceeds
+        // the u32 wire field must fail to encode, not truncate, and leave
+        // the output buffer as it was. (Reaching it for real needs more
+        // than u32::MAX shards; the host-side struct gets us to the
+        // boundary without them.)
+        let stats =
+            StoreStats { shards: Vec::new(), alarms: u32::MAX as usize + 1, ..sample_stats() };
+        let mut out = vec![0xAB];
         assert_eq!(
-            WireStats::from_stats(&stats, false, 0, false),
+            Response::Stats(stats.clone()).encode(&mut out),
             Err(WireError::TooLarge { what: "alarm count", value: u64::from(u32::MAX) + 1 })
         );
-        let fits = StoreStats { alarms: u32::MAX as usize, ..stats };
-        assert_eq!(WireStats::from_stats(&fits, false, 0, false).expect("fits").alarms, u32::MAX);
+        assert_eq!(out, [0xAB]);
+        roundtrip_response(&Response::Stats(StoreStats { alarms: u32::MAX as usize, ..stats }));
     }
 
     #[test]

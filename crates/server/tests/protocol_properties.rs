@@ -4,8 +4,8 @@
 
 use evilbloom_server::wire::{frame_bounds, DEFAULT_MAX_FRAME_BYTES};
 use evilbloom_server::{
-    Command, Response, TraceEvent, WireDriftPoint, WireShardStats, WireSnapshot, WireStats,
-    WireSuspect, WireTrace, WireTraceEvent,
+    Command, ConnDrift, RecordedEvent, Response, ShardStats, SnapshotInfo, StoreStats, TraceEvent,
+    WireTrace,
 };
 use evilbloom_store::BackendKind;
 use rand::rngs::StdRng;
@@ -84,8 +84,11 @@ impl OwnedCommand {
     }
 }
 
-fn random_shard_stats(rng: &mut StdRng) -> WireShardStats {
-    WireShardStats {
+/// A random shard record at position `shard` (the wire carries the index
+/// as the record's position, so only that value round-trips).
+fn random_shard_stats(rng: &mut StdRng, shard: usize) -> ShardStats {
+    ShardStats {
+        shard,
         generation: rng.next_u64(),
         rotating: rng.gen_range(0u32..2) == 1,
         m: rng.next_u64(),
@@ -139,14 +142,14 @@ fn random_trace(rng: &mut StdRng) -> WireTrace {
         dropped: rng.next_u64(),
         overwritten: rng.next_u64(),
         events: (0..events)
-            .map(|_| WireTraceEvent {
+            .map(|_| RecordedEvent {
                 seq: rng.next_u64(),
                 ts_ms: rng.next_u64(),
                 event: random_trace_event(rng),
             })
             .collect(),
         suspects: (0..suspects)
-            .map(|_| WireSuspect {
+            .map(|_| ConnDrift {
                 conn_id: rng.next_u64(),
                 ewma_bits_per_item: rng.gen_range(0.0f64..16.0),
                 batches: rng.next_u64(),
@@ -154,9 +157,7 @@ fn random_trace(rng: &mut StdRng) -> WireTrace {
                 fresh_bits: rng.next_u64(),
             })
             .collect(),
-        drift: (0..drift)
-            .map(|_| WireDriftPoint { inserts: rng.next_u64(), fresh_bits: rng.next_u64() })
-            .collect(),
+        drift: (0..drift).map(|_| (rng.next_u64(), rng.next_u64())).collect(),
     }
 }
 
@@ -175,24 +176,22 @@ fn random_response(rng: &mut StdRng) -> Response {
         }
         5 => {
             let shards = rng.gen_range(0usize..9);
-            Response::Stats(WireStats {
+            Response::Stats(StoreStats {
                 hardened: rng.gen_range(0u32..2) == 1,
                 total_inserted: rng.next_u64(),
                 mean_fill: rng.gen_range(0.0f64..1.0),
                 max_estimated_fpp: rng.gen_range(0.0f64..1.0),
-                alarms: rng.gen_range(0u64..1 << 32) as u32,
-                generation: rng.next_u64(),
-                uptime_secs: rng.next_u64(),
+                alarms: rng.gen_range(0u64..1 << 32) as usize,
                 backend: random_backend(rng),
                 degraded: rng.gen_range(0u32..2) == 1,
-                shards: (0..shards).map(|_| random_shard_stats(rng)).collect(),
+                shards: (0..shards).map(|shard| random_shard_stats(rng, shard)).collect(),
             })
         }
         6 => {
             Response::Rotated { generation: (rng.gen_range(0u32..2) == 1).then(|| rng.next_u64()) }
         }
         7 => Response::RotationCompleted(rng.gen_range(0u32..2) == 1),
-        8 => Response::Snapshotted(WireSnapshot {
+        8 => Response::Snapshotted(SnapshotInfo {
             seq: rng.next_u64(),
             wal_seq: rng.next_u64(),
             shards: rng.gen_range(0u64..1 << 32) as u32,
@@ -306,21 +305,9 @@ fn truncated_response_frames_are_rejected_or_self_consistent() {
                 Ok(reinterpreted) => {
                     let mut reencoded = Vec::new();
                     reinterpreted.encode(&mut reencoded).expect("encodes");
-                    let re = payload(&reencoded);
-                    // One deliberate exception to byte-identity: version
-                    // tolerance. A STATS payload cut exactly before its
-                    // appended generation/uptime/backend tail (or before
-                    // just the backend byte) is an older wire layout, which
-                    // decodes with the fields read as 0 / Bloom; likewise a
-                    // TRACE payload cut before its suspect and/or drift
-                    // tails decodes with empty tables. Re-encoding restores
-                    // each missing tail as zeros (Bloom's backend code is
-                    // 0; an empty table is a zero count).
-                    let compat_tail_restored = re.len() > cut
-                        && re[..cut] == body[..cut]
-                        && re[cut..].iter().all(|&b| b == 0);
-                    assert!(
-                        re == &body[..cut] || compat_tail_restored,
+                    assert_eq!(
+                        payload(&reencoded),
+                        &body[..cut],
                         "truncation at {cut} decoded to something it does not re-encode to"
                     );
                 }

@@ -75,7 +75,7 @@ fn connect_timeout_fails_fast_against_a_blackholed_listener() {
 fn resilient_client_survives_a_server_restart() {
     let _faults = fault_session();
     let store = small_store(3);
-    let handle = Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::default())
+    let handle = Server::spawn(store.clone(), "127.0.0.1:0", ServerConfig::default())
         .expect("bind loopback");
     let addr = handle.local_addr();
 
@@ -145,7 +145,7 @@ fn spawn_persistent(dir: &std::path::Path) -> (ServerHandle, Arc<BloomStore>) {
         .build();
     store.enable_persistence(&PersistConfig::new(dir)).expect("enable persistence");
     let store = Arc::new(store);
-    let handle = Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::default())
+    let handle = Server::spawn(store.clone(), "127.0.0.1:0", ServerConfig::default())
         .expect("bind loopback");
     (handle, store)
 }

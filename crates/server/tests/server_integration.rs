@@ -12,7 +12,9 @@ use evilbloom_server::{
     Client, ClientError, ClientPool, Command, Response, Server, ServerConfig, ServerHandle,
     POOL_FRAME_ITEMS,
 };
-use evilbloom_store::{BackendKind, BloomStore, ConcurrentCountingFilter, PersistConfig};
+use evilbloom_store::{
+    BackendKind, BloomStore, ConcurrentCountingFilter, FilterBackend, PersistConfig, StoreBuilder,
+};
 
 /// Unique scratch directory, removed on drop.
 struct TempDir(std::path::PathBuf);
@@ -38,7 +40,7 @@ fn spawn_on(hardened: bool, shards: usize) -> (ServerHandle, Arc<BloomStore>) {
     let builder = BloomStore::builder().shards(shards).capacity(4_000).target_fpp(0.01).seed(42);
     let builder = if hardened { builder.hardened() } else { builder.unhardened() };
     let store = Arc::new(builder.build());
-    let handle = Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::default())
+    let handle = Server::spawn(store.clone(), "127.0.0.1:0", ServerConfig::default())
         .expect("bind loopback");
     (handle, store)
 }
@@ -62,18 +64,9 @@ fn every_command_round_trips() {
 
     // The wire stats must agree with the in-process view.
     let remote = client.stats().expect("stats");
-    let local = store.stats();
     assert!(remote.hardened);
     assert_eq!(remote.backend, BackendKind::Bloom);
-    assert_eq!(remote.total_inserted, local.total_inserted);
-    assert_eq!(remote.alarms as usize, local.alarms);
-    assert_eq!(remote.shards.len(), local.shards.len());
-    for (wire, host) in remote.shards.iter().zip(&local.shards) {
-        assert_eq!(wire.m, host.m);
-        assert_eq!(wire.k, host.k);
-        assert_eq!(wire.inserted, host.inserted);
-        assert_eq!(wire.weight, host.weight);
-    }
+    assert_eq!(remote, store.stats());
 
     handle.shutdown();
 }
@@ -421,7 +414,7 @@ fn pooled_snapshot_round_trips() {
     let mut pool = ClientPool::connect(handle.local_addr(), 2).expect("pool");
     let items: Vec<String> = (0..300).map(|i| format!("pooled-{i}")).collect();
     pool.minsert_pooled(&items, 64).expect("pooled insert");
-    let info = pool.snapshot().expect("pooled snapshot");
+    let info = pool.with_connection(|c| c.snapshot()).expect("pooled snapshot");
     assert!(info.seq > 0);
     assert!(pool.mquery_pooled(&items, 64).expect("pooled query").iter().all(|&a| a));
     handle.shutdown();
@@ -530,16 +523,24 @@ fn stats_report_generation_and_uptime() {
     let mut client = Client::connect(handle.local_addr()).expect("connect");
 
     let before = client.stats().expect("stats");
-    assert_eq!(before.generation, 0, "fresh store starts at generation 0");
+    assert!(before.shards.iter().all(|s| s.generation == 0), "fresh store starts at generation 0");
 
-    // Rotating a shard must be visible in the reported generation.
+    // Rotating a shard must be visible in that shard's reported generation.
     let generation = client.rotate_begin(0).expect("rotate").expect("fresh rotation");
     assert!(generation > 0);
     let after = client.stats().expect("stats");
-    assert_eq!(after.generation, generation);
-    // Uptime only moves with wall time, but it must at least decode
-    // (old servers' frames decode it as 0; see the wire unit tests).
-    assert!(after.uptime_secs < 3600, "implausible uptime");
+    assert_eq!(after.shards[0].generation, generation);
+    assert!(after.shards[0].rotating);
+    assert_eq!(after.shards[1].generation, 0);
+    // Uptime is not part of STATS: it is reported once, as a METRICS gauge.
+    let text = client.metrics().expect("metrics");
+    let uptime: f64 = text
+        .lines()
+        .find_map(|line| line.strip_prefix("evilbloom_server_uptime_seconds "))
+        .expect("uptime gauge")
+        .parse()
+        .expect("uptime is a number");
+    assert!((0.0..3600.0).contains(&uptime), "implausible uptime {uptime}");
 
     handle.shutdown();
 }
@@ -548,7 +549,7 @@ fn stats_report_generation_and_uptime() {
 fn pooled_metrics_scrape_round_trips() {
     let (handle, _store) = spawn_on(true, 4);
     let mut pool = ClientPool::connect(handle.local_addr(), 2).expect("pool");
-    let text = pool.metrics().expect("pooled metrics");
+    let text = pool.with_connection(|c| c.metrics()).expect("pooled metrics");
     assert!(text.contains("evilbloom_server_uptime_seconds"), "{text}");
     handle.shutdown();
 }
@@ -660,7 +661,7 @@ fn scalable_store_serves_and_grows_over_tcp() {
             .build(),
     );
     let handle =
-        Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::default()).expect("bind");
+        Server::spawn(store.clone(), "127.0.0.1:0", ServerConfig::default()).expect("bind");
     let mut client = Client::connect(handle.local_addr()).expect("connect");
 
     let items: Vec<String> = (0..3_000).map(|i| format!("grow-{i}")).collect();
@@ -681,23 +682,32 @@ fn scalable_store_serves_and_grows_over_tcp() {
     handle.shutdown();
 }
 
-/// `ServerConfig::expect_store_backend` is a deployment assertion: spawning
-/// with a mismatched family is refused at bind time, a matching one binds.
+/// What a remote operator reads over `STATS` is exactly what the store
+/// holds: one `assert_eq!` over every field, for each family, hardened and
+/// not, on a quiescent store with a rotation in flight.
 #[test]
-fn backend_selector_refuses_a_mismatched_store() {
-    let store =
-        Arc::new(BloomStore::builder().shards(2).capacity(1_000).target_fpp(0.01).seed(1).build());
-    let config = ServerConfig::default().expect_store_backend(BackendKind::Counting);
-    let err = match Server::spawn(Arc::clone(&store), "127.0.0.1:0", config) {
-        Err(err) => err,
-        Ok(_) => panic!("a mismatched backend selector must refuse to spawn"),
-    };
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    assert!(err.to_string().contains("counting") && err.to_string().contains("bloom"), "{err}");
-
-    let config = ServerConfig::default().expect_store_backend(BackendKind::Bloom);
-    let handle = Server::spawn(store, "127.0.0.1:0", config).expect("matching selector binds");
-    handle.shutdown();
+fn remote_stats_equal_the_store_stats() {
+    fn check<B: FilterBackend + 'static>(builder: StoreBuilder<B>, hardened: bool) {
+        let builder = if hardened { builder.hardened() } else { builder.unhardened() };
+        let store = Arc::new(builder.build());
+        let handle = Server::spawn(store.clone(), "127.0.0.1:0", ServerConfig::default())
+            .expect("bind loopback");
+        let mut client = Client::connect(handle.local_addr()).expect("connect");
+        let items: Vec<String> = (0..1_500).map(|i| format!("remote-local-{i}")).collect();
+        client.insert_batch(&items).expect("minsert");
+        client.rotate_begin(1).expect("rotate").expect("fresh rotation");
+        let remote = client.stats().expect("stats");
+        assert_eq!(remote, store.stats(), "{} hardened={hardened}", store.backend_kind());
+        assert_eq!(remote.hardened, hardened);
+        drop(client);
+        handle.shutdown();
+    }
+    let builder = || BloomStore::builder().shards(4).capacity(1_000).target_fpp(0.01).seed(9);
+    for hardened in [false, true] {
+        check(builder(), hardened);
+        check(builder().counting(4), hardened);
+        check(builder().scalable(0.9), hardened);
+    }
 }
 
 /// The served family is visible to a metrics scraper as the
@@ -784,7 +794,8 @@ fn trace_scrape_surfaces_events_and_suspects() {
     // The scrape itself samples the store, so the drift timeline has at
     // least one point covering the inserts above.
     assert!(!trace.drift.is_empty(), "empty drift timeline");
-    assert_eq!(trace.drift.last().unwrap().inserts, 100);
+    let (inserts, _fresh_bits) = *trace.drift.last().unwrap();
+    assert_eq!(inserts, 100);
 
     let text = trace.render();
     assert!(text.contains("== evilbloom trace:"), "{text}");
@@ -801,7 +812,7 @@ fn pooled_trace_scrape_round_trips() {
     let (handle, _store) = spawn_on(true, 2);
     let mut pool = ClientPool::connect(handle.local_addr(), 2).expect("pool");
     pool.minsert_pooled(&["pooled-a", "pooled-b"], POOL_FRAME_ITEMS).expect("minsert");
-    let trace = pool.trace().expect("trace");
+    let trace = pool.with_connection(|c| c.trace()).expect("trace");
     assert!(trace.recorded > 0);
     assert!(trace.events.iter().any(|e| {
         matches!(e.event, evilbloom_server::TraceEvent::BatchExecuted { fresh_bits, .. } if fresh_bits > 0)

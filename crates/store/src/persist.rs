@@ -708,37 +708,38 @@ impl WalWriter {
             return Err(PersistError::WalBroken(e.clone()));
         }
         let buf = std::mem::take(&mut s.buf);
-        let upto = s.next_lsn - 1;
         let result = (|| {
             fault::check_io(FaultPoint::WalFsync)?;
             s.file.write_all(&buf)?;
             s.file.sync_data()?;
-            let seq = s.seq + 1;
-            let mut file = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(wal_path(&self.dir, seq))?;
-            file.write_all(&wal_header(seq))?;
-            file.sync_data()?;
-            Ok::<(File, u64), io::Error>((file, seq))
+            self.switch_segment(&mut s)
         })();
-        match result {
-            Ok((file, seq)) => {
-                s.file = file;
-                s.seq = seq;
-                s.segment_lsn = s.next_lsn;
-                s.written_lsn = upto;
-                s.durable_lsn = upto;
-                self.flushed.notify_all();
-                Ok(seq)
-            }
-            Err(e) => {
-                self.mark_broken(&mut s, &e);
-                self.flushed.notify_all();
-                Err(PersistError::Io(e))
-            }
+        if let Err(e) = &result {
+            self.mark_broken(&mut s, e);
         }
+        self.flushed.notify_all();
+        result.map_err(PersistError::Io)
+    }
+
+    /// Opens segment `seq + 1` (truncating any torn leftover), writes and
+    /// fsyncs its header, then switches appends to it: every LSN handed
+    /// out so far counts as written and durable. On error the state is
+    /// left as it was. Returns the new segment's seq.
+    fn switch_segment(&self, s: &mut WalState) -> io::Result<u64> {
+        let seq = s.seq + 1;
+        let mut file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(wal_path(&self.dir, seq))?;
+        file.write_all(&wal_header(seq))?;
+        file.sync_data()?;
+        s.file = file;
+        s.seq = seq;
+        s.segment_lsn = s.next_lsn;
+        s.written_lsn = s.next_lsn - 1;
+        s.durable_lsn = s.next_lsn - 1;
+        Ok(seq)
     }
 
     fn broken(&self) -> Option<String> {
@@ -765,32 +766,11 @@ impl WalWriter {
         while s.flushing {
             s = self.flushed.wait(s).expect("wal lock poisoned");
         }
-        let seq = s.seq + 1;
-        let result = (|| {
-            fault::check_io(FaultPoint::WalFsync)?;
-            let mut file = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(wal_path(&self.dir, seq))?;
-            file.write_all(&wal_header(seq))?;
-            file.sync_data()?;
-            Ok::<File, io::Error>(file)
-        })();
-        match result {
-            Ok(file) => {
-                s.file = file;
-                s.seq = seq;
-                s.segment_lsn = s.next_lsn;
-                s.buf.clear();
-                let upto = s.next_lsn - 1;
-                s.written_lsn = upto;
-                s.durable_lsn = upto;
-                self.flushed.notify_all();
-                Ok(seq)
-            }
-            Err(e) => Err(PersistError::Io(e)),
-        }
+        fault::check_io(FaultPoint::WalFsync)?;
+        let seq = self.switch_segment(&mut s)?;
+        s.buf.clear();
+        self.flushed.notify_all();
+        Ok(seq)
     }
 
     /// Clears the broken flag (and its gauges) after a successful repair

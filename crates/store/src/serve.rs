@@ -31,7 +31,7 @@
 
 use rand::RngCore;
 
-use evilbloom_filters::{BackendKind, FilterBackend};
+use evilbloom_filters::FilterBackend;
 
 use crate::metrics::StoreMetrics;
 use crate::persist::{PersistError, SnapshotInfo};
@@ -100,10 +100,6 @@ pub trait ServeStore: Send + Sync {
     /// [`WriteRefusal::Degraded`] while degraded.
     fn remove_batch(&self, items: &[&[u8]]) -> Result<Vec<bool>, WriteRefusal>;
 
-    /// Why the store is in degraded read-only mode, if it is (the original
-    /// WAL write error).
-    fn degraded(&self) -> Option<String>;
-
     /// Health snapshot (per-shard fill, fpp estimates, pollution alarms).
     fn stats(&self) -> StoreStats;
 
@@ -114,17 +110,8 @@ pub trait ServeStore: Send + Sync {
     /// The store's telemetry registry handle.
     fn metrics(&self) -> &StoreMetrics;
 
-    /// Whether routing and index derivation are secret-keyed.
-    fn is_hardened(&self) -> bool;
-
-    /// The filter family being served.
-    fn backend_kind(&self) -> BackendKind;
-
     /// Number of shards.
     fn shard_count(&self) -> usize;
-
-    /// Active generation id of a shard.
-    fn generation_id(&self, shard: usize) -> u64;
 
     /// Starts a rotation on `shard`, drawing any fresh key material from
     /// `rng`. Returns the new generation id, or `None` if a rotation is
@@ -175,10 +162,6 @@ impl<B: FilterBackend> ServeStore for BloomStore<B> {
         guarded(self, || BloomStore::remove_batch(self, items))
     }
 
-    fn degraded(&self) -> Option<String> {
-        BloomStore::degraded(self)
-    }
-
     fn stats(&self) -> StoreStats {
         BloomStore::stats(self)
     }
@@ -191,20 +174,8 @@ impl<B: FilterBackend> ServeStore for BloomStore<B> {
         BloomStore::metrics(self)
     }
 
-    fn is_hardened(&self) -> bool {
-        BloomStore::is_hardened(self)
-    }
-
-    fn backend_kind(&self) -> BackendKind {
-        BloomStore::backend_kind(self)
-    }
-
     fn shard_count(&self) -> usize {
         BloomStore::shard_count(self)
-    }
-
-    fn generation_id(&self, shard: usize) -> u64 {
-        BloomStore::generation_id(self, shard)
     }
 
     fn begin_rotation_dyn(&self, shard: usize, rng: &mut dyn RngCore) -> Option<u64> {
@@ -226,6 +197,7 @@ impl<B: FilterBackend> ServeStore for BloomStore<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evilbloom_filters::BackendKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
@@ -249,7 +221,7 @@ mod tests {
     #[test]
     fn every_family_serves_through_the_trait_object() {
         for (name, store) in all_backends() {
-            assert!(store.degraded().is_none(), "{name}");
+            assert!(!store.stats().degraded, "{name}");
             let outcome =
                 store.insert_batch(&[b"one".as_slice()]).expect("healthy store accepts writes");
             assert_eq!(outcome.fresh_bits, u64::from(store.stats().shards[0].k.max(1)), "{name}");
@@ -270,7 +242,7 @@ mod tests {
     fn remove_capability_matches_the_family() {
         for (name, store) in all_backends() {
             let result = store.remove_batch(&[b"one".as_slice()]);
-            match store.backend_kind() {
+            match store.stats().backend {
                 BackendKind::Counting => assert!(result.is_ok(), "{name}"),
                 kind => match result.unwrap_err() {
                     WriteRefusal::Unsupported(err) => assert_eq!(err.backend, kind, "{name}"),
@@ -291,7 +263,7 @@ mod tests {
             assert!(store.contains(b"old"), "{name}: draining generation answers");
             for shard in 0..store.shard_count() {
                 assert!(store.complete_rotation(shard), "{name}");
-                assert_eq!(store.generation_id(shard), 1, "{name}");
+                assert_eq!(store.stats().shards[shard].generation, 1, "{name}");
             }
             assert!(!store.contains(b"old"), "{name}: rotation dropped the old bits");
         }

@@ -73,6 +73,11 @@ pub struct StoreStats {
     /// Filter family the shards hold (what the wire-level `STATS` response
     /// reports so clients know whether `DELETE` will be honoured).
     pub backend: BackendKind,
+    /// Whether routing and index derivation are secret-keyed.
+    pub hardened: bool,
+    /// Whether the store is in degraded read-only mode (its WAL broke;
+    /// writes are refused until a snapshot repairs it).
+    pub degraded: bool,
     /// Per-shard statistics, indexed by shard.
     pub shards: Vec<ShardStats>,
     /// Total insert calls across shards (active generations).
@@ -88,8 +93,13 @@ pub struct StoreStats {
 
 impl StoreStats {
     /// Aggregates per-shard snapshots for a store of the given backend
-    /// family.
-    pub fn from_shards(backend: BackendKind, shards: Vec<ShardStats>) -> Self {
+    /// family, hardening posture and degraded state.
+    pub fn from_shards(
+        backend: BackendKind,
+        hardened: bool,
+        degraded: bool,
+        shards: Vec<ShardStats>,
+    ) -> Self {
         let total_inserted = shards.iter().map(|s| s.inserted).sum();
         let mean_fill = if shards.is_empty() {
             0.0
@@ -98,7 +108,16 @@ impl StoreStats {
         };
         let max_estimated_fpp = shards.iter().map(|s| s.estimated_fpp).fold(0.0f64, f64::max);
         let alarms = shards.iter().filter(|s| s.pollution_alarm).count();
-        StoreStats { backend, shards, total_inserted, mean_fill, max_estimated_fpp, alarms }
+        StoreStats {
+            backend,
+            hardened,
+            degraded,
+            shards,
+            total_inserted,
+            mean_fill,
+            max_estimated_fpp,
+            alarms,
+        }
     }
 }
 
@@ -147,6 +166,8 @@ mod tests {
         };
         let stats = StoreStats::from_shards(
             BackendKind::Counting,
+            false,
+            false,
             vec![shard(0, 0.3, 0.01, false), shard(1, 0.9, 0.65, true)],
         );
         assert_eq!(stats.backend, BackendKind::Counting);

@@ -1001,7 +1001,7 @@ impl<B: FilterBackend> BloomStore<B> {
                 })
             })
             .collect();
-        StoreStats::from_shards(B::KIND, shards)
+        StoreStats::from_shards(B::KIND, self.is_hardened(), self.degraded().is_some(), shards)
     }
 
     /// The store's runtime telemetry (see [`crate::metrics`]).

@@ -62,10 +62,8 @@ fn scalable_store(hardened: bool, seed: u64) -> BloomStore<ConcurrentScalableFil
 }
 
 fn spawn<B: FilterBackend + 'static>(store: BloomStore<B>) -> (ServerHandle, ClientPool) {
-    // The family selector doubles as a deployment assertion here: a matrix
-    // row that accidentally served the wrong family would fail at bind time.
-    let config = ServerConfig::default().expect_store_backend(B::KIND);
-    let handle = Server::spawn(Arc::new(store), "127.0.0.1:0", config).expect("bind loopback");
+    let handle = Server::spawn(Arc::new(store), "127.0.0.1:0", ServerConfig::default())
+        .expect("bind loopback");
     let pool = ClientPool::connect(handle.local_addr(), POOL).expect("connect pool");
     (handle, pool)
 }
@@ -216,13 +214,13 @@ fn ghost_forgery() {
 /// forces new slices, and the amplification is remotely visible in `STATS`.
 fn forced_growth() {
     let (handle, mut pool) = spawn(scalable_store(false, 2));
-    let before = pool.stats().expect("stats");
+    let before = pool.with_connection(|c| c.stats()).expect("stats");
     assert_eq!(before.backend, BackendKind::Scalable);
     let m_before: u64 = before.shards.iter().map(|s| s.m).sum();
 
     // Three times the configured capacity: every shard must grow slices.
     load(&mut pool, "overfill", 3 * CAPACITY);
-    let after = pool.stats().expect("stats");
+    let after = pool.with_connection(|c| c.stats()).expect("stats");
     let m_after: u64 = after.shards.iter().map(|s| s.m).sum();
     println!(
         "scalable forced growth    : {m_before} -> {m_after} bits over STATS \

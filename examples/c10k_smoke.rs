@@ -41,7 +41,7 @@ fn main() {
             .build(),
     );
     let handle =
-        Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::default()).expect("bind");
+        Server::spawn(store.clone(), "127.0.0.1:0", ServerConfig::default()).expect("bind");
     println!("serving on {}, opening {connections} connections", handle.local_addr());
 
     let started = Instant::now();

@@ -49,7 +49,7 @@ fn spawn() -> (ServerHandle, Arc<BloomStore>) {
             .seed(42)
             .build(),
     );
-    let handle = Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::default())
+    let handle = Server::spawn(store.clone(), "127.0.0.1:0", ServerConfig::default())
         .expect("bind loopback");
     (handle, store)
 }

@@ -42,7 +42,7 @@ fn spawn(hardened: bool) -> (ServerHandle, Arc<BloomStore>) {
         BloomStore::builder().shards(SHARDS).capacity(CAPACITY).target_fpp(TARGET_FPP).seed(42);
     let builder = if hardened { builder.hardened() } else { builder.unhardened() };
     let store = Arc::new(builder.build());
-    let handle = Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::default())
+    let handle = Server::spawn(store.clone(), "127.0.0.1:0", ServerConfig::default())
         .expect("bind loopback");
     (handle, store)
 }

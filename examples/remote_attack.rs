@@ -135,12 +135,8 @@ fn main() {
     );
 
     // STATS carries the pollution alarms to the (remote) operator.
-    let mut operator = unhardened.checkout_validated().expect("operator connection");
-    let unhardened_stats = operator.stats().expect("stats");
-    unhardened.checkin(operator);
-    let mut operator = hardened.checkout_validated().expect("operator connection");
-    let hardened_stats = operator.stats().expect("stats");
-    hardened.checkin(operator);
+    let unhardened_stats = unhardened.with_connection(|c| c.stats()).expect("stats");
+    let hardened_stats = hardened.with_connection(|c| c.stats()).expect("stats");
     println!(
         "pollution alarms over STATS           : unhardened {}/{SHARDS}, hardened {}/{SHARDS}",
         unhardened_stats.alarms, hardened_stats.alarms
@@ -159,17 +155,13 @@ fn main() {
 
     // Incident response over the wire: rotate every shard, replay the
     // corpus, complete — the polluted generations are dropped remotely.
-    let mut operator = unhardened.checkout_validated().expect("operator connection");
-    for shard in 0..SHARDS as u32 {
-        operator.rotate_begin(shard).expect("rotate begin");
-    }
-    unhardened.checkin(operator);
+    unhardened
+        .with_connection(|c| (0..SHARDS as u32).try_for_each(|s| c.rotate_begin(s).map(drop)))
+        .expect("rotate begin");
     load_remote(&mut unhardened, "public-web", CORPUS);
-    let mut operator = unhardened.checkout_validated().expect("operator connection");
-    for shard in 0..SHARDS as u32 {
-        operator.rotate_complete(shard).expect("rotate complete");
-    }
-    unhardened.checkin(operator);
+    unhardened
+        .with_connection(|c| (0..SHARDS as u32).try_for_each(|s| c.rotate_complete(s).map(drop)))
+        .expect("rotate complete");
     let rotated_fpp = remote_fpp(&mut unhardened);
     println!(
         "unhardened after ROTATE + replay      : {rotated_fpp:.5}  \

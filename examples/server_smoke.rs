@@ -31,7 +31,7 @@ fn main() {
             .build(),
     );
     let handle =
-        Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::default()).expect("bind");
+        Server::spawn(store.clone(), "127.0.0.1:0", ServerConfig::default()).expect("bind");
     println!("serving on {}", handle.local_addr());
 
     let mut client = Client::connect(handle.local_addr()).expect("connect");
