@@ -385,7 +385,10 @@ impl Suite {
         if self.family_selected("concurrent/") || self.family_selected("store/") {
             self.batch_workloads(&mut timings, &members, &probes);
         }
-        if self.selected("store/snapshot_while_serving") || self.selected("store/recovery_replay") {
+        if self.selected("store/wal_insert_batch")
+            || self.selected("store/snapshot_while_serving")
+            || self.selected("store/recovery_replay")
+        {
             self.persistence_workloads(&mut timings, &members, &probes);
         }
         if server_selected {
@@ -582,11 +585,13 @@ impl Suite {
         });
     }
 
-    /// Durability workloads: per-snapshot cost while live query traffic
-    /// keeps hammering the shards (the racy-copy design means the snapshot
-    /// never blocks readers — this measures what the *snapshot* pays, not
-    /// what the serving path pays), and cold-start recovery (newest-snapshot
-    /// load + WAL replay + post-recovery fold snapshot), reported as ns per
+    /// Durability workloads: `store/insert_batch` through an `OsOnly`
+    /// write-ahead log (what a durable server pays per item to append),
+    /// per-snapshot cost while live query traffic keeps hammering the
+    /// shards (the racy-copy design means the snapshot never blocks
+    /// readers — this measures what the *snapshot* pays, not what the
+    /// serving path pays), and cold-start recovery (newest-snapshot load +
+    /// WAL replay + post-recovery fold snapshot), reported as ns per
     /// replayed insert.
     fn persistence_workloads(
         &self,
@@ -598,6 +603,30 @@ impl Suite {
 
         let scratch =
             std::env::temp_dir().join(format!("evilbloom-perf-persist-{}", std::process::id()));
+
+        if self.selected("store/wal_insert_batch") {
+            let dir = scratch.join("wal");
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("create wal dir");
+            // Unhardened: hardened stores refuse persistence.
+            let mut store = BloomStore::builder()
+                .shards(8)
+                .capacity(self.filter_capacity)
+                .target_fpp(0.01)
+                .unhardened()
+                .seed(42)
+                .build();
+            store.insert_batch(members);
+            store.enable_persistence(&PersistConfig::new(&dir)).expect("enable persistence");
+            let batch = self.batch;
+            let mut offset = 0usize;
+            self.time(out, "store/wal_insert_batch", batch as u64, || {
+                offset = (offset + batch) % members.len().saturating_sub(batch).max(1);
+                store.insert_batch(&members[offset..offset + batch])
+            });
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
 
         if self.selected("store/snapshot_while_serving") {
             let dir = scratch.join("snapshot");
@@ -682,6 +711,9 @@ impl Suite {
             });
             let _ = std::fs::remove_dir_all(&dir);
         }
+        // Each row removed its own subdirectory; the per-process parent goes
+        // too, or every run leaves one empty directory in the temp dir.
+        let _ = std::fs::remove_dir(&scratch);
     }
 
     /// The hardened query server — the recommended serving posture,

@@ -72,6 +72,7 @@ pub const WORKLOAD_IDS: &[&str] = &[
     "store/counting_insert_batch",
     "store/counting_query_batch",
     "store/counting_remove_batch",
+    "store/wal_insert_batch",
     "store/snapshot_while_serving",
     "store/recovery_replay",
     "server/query",

@@ -109,11 +109,31 @@ impl HashStrategy for KeyedPair {
 /// Derives the `k` Kirsch–Mitzenmacher indexes `g_i = h1 + i·h2 mod m` from a
 /// precomputed pair: the one Kirsch–Mitzenmacher index loop, behind every
 /// [`KmIndexes`].
+///
+/// `h1` and `h2` are reduced mod `m` once; each further index is the
+/// additive recurrence `g_{i+1} = g_i + h2 (mod m)` (Kirsch & Mitzenmacher,
+/// "Less Hashing, Same Performance", ESA 2006). Since `g_i, h2 < m`, one
+/// conditional subtraction of `m` wraps the sum, so `k` indexes cost two
+/// divisions rather than `2k + 2`. The wrap is `min(next, next - m)` with
+/// a wrapping subtraction (for `next < m` it wraps above `next`, so `min`
+/// keeps `next`), which compiles to a conditional move: whether a sum
+/// wraps is a coin flip, and a branch on it would be mispredicted about
+/// once per two indexes.
+///
+/// Domain: the result equals the direct formula `(h1 + (i·h2 mod m)) mod m`
+/// whenever `(k − 1)(m − 1) < 2^64`, so `i·h2` cannot overflow, and
+/// `m ≤ 2^63`, so `g_i + h2` cannot. Filters stay far inside both (a filter
+/// of 2^58 bits would be 32 PiB); neither is checked on this hot path.
 #[inline]
 pub fn km_indexes_from_pair(pair: (u64, u64), k: u32, m: u64) -> impl Iterator<Item = u64> {
-    let h1 = pair.0 % m;
     let h2 = pair.1 % m;
-    (0..u64::from(k)).map(move |i| (h1 + i.wrapping_mul(h2) % m) % m)
+    let mut g = pair.0 % m;
+    (0..k).map(move |_| {
+        let index = g;
+        let next = g + h2;
+        g = next.min(next.wrapping_sub(m));
+        index
+    })
 }
 
 /// Kirsch–Mitzenmacher double hashing over any [`HashStrategy`] pair source,
@@ -232,6 +252,41 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), 7);
         assert!(a.iter().all(|&i| i < 4099));
+    }
+
+    /// The direct double-modulo formula the recurrence replaced, on the
+    /// inputs it is defined for (`(k − 1)(m − 1) < 2^64`).
+    fn km_direct(pair: (u64, u64), k: u32, m: u64) -> Vec<u64> {
+        let h1 = pair.0 % m;
+        let h2 = pair.1 % m;
+        (0..u64::from(k)).map(|i| (h1 + i.wrapping_mul(h2) % m) % m).collect()
+    }
+
+    #[test]
+    fn km_recurrence_matches_the_direct_formula() {
+        let mut state = 0x4B4D_0001_u64;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state ^ (state >> 29)
+        };
+        let ms = [1, 2, 3, 97, 95_851, 1 << 20, 7_189_248, (1 << 40) + 1];
+        for _ in 0..10_000 {
+            let pair = (next(), next());
+            for k in [1, 2, 7, 16, 32] {
+                for m in ms {
+                    let got: Vec<u64> = km_indexes_from_pair(pair, k, m).collect();
+                    assert_eq!(got, km_direct(pair, k, m), "pair {pair:?} k={k} m={m}");
+                }
+            }
+        }
+        // Pairs at the edges of the wrap (h1 = m − 1 with h2 = m − 1 or 0),
+        // an all-ones pair and a zero h1.
+        for m in ms {
+            for pair in [(m - 1, m - 1), (m - 1, 0), (u64::MAX, u64::MAX), (0, 1)] {
+                let got: Vec<u64> = km_indexes_from_pair(pair, 32, m).collect();
+                assert_eq!(got, km_direct(pair, 32, m), "pair {pair:?} m={m}");
+            }
+        }
     }
 
     #[test]

@@ -66,7 +66,15 @@
 //! generation record's words straight to [`FilterBackend::from_words`];
 //! it then replays each WAL segment record by record through one reused
 //! buffer. Both sides share one record framing (`RecordWriter` and
-//! `RecordReader`).
+//! `RecordReader`); WAL records take the same framing encoded in place
+//! (`encode_record`), straight into the segment buffer, which the
+//! group-commit leader hands back after each flush so appends reuse its
+//! capacity.
+//!
+//! Every record is guarded by a CRC-32 over the reflected IEEE polynomial,
+//! computed by slicing-by-8 (eight bytes per step over eight `const`
+//! tables). It equals the bytewise loop bit for bit, so format version 3's
+//! bytes are unchanged.
 //!
 //! ## Recovery
 //!
@@ -329,10 +337,15 @@ const READ_BUFFER: usize = 64 * 1024;
 /// Words the snapshot encoder converts to bytes per write.
 const WORDS_PER_CHUNK: usize = 512;
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+/// Slicing-by-8 tables (Kounavis & Berry, "A Systematic Approach to
+/// Building High Performance Software-Based CRC Generators", ISCC 2005):
+/// `CRC_TABLES[0]` is the classic bytewise table of the reflected IEEE
+/// polynomial `0xEDB88320`, and `CRC_TABLES[s][b]` is the register after
+/// byte `b` is followed by `s` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -341,17 +354,44 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut s = 1;
+        while s < 8 {
+            let prev = tables[s - 1][i];
+            tables[s][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            s += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
 /// Folds `bytes` into a running CRC-32 register (start from `!0`, finish
 /// with `!`), so a record can be checksummed piece by piece as it streams.
+/// Eight bytes take one step of eight table lookups (slicing-by-8); the
+/// tail of fewer than eight goes byte by byte. Same IEEE polynomial as the
+/// bytewise loop, so every format-3 byte on disk is unchanged.
 fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let t = &CRC_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let lo = c ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c
 }
@@ -359,6 +399,15 @@ fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
 /// CRC-32 (IEEE 802.3), the checksum guarding every record.
 pub fn crc32(bytes: &[u8]) -> u32 {
     !crc32_update(!0, bytes)
+}
+
+/// The length prefix of a `body_len`-byte record body. The reader refuses a
+/// body over the cap, so writing one would lose it on recovery.
+fn record_len(body_len: usize) -> io::Result<u32> {
+    u32::try_from(body_len)
+        .ok()
+        .filter(|&len| len <= MAX_RECORD_BYTES)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "record exceeds the cap"))
 }
 
 /// Streams one framed record, `[body_len u32][type u8][body][crc32]` with
@@ -372,12 +421,7 @@ struct RecordWriter<'a, W: Write> {
 
 impl<'a, W: Write> RecordWriter<'a, W> {
     fn begin(out: &'a mut W, kind: u8, body_len: usize) -> io::Result<Self> {
-        // The reader refuses a body over the cap, so writing one would lose
-        // it on recovery.
-        let len = u32::try_from(body_len)
-            .ok()
-            .filter(|&len| len <= MAX_RECORD_BYTES)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "record exceeds the cap"))?;
+        let len = record_len(body_len)?;
         out.write_all(&len.to_le_bytes())?;
         out.write_all(&[kind])?;
         Ok(RecordWriter { out, crc: crc32_update(!0, &[kind]), left: body_len })
@@ -401,6 +445,29 @@ fn put_record(out: &mut impl Write, kind: u8, body: &[u8]) -> io::Result<()> {
     let mut record = RecordWriter::begin(out, kind, body.len())?;
     record.put(body)?;
     record.finish()
+}
+
+/// Encodes one framed record straight onto the end of `out`, with the same
+/// framing as [`RecordWriter`]: `body` appends exactly `body_len` bytes in
+/// place, and the CRC then covers type + body in one pass. The cap is
+/// checked before the first byte is appended, so a refused record leaves
+/// `out` untouched.
+fn encode_record(
+    out: &mut Vec<u8>,
+    kind: u8,
+    body_len: usize,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<()> {
+    let len = record_len(body_len)?;
+    out.reserve(4 + 1 + body_len + 4);
+    out.extend_from_slice(&len.to_le_bytes());
+    let start = out.len();
+    out.push(kind);
+    body(out);
+    debug_assert_eq!(out.len() - start - 1, body_len, "record body disagrees with its length");
+    let crc = !crc32_update(!0, &out[start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
 /// What the next [`RecordReader::next`] call found.
@@ -656,7 +723,7 @@ impl WalWriter {
             // append so far, ours and any group-commit followers') and
             // write + fsync it outside the lock.
             s.flushing = true;
-            let buf = std::mem::take(&mut s.buf);
+            let mut buf = std::mem::take(&mut s.buf);
             let upto = s.next_lsn - 1;
             let batch = upto.saturating_sub(s.written_lsn);
             let file = s.file.try_clone();
@@ -679,6 +746,14 @@ impl WalWriter {
             });
             s = self.state.lock().expect("wal lock poisoned");
             s.flushing = false;
+            // Hand the drained buffer back, so appends reuse its capacity
+            // instead of regrowing a fresh `Vec` after every flush. If a
+            // follower appended meanwhile, the shared buffer holds its
+            // records and stays.
+            if s.buf.is_empty() {
+                buf.clear();
+                s.buf = buf;
+            }
             match result {
                 Ok(()) => {
                     if batch > 0 {
@@ -878,17 +953,17 @@ impl StorePersistence {
         items: &[&[u8]],
     ) -> Option<u64> {
         let wal = self.wal.as_ref()?;
+        let payload: usize = items.iter().map(|i| 4 + i.len()).sum();
         wal.append(|out| {
-            let payload: usize = items.iter().map(|i| 4 + i.len()).sum();
-            let mut body = Vec::with_capacity(4 + 8 + 4 + payload);
-            body.extend_from_slice(&(shard as u32).to_le_bytes());
-            body.extend_from_slice(&generation.to_le_bytes());
-            body.extend_from_slice(&(items.len() as u32).to_le_bytes());
-            for item in items {
-                body.extend_from_slice(&(item.len() as u32).to_le_bytes());
-                body.extend_from_slice(item);
-            }
-            put_record(out, op.record_kind(), &body)
+            encode_record(out, op.record_kind(), 4 + 8 + 4 + payload, |body| {
+                body.extend_from_slice(&(shard as u32).to_le_bytes());
+                body.extend_from_slice(&generation.to_le_bytes());
+                body.extend_from_slice(&(items.len() as u32).to_le_bytes());
+                for item in items {
+                    body.extend_from_slice(&(item.len() as u32).to_le_bytes());
+                    body.extend_from_slice(item);
+                }
+            })
         })
     }
 
@@ -897,10 +972,10 @@ impl StorePersistence {
         let wal = self.wal.as_ref()?;
         let kind = if begin { REC_WAL_ROTATE_BEGIN } else { REC_WAL_ROTATE_COMPLETE };
         wal.append(|out| {
-            let mut body = Vec::with_capacity(12);
-            body.extend_from_slice(&(shard as u32).to_le_bytes());
-            body.extend_from_slice(&generation.to_le_bytes());
-            put_record(out, kind, &body)
+            encode_record(out, kind, 4 + 8, |body| {
+                body.extend_from_slice(&(shard as u32).to_le_bytes());
+                body.extend_from_slice(&generation.to_le_bytes());
+            })
         })
     }
 
@@ -1483,6 +1558,78 @@ mod tests {
         // The classic check value: CRC-32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bytewise CRC-32 loop, one table lookup per byte: the reference
+    /// the sliced [`crc32_update`] must agree with.
+    fn crc32_bytewise(mut c: u32, bytes: &[u8]) -> u32 {
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c
+    }
+
+    /// Seeded LCG bytes.
+    fn soup(len: usize, mut state: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_loop() {
+        // Every length 0..=64 at every start offset 0..8 walks each table
+        // and every head/tail split of a slicing step.
+        let bytes = soup(64 + 8, 0xC3C3_0001);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let piece = &bytes[start..start + len];
+                assert_eq!(
+                    crc32_update(!0, piece),
+                    crc32_bytewise(!0, piece),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+        let big = soup(1 << 20, 0xC3C3_0002);
+        assert_eq!(crc32_update(!0, &big), crc32_bytewise(!0, &big), "1 MiB");
+    }
+
+    #[test]
+    fn crc32_update_streams_across_any_split() {
+        // The snapshot writer checksums a record piece by piece.
+        let bytes = soup(100, 0xC3C3_0003);
+        let whole = crc32_update(!0, &bytes);
+        for cut in 0..=bytes.len() {
+            let (head, tail) = bytes.split_at(cut);
+            assert_eq!(crc32_update(crc32_update(!0, head), tail), whole, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn in_place_records_match_the_streamed_framing() {
+        let mut in_place = vec![0xAA];
+        encode_record(&mut in_place, 0x42, 5, |out| out.extend_from_slice(b"hello"))
+            .expect("under the cap");
+        encode_record(&mut in_place, 0x43, 0, |_| {}).expect("under the cap");
+        let mut streamed = vec![0xAA];
+        put_record(&mut streamed, 0x42, b"hello").expect("a Vec sink never fails");
+        put_record(&mut streamed, 0x43, b"").expect("a Vec sink never fails");
+        assert_eq!(in_place, streamed);
+    }
+
+    #[test]
+    fn an_over_cap_record_leaves_the_buffer_untouched() {
+        let mut out = b"earlier records".to_vec();
+        let over = MAX_RECORD_BYTES as usize + 1;
+        let refused = encode_record(&mut out, REC_WAL_INSERT, over, |_| {
+            unreachable!("the cap is checked before the body is encoded")
+        });
+        assert_eq!(refused.expect_err("over the cap").kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(out, b"earlier records");
     }
 
     /// Hands out at most `step` bytes per `read`, as a file or a buffer
