@@ -6,13 +6,14 @@
 //! * [`HardeningLevel::WorstCaseParameters`] — keep a fast unkeyed hash but
 //!   choose `k = m/(en)` so the *adversarial* false-positive probability is
 //!   minimised (defeats chosen-insertion adversaries, not query-only ones);
-//! * [`HardeningLevel::KeyedSipHash`] — derive indexes with SipHash-2-4 under
-//!   a secret key (defeats every adversary, cheapest keyed option);
+//! * [`HardeningLevel::KeyedSipHash`] — derive indexes with SipHash-2-4-128
+//!   under a secret key (defeats every adversary, cheapest keyed option);
 //! * [`HardeningLevel::KeyedHmac`] — derive indexes with HMAC-SHA-256 under
 //!   a secret key (defeats every adversary, strongest margin).
 //!
-//! Both keyed levels make exactly two PRF calls per item, whatever `k`: the
-//! keyed pair `(mac(x, 0), mac(x, 1))` ([`KeyedPair`]) feeds the same
+//! Both keyed levels make exactly one PRF call per item, whatever `k`: the
+//! keyed pair `mac_pair(x)` ([`KeyedPair`]) — one SipHash-2-4-128 call, or
+//! the leading 16 bytes of one HMAC tag — feeds the same
 //! Kirsch–Mitzenmacher loop ([`KmIndexes`]) the unkeyed Dablooms-style
 //! strategy runs.
 //! Double hashing keeps the defence intact: without the key nobody can
@@ -222,8 +223,8 @@ mod tests {
     }
 
     /// The keyed levels derive their indexes by Kirsch–Mitzenmacher double
-    /// hashing over the keyed pair `(mac(x, 0), mac(x, 1))`: two PRF calls
-    /// per item, whatever `k`.
+    /// hashing over the keyed pair `mac_pair(x)`: one PRF call per item,
+    /// whatever `k`.
     #[test]
     fn keyed_levels_derive_km_indexes_from_a_keyed_pair() {
         let key = key();
@@ -236,11 +237,8 @@ mod tests {
             for k in [1u32, 7, 16] {
                 for i in 0..50 {
                     let item = format!("item-{i}");
-                    let pair = (
-                        mac.mac_with_tweak(item.as_bytes(), 0),
-                        mac.mac_with_tweak(item.as_bytes(), 1),
-                    );
-                    let expect: Vec<u64> = km_indexes_from_pair(pair, k, params.m).collect();
+                    let expect: Vec<u64> =
+                        km_indexes_from_pair(mac.mac_pair(item.as_bytes()), k, params.m).collect();
                     assert_eq!(
                         strategy.indexes(item.as_bytes(), k, params.m),
                         expect,
@@ -248,6 +246,33 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Guards the statistics of the keyed pair, not only its definition: a
+    /// pair whose second word is degenerate — `(h1, h1)` or `(h1, 0)` — still
+    /// passes every membership test, but pushes the measured false-positive
+    /// rate of a 1%-sized filter to about 10%. Each keyed level must land
+    /// within ±25% of `(1 − e^(−kn/m))^k` over 200,000 never-inserted items
+    /// (about 2,000 expected false positives, so ±25% is over ten standard
+    /// deviations).
+    #[test]
+    fn keyed_levels_meet_the_designed_false_positive_rate() {
+        const N: u64 = 10_000;
+        const PROBES: u64 = 200_000;
+        for level in [HardeningLevel::KeyedSipHash, HardeningLevel::KeyedHmac] {
+            let filter = hardened_filter(N, 0.01, level, &key());
+            for i in 0..N {
+                filter.insert(format!("member-{i}").as_bytes());
+            }
+            let false_positives =
+                (0..PROBES).filter(|i| filter.contains(format!("probe-{i}").as_bytes())).count();
+            let measured = false_positives as f64 / PROBES as f64;
+            let expected = hardened_params(N, 0.01, level).expected_fpp();
+            assert!(
+                (measured / expected - 1.0).abs() <= 0.25,
+                "{level:?}: measured fpp {measured:.5}, expected {expected:.5}"
+            );
         }
     }
 

@@ -18,8 +18,9 @@
 //!   used the full digest); predictable, hence attackable;
 //! * any [`Hasher64`] — its seed-0 and seed-1 digests, the classic
 //!   formulation behind [`crate::KirschMitzenmacher`]; predictable;
-//! * [`KeyedPair`] — two tweaked calls of a secret-keyed [`KeyedHash64`]
-//!   (SipHash/HMAC), the Section 8.2 countermeasure carried over to the
+//! * [`KeyedPair`] — **one** 128-bit call of a secret-keyed [`KeyedHash64`]
+//!   ([`KeyedHash64::mac_pair`]: SipHash-2-4-128, or the leading 16 bytes of
+//!   one HMAC tag), the Section 8.2 countermeasure carried over to the
 //!   double-hashing world; **unpredictable** without the key.
 
 use crate::traits::{Hasher64, KeyedHash64};
@@ -72,15 +73,16 @@ impl<H: Hasher64> HashStrategy for H {
     }
 }
 
-/// Two tweaked calls of a secret-keyed PRF — the keyed countermeasure for
-/// pair-consuming filters. Without the key the adversary cannot evaluate the
-/// pair, so none of the offline searches apply.
+/// One 128-bit call of a secret-keyed PRF ([`KeyedHash64::mac_pair`]) —
+/// the keyed countermeasure for pair-consuming filters. Without the key the
+/// adversary cannot evaluate the pair, so none of the offline searches
+/// apply.
 pub struct KeyedPair {
     prf: Box<dyn KeyedHash64>,
 }
 
 impl KeyedPair {
-    /// Uses `prf` with tweaks 0 and 1.
+    /// Takes each pair from one [`KeyedHash64::mac_pair`] call of `prf`.
     pub fn new(prf: Box<dyn KeyedHash64>) -> Self {
         KeyedPair { prf }
     }
@@ -94,7 +96,7 @@ impl core::fmt::Debug for KeyedPair {
 
 impl HashStrategy for KeyedPair {
     fn hash_pair(&self, item: &[u8]) -> (u64, u64) {
-        (self.prf.mac_with_tweak(item, 0), self.prf.mac_with_tweak(item, 1))
+        self.prf.mac_pair(item)
     }
 
     fn name(&self) -> &'static str {

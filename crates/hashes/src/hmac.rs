@@ -86,6 +86,19 @@ impl KeyedHash64 for Hmac {
         u64::from_le_bytes(word)
     }
 
+    /// The first 16 bytes of one HMAC tag over `data`, as two little-endian
+    /// words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the underlying digest is shorter than 16 bytes; every
+    /// [`CryptoHash`] in this crate is at least MD5's 16.
+    fn mac_pair(&self, data: &[u8]) -> (u64, u64) {
+        let tag = self.compute(data);
+        let word = |i: usize| u64::from_le_bytes(tag[i..i + 8].try_into().expect("8-byte slice"));
+        (word(0), word(8))
+    }
+
     fn name(&self) -> &'static str {
         "HMAC"
     }

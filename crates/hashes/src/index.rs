@@ -16,8 +16,9 @@
 //!
 //! Both Kirsch–Mitzenmacher rows are the same [`KmIndexes`] loop over a
 //! different `(h1, h2)` pair source (see [`crate::double`]): two seeded
-//! public hash calls, or two keyed PRF calls. [`BlockedKm`](crate::BlockedKm)
-//! consumes the same pair sources.
+//! public hash calls, or one 128-bit keyed PRF call
+//! ([`KeyedHash64::mac_pair`](crate::KeyedHash64::mac_pair)).
+//! [`BlockedKm`](crate::BlockedKm) consumes the same pair sources.
 
 use crate::double::KmIndexes;
 use crate::recycle::recycled_indexes;

@@ -67,7 +67,7 @@ pub use murmur3::{murmur3_32, murmur3_x64_128, Murmur3_128, Murmur3_32};
 pub use recycle::{recycled_indexes, RecyclingReader};
 pub use sha1::{sha1, Sha1, Sha1Context};
 pub use sha2::{sha256, sha384, sha512, Sha256, Sha256Context, Sha384, Sha512, Sha512Context};
-pub use siphash::{siphash24, SipHash24, SipKey};
+pub use siphash::{siphash24, siphash24_128, SipHash24, SipKey};
 pub use traits::{CryptoHash, Hasher64, KeyedHash64};
 
 /// Enumerates one instance of every [`CryptoHash`] in the crate, in the order

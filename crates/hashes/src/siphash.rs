@@ -3,6 +3,10 @@
 //! SipHash is the countermeasure the paper benchmarks against HMAC in
 //! Table 2: a keyed function fast enough to replace MurmurHash while denying
 //! the adversary the ability to predict filter indexes.
+//!
+//! Two output widths share one compression: [`siphash24`] (64 bits, the
+//! store's shard routing) and [`siphash24_128`] (two 64-bit words, the
+//! `(h1, h2)` pair every hardened filter derives its `k` indexes from).
 
 use crate::traits::{Hasher64, KeyedHash64};
 
@@ -48,23 +52,30 @@ fn sipround(v: &mut [u64; 4]) {
     v[2] = v[2].rotate_left(32);
 }
 
-/// SipHash-2-4 of `data` under `key`: two compression rounds per 8-byte
-/// word and four finalisation rounds.
-pub fn siphash24(key: SipKey, data: &[u8]) -> u64 {
-    let mut v = [
+/// The SipHash initial state under `key`, before any `0xee` of the 128-bit
+/// variant.
+#[inline(always)]
+fn initial_state(key: SipKey) -> [u64; 4] {
+    [
         key.k0 ^ 0x736f_6d65_7073_6575,
         key.k1 ^ 0x646f_7261_6e64_6f6d,
         key.k0 ^ 0x6c79_6765_6e65_7261,
         key.k1 ^ 0x7465_6462_7974_6573,
-    ];
+    ]
+}
 
+/// Absorbs `data` into `v`: two compression rounds per 8-byte word, then the
+/// final word carrying the tail and the length byte. Shared by both output
+/// widths, which differ only in their initial and finalisation constants.
+#[inline(always)]
+fn compress(v: &mut [u64; 4], data: &[u8]) {
     let len = data.len();
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
         let m = u64::from_le_bytes(chunk.try_into().expect("8-byte slice"));
         v[3] ^= m;
-        sipround(&mut v);
-        sipround(&mut v);
+        sipround(v);
+        sipround(v);
         v[0] ^= m;
     }
 
@@ -74,15 +85,43 @@ pub fn siphash24(key: SipKey, data: &[u8]) -> u64 {
     last[7] = len as u8;
     let m = u64::from_le_bytes(last);
     v[3] ^= m;
-    sipround(&mut v);
-    sipround(&mut v);
+    sipround(v);
+    sipround(v);
     v[0] ^= m;
+}
 
-    v[2] ^= 0xff;
+/// Four finalisation rounds after xoring `constant` into `v[v_index]`, and
+/// the xor of the resulting state.
+#[inline(always)]
+fn finalise(v: &mut [u64; 4], v_index: usize, constant: u64) -> u64 {
+    v[v_index] ^= constant;
     for _ in 0..4 {
-        sipround(&mut v);
+        sipround(v);
     }
     v[0] ^ v[1] ^ v[2] ^ v[3]
+}
+
+/// SipHash-2-4 of `data` under `key`: two compression rounds per 8-byte
+/// word and four finalisation rounds.
+pub fn siphash24(key: SipKey, data: &[u8]) -> u64 {
+    let mut v = initial_state(key);
+    compress(&mut v, data);
+    finalise(&mut v, 2, 0xff)
+}
+
+/// SipHash-2-4 with a 128-bit output, as two 64-bit words `(h1, h2)`: the
+/// variant of the SipHash reference implementation. It xors `0xee` into
+/// `v1` at initialisation and into `v2` before the four finalisation rounds
+/// that yield `h1`, then `0xdd` into `v1` and four more rounds for `h2`.
+/// Both words cost one compression pass; the second costs only four more
+/// rounds. The reference's 16-byte output is `h1` LE ‖ `h2` LE.
+pub fn siphash24_128(key: SipKey, data: &[u8]) -> (u64, u64) {
+    let mut v = initial_state(key);
+    v[1] ^= 0xee;
+    compress(&mut v, data);
+    let h1 = finalise(&mut v, 2, 0xee);
+    let h2 = finalise(&mut v, 1, 0xdd);
+    (h1, h2)
 }
 
 /// Keyed SipHash-2-4 implementing both [`KeyedHash64`] (the countermeasure
@@ -117,6 +156,10 @@ impl KeyedHash64 for SipHash24 {
         // outputs.
         let tweaked = SipKey::new(self.key.k0, self.key.k1 ^ tweak);
         siphash24(tweaked, data)
+    }
+
+    fn mac_pair(&self, data: &[u8]) -> (u64, u64) {
+        siphash24_128(self.key, data)
     }
 
     fn name(&self) -> &'static str {
@@ -174,6 +217,14 @@ mod tests {
         let key = reference_key();
         let msg: Vec<u8> = (0..63u8).collect();
         assert_eq!(siphash24(key, &msg), 0x958a_324c_eb06_4572);
+    }
+
+    #[test]
+    fn mac_pair_is_the_128_bit_output_under_the_untweaked_key() {
+        let prf = SipHash24::new(SipKey::new(42, 43));
+        assert_eq!(prf.mac_pair(b"item"), siphash24_128(SipKey::new(42, 43), b"item"));
+        // The 128-bit variant is its own function, not the 64-bit one widened.
+        assert_ne!(prf.mac_pair(b"item").0, prf.mac(b"item"));
     }
 
     #[test]

@@ -79,7 +79,8 @@ pub trait CryptoHash: Send + Sync {
     }
 }
 
-/// A keyed pseudo-random function producing a 64-bit tag.
+/// A keyed pseudo-random function producing a 64-bit tag, or a 128-bit one
+/// as a pair of words.
 ///
 /// Keyed functions are the paper's recommended countermeasure (Section 8.2):
 /// because the adversary does not know the key, she cannot run the offline
@@ -95,6 +96,13 @@ pub trait KeyedHash64: Send + Sync {
     fn mac(&self, data: &[u8]) -> u64 {
         self.mac_with_tweak(data, 0)
     }
+
+    /// Computes a 128-bit keyed tag of `data` as two 64-bit words, in one
+    /// PRF call: the `(h1, h2)` pair behind every keyed index derivation
+    /// ([`crate::KeyedPair`]). There is deliberately no default built from
+    /// two [`mac_with_tweak`](Self::mac_with_tweak) calls, which would cost
+    /// twice as much.
+    fn mac_pair(&self, data: &[u8]) -> (u64, u64);
 
     /// Human-readable name used in reports and benchmarks.
     fn name(&self) -> &'static str;

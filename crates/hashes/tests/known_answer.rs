@@ -12,10 +12,14 @@
 //!   reimplementation);
 //! * SipHash-2-4 — the full test-vector table of the SipHash reference
 //!   implementation (key `00 01 … 0f`, messages `ε`, `00`, `00 01`, … up to
-//!   63 bytes), so every tail length of the final block is pinned.
+//!   63 bytes), so every tail length of the final block is pinned;
+//! * SipHash-2-4-128 — vectors of the reference implementation's 128-bit
+//!   table, and the HMAC pair on RFC 4231 test case 2: the two `(h1, h2)`
+//!   sources behind every keyed index derivation.
 
 use evilbloom_hashes::{
-    hex, md5, murmur3_32, murmur3_x64_128, sha1, sha256, sha384, sha512, siphash24, SipKey,
+    hex, md5, murmur3_32, murmur3_x64_128, sha1, sha256, sha384, sha512, siphash24, siphash24_128,
+    Hmac, KeyedHash64, Sha256, SipKey,
 };
 
 /// RFC 1321 appendix A.5 — the full MD5 test suite.
@@ -224,6 +228,39 @@ fn siphash24_paper_vectors() {
             "SipHash-2-4, {len}-byte reference message"
         );
     }
+}
+
+/// SipHash-2-4-128 against entries of the reference implementation's
+/// `vectors_sip128` table: the 16 output bytes are `h1` LE ‖ `h2` LE. The
+/// lengths cover the empty message, the shortest tails, a 15-byte message
+/// (one full word plus a 7-byte tail) and the table's last, 63-byte entry.
+#[test]
+fn siphash24_128_reference_vectors() {
+    let key = sip_reference_key();
+    for (len, expected) in [
+        (0, "a3817f04ba25a8e66df67214c7550293"),
+        (1, "da87c1d86b99af44347659119b22fc45"),
+        (2, "8177228da4a45dc7fca38bdef60affe4"),
+        (3, "9c70b60c5267a94e5f33b6b02985ed51"),
+        (15, "5493e99933b0a8117e08ec0f97cfc3d9"),
+        (63, "5150d1772f50834a503e069a973fbd7c"),
+    ] {
+        let (h1, h2) = siphash24_128(key, &sip_reference_message(len));
+        let bytes: Vec<u8> = h1.to_le_bytes().into_iter().chain(h2.to_le_bytes()).collect();
+        assert_eq!(hex::encode(&bytes), expected, "SipHash-2-4-128, {len}-byte reference message");
+    }
+}
+
+/// The HMAC pair is the first 16 bytes of one HMAC-SHA-256 tag, read as two
+/// little-endian words. RFC 4231 test case 2's tag starts
+/// `5bdcc146bf60754e 6a042426089575c7`.
+#[test]
+fn hmac_sha256_pair_rfc4231_case2() {
+    let mac = Hmac::new(Box::new(Sha256), b"Jefe");
+    assert_eq!(
+        mac.mac_pair(b"what do ya want for nothing?"),
+        (0x4e75_60bf_46c1_dc5b, 0xc775_9508_2624_046a)
+    );
 }
 
 /// The message of length `len` the padding sweep hashes: bytes `0, 1, 2, …`

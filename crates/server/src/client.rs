@@ -8,15 +8,17 @@
 //! frames crosses the network in one write and the server answers them all
 //! from one read.
 //!
-//! **Bound your bursts.** The server writes responses with blocking I/O, so
-//! a client that keeps sending while never receiving can wedge both sides
-//! once the un-received responses overflow the socket buffers (the server
-//! blocks writing responses, the client blocks writing requests, nobody
-//! reads). Keep the responses outstanding per burst comfortably under the
-//! socket-buffer scale — tens of kilobytes, i.e. thousands of single-op
-//! commands or dozens of batch frames — and prefer `MINSERT`/`MQUERY`
-//! batch frames over long runs of single-op frames: one batch frame earns
-//! one small response.
+//! **Bound your bursts.** The server's epoll reactor never blocks on a
+//! peer: it queues a connection's un-sent responses up to a high-water
+//! mark, then stops reading that connection's requests until the client
+//! drains them, and evicts a peer that stays at the mark past
+//! `ServerConfig::slow_consumer_grace`. A client that keeps sending while
+//! never receiving therefore blocks in its own request writes and is then
+//! disconnected, losing whatever was still in flight. Keep the responses
+//! outstanding per burst comfortably under the socket-buffer scale — tens
+//! of kilobytes, i.e. thousands of single-op commands or dozens of batch
+//! frames — and prefer `MINSERT`/`MQUERY` batch frames over long runs of
+//! single-op frames: one batch frame earns one small response.
 
 use std::io::{self, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};

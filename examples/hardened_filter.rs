@@ -31,20 +31,31 @@ fn main() {
         );
     }
 
-    // Show that the attack actually fails against a keyed filter: the
-    // adversary plans against her best guess (a filter with a key she made
-    // up) and gains nothing against the real one.
+    // Show that the attack actually fails against a keyed filter, at both
+    // keyed levels: the adversary plans against her best guess (a filter
+    // with a key she made up) and gains nothing against the real one.
     let real_key = FilterKey::from_bytes([42u8; 32]);
-    let real = hardened_filter(capacity, target, HardeningLevel::KeyedSipHash, &real_key);
     let guessed_key = FilterKey::from_bytes([1u8; 32]);
-    let shadow = hardened_filter(capacity, target, HardeningLevel::KeyedSipHash, &guessed_key);
-    let plan = craft_polluting_items(&shadow, &UrlGenerator::new("hardened"), 500, u64::MAX);
-    for url in &plan.items {
-        real.insert(url.as_bytes());
+    for level in [HardeningLevel::KeyedSipHash, HardeningLevel::KeyedHmac] {
+        let real = hardened_filter(capacity, target, level, &real_key);
+        let shadow = hardened_filter(capacity, target, level, &guessed_key);
+        let plan = craft_polluting_items(&shadow, &UrlGenerator::new("hardened"), 500, u64::MAX);
+        for url in &plan.items {
+            real.insert(url.as_bytes());
+        }
+        let adversarial_target = plan.items.len() as u64 * u64::from(real.k());
+        println!(
+            "{level:?} filter after {} 'crafted' insertions: weight {} (adversarial target would be {adversarial_target})",
+            plan.items.len(),
+            real.hamming_weight(),
+        );
+        assert!(
+            plan.items.iter().all(|url| real.contains(url.as_bytes())),
+            "{level:?}: a member reads absent"
+        );
+        assert!(
+            real.hamming_weight() < adversarial_target,
+            "{level:?}: the crafted set polluted the real filter as if it knew the key"
+        );
     }
-    println!(
-        "keyed filter after 500 'crafted' insertions: weight {} (adversarial target would be {})",
-        real.hamming_weight(),
-        500 * u64::from(real.k())
-    );
 }

@@ -21,7 +21,7 @@
 //! | [`webcache`] | `evilbloom-webcache` | Squid sibling-proxy simulation and attacks |
 //! | [`core`] | `evilbloom-core` | deployment assessment and hardened-filter builder |
 //! | [`store`] | `evilbloom-store` | sharded lock-free concurrent serving layer: keyed routing, key rotation, pollution alarms |
-//! | [`server`] | `evilbloom-server` | TCP serving layer: length-prefixed wire protocol, threaded server, pipelining client |
+//! | [`server`] | `evilbloom-server` | TCP serving layer: length-prefixed wire protocol, epoll reactor server, pipelining client |
 //! | [`fault`] | `evilbloom-fault` | deterministic seeded fault injection: named fault points, replayable chaos schedules |
 //!
 //! ## Quick start
